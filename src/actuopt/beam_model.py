@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,26 +125,6 @@ def beam_b_r(params, act):
     mask = np.abs(z) < 1.0
     out[mask] = (np.pi / (2.0 * act.width**2)) * np.sin(np.pi * z[mask])
     return out
-
-
-def beam_F(params, x):
-    """Nonlinearity F(w, v) = (0, -alpha w^3 / rho_a) on a stacked state."""
-    x = np.asarray(x, dtype=float)
-    m = params.n_cells - 1
-    out = np.zeros_like(x)
-    w = x[:m]
-    out[m:] = (-params.alpha / params.rho_a) * w**3
-    return out
-
-
-def beam_F_jac(params, x):
-    """Jacobian of beam_F at x as a sparse matrix (couples w into v-dot)."""
-    m = params.n_cells - 1
-    w = np.asarray(x, dtype=float)[:m]
-    d = (-3.0 * params.alpha / params.rho_a) * w**2
-    rows = m + np.arange(m)
-    cols = np.arange(m)
-    return sp.coo_matrix((d, (rows, cols)), shape=(2 * m, 2 * m)).tocsr()
 
 
 def beam_adjoint_h(params, w_o, g):
@@ -294,3 +274,64 @@ def assemble_beam(params, act_width=0.05):
         r_dim=1,
         meta={"dx": params.dx, "nodes": nodes, "act_width": act_width},
     )
+
+
+def _greens_gap(params, n_cells):
+    """Max gap between Green's quadrature and the direct 4th-order solve."""
+    p = replace(params, n_cells=n_cells)
+    xi = p.nodes
+    f = np.sin(np.pi * xi / p.length) + xi * (p.length - xi)
+    return float(np.max(np.abs(greens_apply(p, f) - stiffness_solve(p, f))))
+
+
+class BeamModel:
+    """The beam as the config, the CLI and the grid search see it.
+
+    One design dimension along (0, length); q1/q2 and the position dofs
+    both sit at the interior nodes.
+    """
+
+    name = "beam"
+    params_cls = BeamParams
+    act_width = 0.05
+
+    def domain(self, params):
+        return (params.length,)
+
+    def spacing(self, params):
+        return (params.dx,)
+
+    def assemble(self, params, act_width):
+        return assemble_beam(params, act_width=act_width)
+
+    def cost_coords(self, disc):
+        return (disc.meta["nodes"],)
+
+    dof_coords = cost_coords
+
+    def probe_columns(self, disc, points, traj):
+        """Deflection at each point, linear between nodes, zero at the ends."""
+        p = disc.params
+        xp = np.concatenate(([0.0], p.nodes, [p.length]))
+        w = traj[:, :disc.n_space]
+        return [
+            np.array([np.interp(px, xp, np.concatenate(([0.0], row, [0.0])))
+                      for row in w])
+            for (px,) in points
+        ]
+
+    def greens_check(self, params):
+        """Green's quadrature vs the direct solve at h and h/2 (EI = 1, k = 0)."""
+        if not (params.ei == 1.0 and params.k == 0.0):
+            return None
+        e_h = _greens_gap(params, params.n_cells)
+        e_h2 = _greens_gap(params, 2 * params.n_cells)
+        return {
+            "e_h": e_h,
+            "e_half_h": e_h2,
+            "ratio": e_h2 / e_h if e_h > 0 else 0.0,
+            "pass": bool(e_h < 1e-12 or e_h2 <= 0.35 * e_h),
+        }
+
+
+BEAM = BeamModel()

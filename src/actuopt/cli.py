@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from .adjoint_grad import adjoint_compare, duality_check, gradient_fd_check
-from .beam_model import greens_apply, stiffness_solve
 from .config import (
     ConfigError,
     build_problem,
@@ -30,6 +29,7 @@ from .config import (
     load_config,
 )
 from .core_system import BlowUpError, TimeGrid, energy_series, solve_forward
+from .models import MODELS
 from .optimizer import grid_search_r, optimize
 
 DUALITY_TOL = 1e-10
@@ -74,52 +74,19 @@ def _finite_or_none(x):
     return x if np.isfinite(x) else None
 
 
-def _summary(cfg, command, status, converged, wall, files, threads, extra=None):
-    out = {
-        "command": command,
-        "model": cfg.model,
-        "status": status,
-        "converged": converged,
-        "wall_time_s": wall,
-        "threads": threads,
-    }
-    if extra:
-        out.update(extra)
-    out["files"] = files
-    out["config_text"] = canonical_text(cfg)
-    return out
-
-
 def _probe_columns(cfg, prob, traj):
     """Resolve probe points to (header names, displacement column arrays)."""
-    disc = prob["disc"]
-    m = disc.n_space
-    names = []
-    cols = []
-    if cfg.model == "beam":
-        params = cfg.beam
-        xp = np.concatenate(([0.0], params.nodes, [params.length]))
-        for (px,) in prob["probe_pts"]:
-            names.append("w_at_%g" % px)
-            col = np.array([
-                np.interp(px, xp, np.concatenate(([0.0], row, [0.0])))
-                for row in traj[:, :m]
-            ])
-            cols.append(col)
-    else:
-        idx = disc.meta["free_idx"]
-        xc = disc.meta["xcoord"][idx]
-        yc = disc.meta["ycoord"][idx]
-        for (px, py) in prob["probe_pts"]:
-            j = int(np.argmin((xc - px) ** 2 + (yc - py) ** 2))
-            names.append("w_at_%g_%g" % (px, py))
-            cols.append(traj[:, j].copy())
-    return names, cols
+    pts = prob["probe_pts"]
+    names = ["w_at_" + "_".join("%g" % c for c in pt) for pt in pts]
+    return names, MODELS[cfg.model].probe_columns(prob["disc"], pts, traj)
 
 
-def cmd_simulate(cfg, out_dir, threads):
-    t0 = time.perf_counter()
-    prob = build_problem(cfg)
+# Each command takes (cfg, prob, out_dir, threads), writes its own files and
+# returns (exit code, status, converged, files written, extra summary keys);
+# main times it together with build_problem and writes summary.json.
+
+
+def cmd_simulate(cfg, prob, out_dir, threads):
     disc, grid = prob["disc"], prob["grid"]
     status = "ok"
     exit_code = 0
@@ -140,23 +107,14 @@ def cmd_simulate(cfg, out_dir, threads):
     rows = list(zip(times, energy, *cols))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t", "energy"] + names, rows, trailer)
-
-    files = ["trajectory.csv", "summary.json"]
-    summary = _summary(
-        cfg, "simulate", status, None, time.perf_counter() - t0, files, threads,
-        extra={
-            "j_history": None,
-            "final_residuals": None,
-            "n_steps_completed": int(traj.shape[0] - 1),
-        },
-    )
-    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
-    return exit_code
+    return exit_code, status, None, ["trajectory.csv"], {
+        "j_history": None,
+        "final_residuals": None,
+        "n_steps_completed": int(traj.shape[0] - 1),
+    }
 
 
-def cmd_gradcheck(cfg, out_dir, threads):
-    t0 = time.perf_counter()
-    prob = build_problem(cfg)
+def cmd_gradcheck(cfg, prob, out_dir, threads):
     disc, grid, cost = prob["disc"], prob["grid"], prob["cost"]
     x0, r = prob["x0"], prob["r_init"]
     u = prob["u0"]
@@ -197,24 +155,14 @@ def cmd_gradcheck(cfg, out_dir, threads):
         "failed_checks": failed,
     }
     _write_text(os.path.join(out_dir, "gradcheck.json"), _json_text(report))
-
-    files = ["gradcheck.json", "summary.json"]
-    status = "ok" if not failed else "check_failed"
-    summary = _summary(
-        cfg, "gradcheck", status, None, time.perf_counter() - t0, files, threads,
-        extra={"j_history": None, "final_residuals": None},
-    )
-    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
     if failed:
         print(f"actuopt gradcheck: failed checks: {', '.join(failed)}",
               file=sys.stderr)
-        return 1
-    return 0
+    return (1 if failed else 0, "check_failed" if failed else "ok", None,
+            ["gradcheck.json"], {"j_history": None, "final_residuals": None})
 
 
-def cmd_optimize(cfg, out_dir, threads):
-    t0 = time.perf_counter()
-    prob = build_problem(cfg)
+def cmd_optimize(cfg, prob, out_dir, threads):
     try:
         run = optimize(
             prob["disc"], prob["cost"], prob["x0"], prob["u0"], prob["r_init"],
@@ -222,15 +170,11 @@ def cmd_optimize(cfg, out_dir, threads):
         )
     except BlowUpError as exc:
         # the initial point already explodes; there is no iterate to report
-        summary = _summary(
-            cfg, "optimize", "blow_up", False, time.perf_counter() - t0,
-            ["summary.json"], threads,
-            extra={"blow_up_step": exc.step, "blow_up_time": exc.time},
-        )
-        _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
         print(f"actuopt optimize: forward solve blew up at the initial point "
               f"(step {exc.step}, t = {exc.time:g})", file=sys.stderr)
-        return 1
+        return 1, "blow_up", False, [], {
+            "blow_up_step": exc.step, "blow_up_time": exc.time,
+        }
 
     r_dim = run.r.size
     hist_cols = (["iter", "j", "res_u", "res_r"]
@@ -251,27 +195,18 @@ def cmd_optimize(cfg, out_dir, threads):
     }
     _write_text(os.path.join(out_dir, "optimal_r.json"), _json_text(r_report))
 
-    last = run.history[-1]
-    files = ["optim_history.csv", "optimal_u.csv", "optimal_r.json", "summary.json"]
-    summary = _summary(
-        cfg, "optimize", run.status, run.converged,
-        time.perf_counter() - t0, files, threads,
-        extra={
-            "j_history": [row["j"] for row in run.history],
-            "final_residuals": {"res_u": last["res_u"], "res_r": last["res_r"]},
-        },
-    )
-    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
     if not run.converged:
         print(f"actuopt optimize: did not converge (status: {run.status})",
               file=sys.stderr)
-        return 1
-    return 0
+    last = run.history[-1]
+    files = ["optim_history.csv", "optimal_u.csv", "optimal_r.json"]
+    return 0 if run.converged else 1, run.status, run.converged, files, {
+        "j_history": [row["j"] for row in run.history],
+        "final_residuals": {"res_u": last["res_u"], "res_r": last["res_r"]},
+    }
 
 
-def cmd_gridsearch(cfg, out_dir, threads):
-    t0 = time.perf_counter()
-    prob = build_problem(cfg)
+def cmd_gridsearch(cfg, prob, out_dir, threads):
     r_dim = prob["r_init"].size
     try:
         best, table = grid_search_r(
@@ -280,42 +215,22 @@ def cmd_gridsearch(cfg, out_dir, threads):
         )
     except RuntimeError as exc:
         print(f"actuopt gridsearch: {exc}", file=sys.stderr)
-        summary = _summary(cfg, "gridsearch", "failed", None,
-                           time.perf_counter() - t0, ["summary.json"], threads,
-                           extra={"j_history": None, "final_residuals": None})
-        _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
-        return 1
+        return 1, "failed", None, [], {"j_history": None, "final_residuals": None}
 
     header = [f"r{c + 1}" for c in range(r_dim)] + ["j", "converged"]
     _write_csv(os.path.join(out_dir, "landscape.csv"), header, table)
 
     best_j = min(row[r_dim] for row in table
                  if row[r_dim + 1] and np.isfinite(row[r_dim]))
-    files = ["landscape.csv", "summary.json"]
-    summary = _summary(
-        cfg, "gridsearch", "ok", None, time.perf_counter() - t0, files, threads,
-        extra={
-            "j_history": None,
-            "final_residuals": None,
-            "best_r": [float(v) for v in best],
-            "best_j": best_j,
-        },
-    )
-    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
-    return 0
+    return 0, "ok", None, ["landscape.csv"], {
+        "j_history": None,
+        "final_residuals": None,
+        "best_r": [float(v) for v in best],
+        "best_j": best_j,
+    }
 
 
-def _greens_gap(params, n_cells):
-    """Max gap between Green's quadrature and the direct 4th-order solve."""
-    p = dataclasses.replace(params, n_cells=n_cells)
-    xi = p.nodes
-    f = np.sin(np.pi * xi / p.length) + xi * (p.length - xi)
-    return float(np.max(np.abs(greens_apply(p, f) - stiffness_solve(p, f))))
-
-
-def cmd_oracle_compare(cfg, out_dir, threads):
-    t0 = time.perf_counter()
-    prob = build_problem(cfg)
+def cmd_oracle_compare(cfg, prob, out_dir, threads):
     disc, cost = prob["disc"], prob["cost"]
     # refine the time grid: the oracle and the discrete adjoint only have to
     # agree up to time-discretization error
@@ -323,20 +238,8 @@ def cmd_oracle_compare(cfg, out_dir, threads):
     u2 = control_series(cfg, grid2.times)
     x_traj = solve_forward(disc, prob["x0"], u2, prob["r_init"], grid2)
     rel = adjoint_compare(disc, cost, x_traj, prob["r_init"], grid2)
-    ok = bool(rel <= ORACLE_TOL)
-
-    greens = None
-    if cfg.model == "beam" and cfg.beam.ei == 1.0 and cfg.beam.k == 0.0:
-        e_h = _greens_gap(cfg.beam, cfg.beam.n_cells)
-        e_h2 = _greens_gap(cfg.beam, 2 * cfg.beam.n_cells)
-        g_ok = e_h < 1e-12 or e_h2 <= 0.35 * e_h
-        greens = {
-            "e_h": e_h,
-            "e_half_h": e_h2,
-            "ratio": e_h2 / e_h if e_h > 0 else 0.0,
-            "pass": bool(g_ok),
-        }
-        ok = ok and g_ok
+    greens = MODELS[cfg.model].greens_check(cfg.params)
+    ok = bool(rel <= ORACLE_TOL) and (greens is None or greens["pass"])
 
     report = {
         "adjoint_rel_linf": _finite_or_none(rel),
@@ -346,19 +249,11 @@ def cmd_oracle_compare(cfg, out_dir, threads):
         "pass": ok,
     }
     _write_text(os.path.join(out_dir, "oracle_compare.json"), _json_text(report))
-
-    files = ["oracle_compare.json", "summary.json"]
-    summary = _summary(
-        cfg, "oracle-compare", "ok" if ok else "check_failed", None,
-        time.perf_counter() - t0, files, threads,
-        extra={"j_history": None, "final_residuals": None},
-    )
-    _write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
     if not ok:
         print(f"actuopt oracle-compare: relative error {rel:.3e} "
               f"(tolerance {ORACLE_TOL:g})", file=sys.stderr)
-        return 1
-    return 0
+    return (0 if ok else 1, "ok" if ok else "check_failed", None,
+            ["oracle_compare.json"], {"j_history": None, "final_residuals": None})
 
 
 _COMMANDS = {
@@ -427,7 +322,24 @@ def main(argv=None):
         return 2
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return _COMMANDS[args.command](cfg, cfg.out_dir, threads)
+    t0 = time.perf_counter()
+    prob = build_problem(cfg)
+    code, status, converged, files, extra = _COMMANDS[args.command](
+        cfg, prob, cfg.out_dir, threads
+    )
+    summary = {
+        "command": args.command,
+        "model": cfg.model,
+        "status": status,
+        "converged": converged,
+        "wall_time_s": time.perf_counter() - t0,
+        "threads": threads,
+        **extra,
+        "files": files + ["summary.json"],
+        "config_text": canonical_text(cfg),
+    }
+    _write_text(os.path.join(cfg.out_dir, "summary.json"), _json_text(summary))
+    return code
 
 
 if __name__ == "__main__":

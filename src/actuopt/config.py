@@ -15,15 +15,17 @@ ExperimentConfig, which is the round-trip contract echoed in summary.json.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import BeamParams, assemble_beam, BeamActuator, beam_b
+from .beam_model import BeamParams
 from .core_system import CostSpec, TimeGrid
+from .models import MODELS
 from .optimizer import OptimizerConfig, ProjectionSpec
-from .wave_model import WaveParams, assemble_wave
+from .wave_model import WaveParams
 
 
 class ConfigError(ValueError):
@@ -60,6 +62,16 @@ class ExperimentConfig:
     out_dir: str
     probe: object  # "center" or tuple of floats (beam) / tuple of pairs (wave)
 
+    @property
+    def params(self):
+        """The parameters of the configured model."""
+        return getattr(self, self.model)
+
+    @property
+    def domain(self):
+        """Side lengths of the model's domain, one per design dimension."""
+        return MODELS[self.model].domain(self.params)
+
 
 def _f(s):
     return float(s)
@@ -84,17 +96,16 @@ def _s(s):
     return s
 
 
+def _names(s):
+    return tuple(e.strip() for e in s.split(",") if e.strip())
+
+
+# a model section's parser per field follows the type of the field's default
+_PARSERS = {float: _f, int: _i, str: _s, tuple: _names}
+
 _SCHEMA = {
     "run": {"model": _s, "seed": _i},
     "time": {"t_final": _f, "n_steps": _i},
-    "beam": {
-        "ei": _f, "rho_a": _f, "length": _f, "k": _f, "alpha": _f,
-        "mu": _f, "c_d": _f, "n_cells": _i,
-    },
-    "wave": {
-        "lx": _f, "ly": _f, "nx": _i, "ny": _i, "gamma1_edges": _s,
-        "nonlinearity": _s, "kg_exponent": _i,
-    },
     "actuator": {"width": _f, "r_init": _s},
     "cost": {"q1": _s, "q2": _s, "r_weight": _f},
     "init": {"kind": _s, "amplitude": _f, "mode": _i, "center": _s, "sigma": _f},
@@ -105,6 +116,11 @@ _SCHEMA = {
     "gridsearch": {"n_grid": _i},
     "output": {"out_dir": _s, "probe": _s},
 }
+for _model in MODELS.values():
+    _SCHEMA[_model.name] = {
+        f.name: _PARSERS[type(f.default)]
+        for f in dataclasses.fields(_model.params_cls)
+    }
 
 
 def _floats(spec, what, count=None):
@@ -157,56 +173,32 @@ def parse_config_text(text, source="<config>"):
     def take(section, key, default):
         return raw.pop((section, key), (default, None))[0]
 
-    model = take("run", "model", None)
-    if model is None:
+    name = take("run", "model", None)
+    if name is None:
         raise ConfigError(f"{source}: missing required key 'model' in [run]")
-    if model not in ("beam", "wave"):
-        raise ConfigError(f"{source}: model must be 'beam' or 'wave', got {model!r}")
-    other = "wave" if model == "beam" else "beam"
-    stray = [k for (sec, k) in raw if sec == other]
+    if name not in MODELS:
+        known = " or ".join(repr(n) for n in MODELS)
+        raise ConfigError(f"{source}: model must be {known}, got {name!r}")
+    stray = [sec for (sec, _) in raw if sec in MODELS and sec != name]
     if stray:
         raise ConfigError(
-            f"{source}: section [{other}] is invalid when model = {model}"
+            f"{source}: section [{stray[0]}] is invalid when model = {name}"
         )
+    model = MODELS[name]
 
     seed = take("run", "seed", 0)
     t_final = take("time", "t_final", 2.0)
     n_steps = take("time", "n_steps", 400)
 
+    given = {k: raw.pop((sec, k))[0] for (sec, k) in list(raw) if sec == name}
     try:
-        beam = BeamParams(
-            ei=take("beam", "ei", 1.0),
-            rho_a=take("beam", "rho_a", 1.0),
-            length=take("beam", "length", 1.0),
-            k=take("beam", "k", 1.0),
-            alpha=take("beam", "alpha", 1.0),
-            mu=take("beam", "mu", 0.1),
-            c_d=take("beam", "c_d", 0.01),
-            n_cells=take("beam", "n_cells", 64),
-        ) if model == "beam" else None
-        wave = WaveParams(
-            lx=take("wave", "lx", 1.0),
-            ly=take("wave", "ly", 1.0),
-            nx=take("wave", "nx", 24),
-            ny=take("wave", "ny", 24),
-            gamma1_edges=tuple(
-                e.strip()
-                for e in take("wave", "gamma1_edges", "").split(",")
-                if e.strip()
-            ),
-            nonlinearity=take("wave", "nonlinearity", "sine_gordon"),
-            kg_exponent=take("wave", "kg_exponent", 2),
-        ) if model == "wave" else None
+        params = model.params_cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"{source}: [{model}] section: {exc}") from None
+        raise ConfigError(f"{source}: [{name}] section: {exc}") from None
+    domain = model.domain(params)
+    r_dim = len(domain)
 
-    r_dim = 1 if model == "beam" else 2
-    if model == "beam":
-        domain = (beam.length,)
-    else:
-        domain = (wave.lx, wave.ly)
-
-    act_width = take("actuator", "width", 0.05 if model == "beam" else 0.1)
+    act_width = take("actuator", "width", model.act_width)
     if not (act_width > 0.0):
         raise ConfigError(f"{source}: actuator width must be positive")
     r_init_s = take("actuator", "r_init", "center")
@@ -216,8 +208,8 @@ def parse_config_text(text, source="<config>"):
 
     q1 = take("cost", "q1", "uniform")
     q2 = take("cost", "q2", "uniform")
-    for name, preset in (("q1", q1), ("q2", q2)):
-        _check_preset(preset, model, f"{source}: [cost] {name}")
+    for key, preset in (("q1", q1), ("q2", q2)):
+        _check_preset(preset, r_dim, f"{source}: [cost] {key}")
     r_weight = take("cost", "r_weight", 1.0)
     if not (r_weight > 0.0 and math.isfinite(r_weight)):
         raise ConfigError(f"{source}: [cost] r_weight must be positive")
@@ -286,28 +278,25 @@ def parse_config_text(text, source="<config>"):
 
     out_dir = take("output", "out_dir", "runs/out")
     probe_s = take("output", "probe", "center")
-    if probe_s == "center":
-        probe = "center"
-    elif model == "beam":
-        probe = _floats(probe_s, f"{source}: [output] probe")
-        if not probe:
-            raise ConfigError(f"{source}: [output] probe is empty")
-    else:
-        probe = tuple(
-            _floats(pair, f"{source}: [output] probe", 2)
-            for pair in probe_s.split(";")
-            if pair.strip()
+    probe = "center"
+    if probe_s != "center":
+        points = tuple(
+            _floats(point, f"{source}: [output] probe", r_dim)
+            for point in probe_s.split(_probe_sep(r_dim))
+            if point.strip()
         )
-        if not probe:
+        if not points:
             raise ConfigError(f"{source}: [output] probe is empty")
+        probe = tuple(p for (p,) in points) if r_dim == 1 else points
 
     if raw:
         (sec, key), (_, lineno) = next(iter(raw.items()))
         raise ConfigError(f"{source}:{lineno}: key {key!r} not consumed from [{sec}]")
 
     cfg = ExperimentConfig(
-        model=model, seed=seed, t_final=t_final, n_steps=n_steps, beam=beam,
-        wave=wave, act_width=act_width, r_init=r_init, q1=q1, q2=q2,
+        model=name, seed=seed, t_final=t_final, n_steps=n_steps,
+        **{n: params if n == name else None for n in MODELS},
+        act_width=act_width, r_init=r_init, q1=q1, q2=q2,
         r_weight=r_weight, init_kind=init_kind, init_amplitude=init_amplitude,
         init_mode=init_mode, init_center=init_center, init_sigma=init_sigma,
         control_kind=control_kind, control_amplitude=control_amplitude,
@@ -322,17 +311,29 @@ def parse_config_text(text, source="<config>"):
     return cfg
 
 
-def _check_preset(preset, model, where):
+def _check_preset(preset, r_dim, where):
     if preset in ("uniform", "zero"):
         return
     if preset.startswith("gaussian(") and preset.endswith(")"):
-        n_args = 2 if model == "beam" else 3
-        _floats(preset[len("gaussian("):-1], f"{where}: gaussian arguments", n_args)
+        _floats(preset[len("gaussian("):-1], f"{where}: gaussian arguments",
+                r_dim + 1)
         return
     raise ConfigError(
         f"{where}: unknown preset {preset!r} "
         "(use uniform, zero, or gaussian(center...,width))"
     )
+
+
+def _probe_sep(r_dim):
+    # one-dimensional probes are a list of numbers, others "x, y; x, y"
+    return "," if r_dim == 1 else ";"
+
+
+def _probe_points(cfg):
+    """The configured probe as a tuple of points (no "center")."""
+    if len(cfg.domain) == 1:
+        return tuple((p,) for p in cfg.probe)
+    return tuple(cfg.probe)
 
 
 def load_config(path):
@@ -359,6 +360,8 @@ def canonical_text(cfg):
             return "true" if v else "false"
         if isinstance(v, float):
             return repr(v)
+        if isinstance(v, tuple):
+            return ",".join(v)
         return str(v)
 
     def fmt_tuple(t):
@@ -366,20 +369,10 @@ def canonical_text(cfg):
 
     sec("run", [("model", cfg.model), ("seed", cfg.seed)])
     sec("time", [("t_final", fmt(cfg.t_final)), ("n_steps", cfg.n_steps)])
-    if cfg.model == "beam":
-        b = cfg.beam
-        sec("beam", [
-            ("ei", fmt(b.ei)), ("rho_a", fmt(b.rho_a)), ("length", fmt(b.length)),
-            ("k", fmt(b.k)), ("alpha", fmt(b.alpha)), ("mu", fmt(b.mu)),
-            ("c_d", fmt(b.c_d)), ("n_cells", b.n_cells),
-        ])
-    else:
-        w = cfg.wave
-        sec("wave", [
-            ("lx", fmt(w.lx)), ("ly", fmt(w.ly)), ("nx", w.nx), ("ny", w.ny),
-            ("gamma1_edges", ",".join(w.gamma1_edges)),
-            ("nonlinearity", w.nonlinearity), ("kg_exponent", w.kg_exponent),
-        ])
+    sec(cfg.model, [
+        (f.name, fmt(getattr(cfg.params, f.name)))
+        for f in dataclasses.fields(cfg.params)
+    ])
     r_init = cfg.r_init if cfg.r_init == "center" else fmt_tuple(cfg.r_init)
     sec("actuator", [("width", fmt(cfg.act_width)), ("r_init", r_init)])
     sec("cost", [("q1", cfg.q1), ("q2", cfg.q2), ("r_weight", fmt(cfg.r_weight))])
@@ -400,32 +393,22 @@ def canonical_text(cfg):
     ])
     sec("gradcheck", [("n_directions", cfg.n_directions), ("corrupt", fmt(cfg.corrupt))])
     sec("gridsearch", [("n_grid", cfg.n_grid)])
-    if cfg.probe == "center":
-        probe = "center"
-    elif cfg.model == "beam":
-        probe = fmt_tuple(cfg.probe)
-    else:
-        probe = ";".join(fmt_tuple(pair) for pair in cfg.probe)
+    probe = "center"
+    if cfg.probe != "center":
+        sep = _probe_sep(len(cfg.domain))
+        probe = sep.join(fmt_tuple(p) for p in _probe_points(cfg))
     sec("output", [("out_dir", cfg.out_dir), ("probe", probe)])
     return "\n".join(lines)
 
 
-def _eval_preset(preset, model, coords):
-    """Evaluate a q1/q2 preset on coordinate arrays.
-
-    coords: (xi,) for the beam, (x, y) for the wave.
-    """
+def _eval_preset(preset, coords):
+    """Evaluate a q1/q2 preset on the model's coordinate arrays."""
     if preset == "uniform":
         return np.ones_like(coords[0])
     if preset == "zero":
         return np.zeros_like(coords[0])
-    args = _floats(preset[len("gaussian("):-1], "gaussian preset")
-    if model == "beam":
-        c, width = args
-        d2 = (coords[0] - c) ** 2
-    else:
-        cx, cy, width = args
-        d2 = (coords[0] - cx) ** 2 + (coords[1] - cy) ** 2
+    *center, width = _floats(preset[len("gaussian("):-1], "gaussian preset")
+    d2 = sum((x - c) ** 2 for x, c in zip(coords, center))
     return np.exp(-d2 / (2.0 * width**2))
 
 
@@ -445,62 +428,37 @@ def build_problem(cfg):
     and probe points resolved to coordinates.
     """
     grid = TimeGrid(cfg.t_final, cfg.n_steps)
-    if cfg.model == "beam":
-        params = cfg.beam
-        disc = assemble_beam(params, act_width=cfg.act_width)
-        xi = params.nodes
-        q1 = _eval_preset(cfg.q1, "beam", (xi,))
-        q2 = _eval_preset(cfg.q2, "beam", (xi,))
-        m = disc.n_space
-        x0 = np.zeros(disc.n_dof)
-        if cfg.init_kind == "sine":
-            x0[:m] = cfg.init_amplitude * np.sin(
-                cfg.init_mode * np.pi * xi / params.length
-            )
-        elif cfg.init_kind == "gaussian":
-            x0[:m] = cfg.init_amplitude * np.exp(
-                -((xi - cfg.init_center[0]) ** 2) / (2.0 * cfg.init_sigma**2)
-            )
-        if cfg.r_box == "auto":
-            lo = cfg.act_width + params.dx
-            hi = params.length - cfg.act_width - params.dx
-            box = np.array([[lo, hi]])
-        else:
-            box = np.asarray(cfg.r_box, dtype=float).reshape(1, 2)
-        domain_center = (params.length / 2.0,)
-        probe_pts = (
-            (domain_center,) if cfg.probe == "center"
-            else tuple((p,) for p in cfg.probe)
+    model = MODELS[cfg.model]
+    domain = cfg.domain
+    disc = model.assemble(cfg.params, cfg.act_width)
+    coords = model.cost_coords(disc)
+    q1 = _eval_preset(cfg.q1, coords)
+    q2 = _eval_preset(cfg.q2, coords)
+
+    m = disc.n_space
+    dofs = model.dof_coords(disc)
+    x0 = np.zeros(disc.n_dof)
+    if cfg.init_kind == "sine":
+        x0[:m] = cfg.init_amplitude * math.prod(
+            np.sin(cfg.init_mode * np.pi * x / length)
+            for x, length in zip(dofs, domain)
         )
+    elif cfg.init_kind == "gaussian":
+        d2 = sum((x - c) ** 2 for x, c in zip(dofs, cfg.init_center))
+        x0[:m] = cfg.init_amplitude * np.exp(-d2 / (2.0 * cfg.init_sigma**2))
+
+    if cfg.r_box == "auto":
+        w = cfg.act_width
+        box = np.array([
+            [w + h, length - w - h]
+            for length, h in zip(domain, model.spacing(cfg.params))
+        ])
     else:
-        params = cfg.wave
-        disc = assemble_wave(params, act_width=cfg.act_width)
-        xc = disc.meta["xcoord"]
-        yc = disc.meta["ycoord"]
-        q1 = _eval_preset(cfg.q1, "wave", (xc, yc))
-        q2 = _eval_preset(cfg.q2, "wave", (xc, yc))
-        m = disc.n_space
-        idx = disc.meta["free_idx"]
-        xf = xc[idx]
-        yf = yc[idx]
-        x0 = np.zeros(disc.n_dof)
-        if cfg.init_kind == "sine":
-            x0[:m] = cfg.init_amplitude * (
-                np.sin(cfg.init_mode * np.pi * xf / params.lx)
-                * np.sin(cfg.init_mode * np.pi * yf / params.ly)
-            )
-        elif cfg.init_kind == "gaussian":
-            d2 = (xf - cfg.init_center[0]) ** 2 + (yf - cfg.init_center[1]) ** 2
-            x0[:m] = cfg.init_amplitude * np.exp(-d2 / (2.0 * cfg.init_sigma**2))
-        if cfg.r_box == "auto":
-            box = np.array([
-                [cfg.act_width + params.hx, params.lx - cfg.act_width - params.hx],
-                [cfg.act_width + params.hy, params.ly - cfg.act_width - params.hy],
-            ])
-        else:
-            box = np.asarray(cfg.r_box, dtype=float).reshape(2, 2)
-        domain_center = (params.lx / 2.0, params.ly / 2.0)
-        probe_pts = (domain_center,) if cfg.probe == "center" else tuple(cfg.probe)
+        box = np.asarray(cfg.r_box, dtype=float).reshape(len(domain), 2)
+    probe_pts = (
+        (tuple(length / 2.0 for length in domain),) if cfg.probe == "center"
+        else _probe_points(cfg)
+    )
 
     cost = CostSpec(q1=q1, q2=q2, r_weight=cfg.r_weight)
     pspec = ProjectionSpec(r_ad=cfg.r_ad, r_box=box)

@@ -21,7 +21,7 @@ with F_ext(0) = F(x_0) and F_ext(n) = 1.5 F(x_n) - 0.5 F(x_{n-1}) after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,13 +167,6 @@ class Discretization:
     @property
     def n_dof(self):
         return 2 * self.n_space
-
-    def split(self, x):
-        m = self.n_space
-        return x[..., :m], x[..., m:]
-
-    def join(self, w, v):
-        return np.concatenate([w, v], axis=-1)
 
     def cost_matrix(self, cost):
         """Build (and cache) M_Q for a CostSpec instance."""

@@ -1,0 +1,20 @@
+"""The registry of models, keyed by the `[run] model` name.
+
+A model object carries what the config, the CLI and the grid search need
+to know about one model, so none of them branches on the model name:
+
+    name, params_cls    the [run] model name and the parameter dataclass;
+                        its fields and defaults are the config section
+    act_width           the default actuator half-width
+    domain(params)      side lengths, one per design dimension
+    spacing(params)     grid spacing, one per design dimension
+    assemble(params, act_width) -> Discretization
+    cost_coords(disc)   coordinate arrays where q1/q2 are sampled
+    dof_coords(disc)    coordinate arrays of the position dofs
+    probe_columns(disc, points, traj) -> one displacement series per point
+    greens_check(params) -> the oracle's Green's-function report, or None
+"""
+from .beam_model import BEAM
+from .wave_model import WAVE
+
+MODELS = {model.name: model for model in (BEAM, WAVE)}

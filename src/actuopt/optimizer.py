@@ -20,6 +20,7 @@ import numpy as np
 
 from .adjoint_grad import gradients_from_adjoint, solve_adjoint
 from .core_system import BlowUpError, cost_eval, solve_forward, CostSpec, TimeGrid
+from .models import MODELS
 
 
 @dataclass
@@ -241,23 +242,11 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     )
 
 
-def _assemble_for(model, params, act_width):
-    if model == "beam":
-        from .beam_model import assemble_beam
-
-        return assemble_beam(params, act_width=act_width)
-    if model == "wave":
-        from .wave_model import assemble_wave
-
-        return assemble_wave(params, act_width=act_width)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _grid_point_worker(task):
     """Solve the u-subproblem at one design point (process-pool safe)."""
     (idx, model, params, act_width, q1, q2, r_weight, x0, t_final, n_steps,
      r_ad, r_box, config, r_point) = task
-    disc = _assemble_for(model, params, act_width)
+    disc = MODELS[model].assemble(params, act_width)
     grid = TimeGrid(t_final, n_steps)
     cost = CostSpec(q1=q1, q2=q2, r_weight=r_weight)
     spec = ProjectionSpec(r_ad=r_ad, r_box=r_box)

@@ -211,25 +211,6 @@ def _family(params):
     return nonlinearity_f(params.nonlinearity, params.kg_exponent)
 
 
-def wave_F(params, x):
-    """Nonlinearity (0, F(w)) on a stacked state over the free nodes."""
-    x = np.asarray(x, dtype=float)
-    m = x.size // 2
-    out = np.zeros_like(x)
-    out[m:] = _family(params).f(x[:m])
-    return out
-
-
-def wave_F_jac(params, x):
-    """Jacobian of wave_F at x (diagonal coupling of w into v-dot)."""
-    x = np.asarray(x, dtype=float)
-    m = x.size // 2
-    d = _family(params).fprime(x[:m])
-    rows = m + np.arange(m)
-    cols = np.arange(m)
-    return sp.coo_matrix((d, (rows, cols)), shape=(2 * m, 2 * m)).tocsr()
-
-
 def _bump_on(params, act, xp, yp):
     rho = np.hypot(xp - act.c1, yp - act.c2)
     cnorm = np.pi / (act.width**2 * (np.pi**2 - 4.0))
@@ -376,3 +357,43 @@ def assemble_wave(params, act_width=0.1):
             "n_nodes": n_nodes,
         },
     )
+
+
+class WaveModel:
+    """The wave as the config, the CLI and the grid search see it.
+
+    Two design dimensions over (0, lx) x (0, ly); q1/q2 are sampled at all
+    grid nodes, the position dofs sit at the free (non-Dirichlet) nodes.
+    """
+
+    name = "wave"
+    params_cls = WaveParams
+    act_width = 0.1
+
+    def domain(self, params):
+        return (params.lx, params.ly)
+
+    def spacing(self, params):
+        return (params.hx, params.hy)
+
+    def assemble(self, params, act_width):
+        return assemble_wave(params, act_width=act_width)
+
+    def cost_coords(self, disc):
+        return (disc.meta["xcoord"], disc.meta["ycoord"])
+
+    def dof_coords(self, disc):
+        idx = disc.meta["free_idx"]
+        return (disc.meta["xcoord"][idx], disc.meta["ycoord"][idx])
+
+    def probe_columns(self, disc, points, traj):
+        """Displacement at the free node nearest to each point."""
+        xc, yc = self.dof_coords(disc)
+        return [traj[:, int(np.argmin((xc - px) ** 2 + (yc - py) ** 2))].copy()
+                for px, py in points]
+
+    def greens_check(self, params):
+        return None
+
+
+WAVE = WaveModel()

@@ -1,0 +1,78 @@
+"""Contract tests run over every registered model, and a guard that keeps
+model-name branches out of the model-agnostic layers."""
+import ast
+import os
+
+import numpy as np
+import pytest
+
+import actuopt
+from actuopt.cli import main
+from actuopt.config import build_problem, canonical_text, parse_config_text
+from actuopt.models import MODELS
+
+NAMES = sorted(MODELS)
+
+
+def minimal(name):
+    return f"[run]\nmodel = {name}\n"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_minimal_config_round_trips(name):
+    cfg = parse_config_text(minimal(name))
+    canon = canonical_text(cfg)
+    assert parse_config_text(canon, source="<canonical>") == cfg
+    assert canonical_text(parse_config_text(canon)) == canon
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_build_problem_contract(name):
+    cfg = parse_config_text(minimal(name) + "[time]\nt_final = 0.1\nn_steps = 4\n")
+    prob = build_problem(cfg)
+    disc = prob["disc"]
+    assert disc.model == name
+    assert disc.r_dim == len(cfg.domain)
+    assert prob["x0"].shape == (disc.n_dof,)
+    box = prob["pspec"].r_box
+    r = prob["r_init"]
+    assert box.shape == (disc.r_dim, 2)
+    assert r.shape == (disc.r_dim,)
+    assert np.all((box[:, 0] <= r) & (r <= box[:, 1]))
+    mq = disc.cost_matrix(prob["cost"])
+    assert mq.shape == (disc.n_dof, disc.n_dof)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_simulate_header_has_one_column_per_probe(tmp_path, name):
+    model = MODELS[name]
+    domain = model.domain(model.params_cls())
+    points = [tuple(f * d for d in domain) for f in (0.3, 0.6, 0.7)]
+    sep = "," if len(domain) == 1 else ";"
+    probe = sep.join(", ".join(repr(c) for c in p) for p in points)
+    path = tmp_path / "run.cfg"
+    path.write_text(minimal(name) + "[time]\nt_final = 0.1\nn_steps = 4\n"
+                    + f"[output]\nprobe = {probe}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    assert header[2:] == [
+        "w_at_" + "_".join("%g" % c for c in p) for p in points
+    ]
+
+
+def test_no_model_name_comparisons_outside_the_models():
+    pkg = os.path.dirname(os.path.abspath(actuopt.__file__))
+    found = []
+    for module in ("config.py", "cli.py", "optimizer.py"):
+        with open(os.path.join(pkg, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(sub, ast.Constant) and sub.value in ("beam", "wave")
+                   for op in operands for sub in ast.walk(op)):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
