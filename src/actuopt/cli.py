@@ -83,7 +83,8 @@ def _probe_columns(cfg, prob, traj):
 
 # Each command takes (cfg, prob, out_dir, threads), writes its own files and
 # returns (exit code, status, converged, files written, extra summary keys);
-# main times it together with build_problem and writes summary.json.
+# main times it together with build_problem and writes summary.json, where
+# j_history and final_residuals are null unless the command sets them.
 
 
 def cmd_simulate(cfg, prob, out_dir, threads):
@@ -108,8 +109,6 @@ def cmd_simulate(cfg, prob, out_dir, threads):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t", "energy"] + names, rows, trailer)
     return exit_code, status, None, ["trajectory.csv"], {
-        "j_history": None,
-        "final_residuals": None,
         "n_steps_completed": int(traj.shape[0] - 1),
     }
 
@@ -159,7 +158,7 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
         print(f"actuopt gradcheck: failed checks: {', '.join(failed)}",
               file=sys.stderr)
     return (1 if failed else 0, "check_failed" if failed else "ok", None,
-            ["gradcheck.json"], {"j_history": None, "final_residuals": None})
+            ["gradcheck.json"], {})
 
 
 def cmd_optimize(cfg, prob, out_dir, threads):
@@ -211,11 +210,12 @@ def cmd_gridsearch(cfg, prob, out_dir, threads):
     try:
         best, table = grid_search_r(
             prob["disc"], prob["cost"], prob["x0"], prob["pspec"],
-            n_grid=cfg.n_grid, grid=prob["grid"], threads=threads,
+            n_grid=cfg.n_grid, grid=prob["grid"], config=cfg.opt,
+            threads=threads,
         )
     except RuntimeError as exc:
         print(f"actuopt gridsearch: {exc}", file=sys.stderr)
-        return 1, "failed", None, [], {"j_history": None, "final_residuals": None}
+        return 1, "failed", None, [], {}
 
     header = [f"r{c + 1}" for c in range(r_dim)] + ["j", "converged"]
     _write_csv(os.path.join(out_dir, "landscape.csv"), header, table)
@@ -223,8 +223,6 @@ def cmd_gridsearch(cfg, prob, out_dir, threads):
     best_j = min(row[r_dim] for row in table
                  if row[r_dim + 1] and np.isfinite(row[r_dim]))
     return 0, "ok", None, ["landscape.csv"], {
-        "j_history": None,
-        "final_residuals": None,
         "best_r": [float(v) for v in best],
         "best_j": best_j,
     }
@@ -253,7 +251,7 @@ def cmd_oracle_compare(cfg, prob, out_dir, threads):
         print(f"actuopt oracle-compare: relative error {rel:.3e} "
               f"(tolerance {ORACLE_TOL:g})", file=sys.stderr)
     return (0 if ok else 1, "ok" if ok else "check_failed", None,
-            ["oracle_compare.json"], {"j_history": None, "final_residuals": None})
+            ["oracle_compare.json"], {})
 
 
 _COMMANDS = {
@@ -334,6 +332,8 @@ def main(argv=None):
         "converged": converged,
         "wall_time_s": time.perf_counter() - t0,
         "threads": threads,
+        "j_history": None,
+        "final_residuals": None,
         **extra,
         "files": files + ["summary.json"],
         "config_text": canonical_text(cfg),

@@ -123,7 +123,7 @@ class Discretization:
 
     Fields
     ------
-    model:      "beam" or "wave"
+    model:      the model's name in actuopt.models.MODELS ("beam", "wave")
     params:     the model parameter dataclass
     n_space:    number of position dofs m (state dimension is 2m)
     a_mat:      sparse (2m, 2m) system operator A

@@ -13,6 +13,7 @@ stationarity, and grid_search_r is the global reference at desk scale.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -273,9 +274,9 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     """Dense design-space sweep: solve the u-subproblem on a uniform grid.
 
     n_grid points per design dimension over r_box (lexicographic order).
-    Points are independent; with threads > 1 they are distributed over a
-    process pool, and the result table order is by grid position either
-    way. Failed points carry J = nan and converged = False and are
+    Points are independent; they are distributed over a process pool of
+    min(threads, CPU count, number of points) workers when that exceeds
+    one, and the result table order is by grid position either way. Failed points carry J = nan and converged = False and are
     excluded from the argmin.
 
     Returns (r_star, table): table rows are (r components..., J, converged).
@@ -297,8 +298,9 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
         for i, pt in enumerate(points)
     ]
     results = [None] * len(tasks)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, j_val, ok in pool.map(_grid_point_worker, tasks):
                 results[idx] = (j_val, ok)
     else:

@@ -284,6 +284,8 @@ amplitude = 2.5
     assert summary["status"] == "blow_up"
     assert summary["converged"] is False
     assert summary["blow_up_step"] >= 1
+    assert summary["j_history"] is None
+    assert summary["final_residuals"] is None
 
 
 GRID_BEAM = """\
@@ -317,6 +319,17 @@ def test_gridsearch_writes_landscape(tmp_path):
     k = int(np.argmin(data[:, 1]))
     assert summary["best_r"] == [data[k, 0]]
     assert summary["best_j"] == data[k, 1]
+
+
+def test_gridsearch_honours_optimizer_section(tmp_path):
+    # without tol_grad the default 2e-6 needs more than three iterations at
+    # some design points; the CLI must pass the cap to every point's solve
+    text = GRID_BEAM.replace("tol_grad = 1e-3\n", "").replace(
+        "max_iters = 40", "max_iters = 3")
+    code, out = run_cli(tmp_path, text, "gridsearch")
+    assert code == 0
+    _, data, _ = read_csv(os.path.join(out, "landscape.csv"))
+    assert np.any(data[:, 2] == 0.0)
 
 
 def test_gridsearch_thread_pool_equivalent(tmp_path):

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from conftest import make_beam
 
 import actuopt as ao
+import actuopt.optimizer as optimizer_mod
 from actuopt.optimizer import OptimizerConfig, ProjectionSpec
 
 LOOSE = OptimizerConfig(max_iters=60, tol_grad=1e-4)
@@ -146,3 +149,33 @@ def test_grid_search_process_pool_matches_serial():
     np.testing.assert_array_equal(b1, b2)
     for row1, row2 in zip(t1, t2):
         assert row1 == row2
+
+
+def test_grid_search_pool_size_is_bounded(monkeypatch):
+    created = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records the size, maps here."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(optimizer_mod, "ProcessPoolExecutor", InProcessPool)
+    params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
+    spec = _spec_1d(lo=0.3, hi=0.7)
+    _, serial = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE)
+    assert created == []
+    _, pooled = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE,
+                                 threads=10**6)
+    workers = min(os.cpu_count() or 1, 8)
+    assert created == ([workers] if workers > 1 else [])
+    assert pooled == serial
