@@ -276,8 +276,9 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     n_grid points per design dimension over r_box (lexicographic order).
     Points are independent; they are distributed over a process pool of
     min(threads, CPU count, number of points) workers when that exceeds
-    one, and the result table order is by grid position either way. Failed points carry J = nan and converged = False and are
-    excluded from the argmin.
+    one, and the result table order is by grid position either way.
+    Failed points carry J = nan and converged = False and are excluded
+    from the argmin.
 
     Returns (r_star, table): table rows are (r components..., J, converged).
     """
