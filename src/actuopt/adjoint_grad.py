@@ -14,10 +14,11 @@ equation producing x_j (j = 1..N). Against the continuous adjoint state p
     p'(t) = -(A* + F'(x(t))*) p - Q x(t),  p(tau) = 0)
 
 the multipliers satisfy lam_j ~= G p(t_{j-1/2}) when the sweep is sourced
-with theta_m * M_Q x_m. The stored node view of p averages neighboring
-multipliers (second order) and carries p(tau) = 0 exactly; gradients and
-duality pairings always use the raw multipliers, which is what keeps them
-exact.
+with theta_m * M_Q x_m. Gradients, residuals and duality pairings use the
+raw multipliers, which is what keeps them exact, so the adjoint state is
+the multipliers alone. The node view of p (adjoint_node_view) averages
+neighboring multipliers (second order) and carries p(tau) = 0 exactly; it
+exists only for the comparison with the continuous-adjoint oracle.
 """
 from __future__ import annotations
 
@@ -31,15 +32,13 @@ from .core_system import cost_eval, energy_norm, solve_forward
 
 @dataclass
 class AdjointState:
-    """Backward sweep result.
+    """Backward sweep result: the step multipliers.
 
-    p:    (n_steps+1, n_dof) node-view adjoint trajectory, p[-1] == 0
     lam:  (n_steps+1, n_dof) step multipliers; lam[0] is unused (zero),
           lam[j] pairs with the equation defining x_j
     grid: the time grid of the originating trajectory
     """
 
-    p: np.ndarray
     lam: np.ndarray
     grid: object
 
@@ -118,7 +117,7 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     ms = disc.n_space
     n = grid.n_steps
 
-    dvecs = np.stack([disc.fnl_diag(row) for row in x_traj])
+    dvecs = disc.fnl_diag(x_traj)
     xt = np.zeros((n + 1, disc.n_dof))
     j_prev = None
     for i in range(n):
@@ -131,13 +130,15 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     return xt
 
 
-def _transpose_sweep(disc, sources, dvecs, grid):
-    """Exact transpose of the linearized sweep against Euclidean sources.
+def _transpose_sweep(disc, sources, x_traj, grid):
+    """Exact transpose of the linearized sweep along x_traj against
+    Euclidean sources.
 
     sources[m] is the covector paired with x~_m in the output functional
     (sources[0] is irrelevant since x~_0 = 0). Returns lam with rows
     1..n_steps filled, row 0 zero.
     """
+    dvecs = disc.fnl_diag(x_traj)
     dt = grid.dt
     lu, m_plus = disc.step_factors(dt)
     m_plus_t = m_plus.T.tocsr()
@@ -152,31 +153,33 @@ def _transpose_sweep(disc, sources, dvecs, grid):
     return lam[: n + 1]
 
 
-def solve_adjoint(disc, cost, x_traj, r, grid):
+def solve_adjoint(disc, cost, x_traj, grid):
     """Backward sweep sourced by Q x along the trajectory; p(tau) = 0.
 
     The sweep is the exact Gram-weighted transpose of the linearized
     forward sweep (all adjoints are G^{-1} M^T G against the energy inner
     product, realized on multipliers without forming G^{-1} M^T G).
-    The r argument identifies the actuator design of the run; the sweep
-    itself does not depend on it.
     """
-    del r  # part of the call contract; the sweep is control-independent
     x_traj = _check_traj(disc, x_traj, grid)
     mq = disc.cost_matrix(cost)
-    theta = grid.theta
-    sources = (mq @ x_traj.T).T * theta[:, None]
-    dvecs = np.stack([disc.fnl_diag(row) for row in x_traj])
-    lam = _transpose_sweep(disc, sources, dvecs, grid)
+    sources = (mq @ x_traj.T).T * grid.theta[:, None]
+    return AdjointState(lam=_transpose_sweep(disc, sources, x_traj, grid), grid=grid)
 
-    n = grid.n_steps
+
+def adjoint_node_view(disc, adj):
+    """(n_steps+1, n_dof) adjoint trajectory p at the time nodes.
+
+    Averages neighboring multipliers and solves with the Gram matrix;
+    p[-1] stays exactly zero, the final condition of the backward problem.
+    """
+    lam = adj.lam
+    n = adj.grid.n_steps
     rhs = np.empty((disc.n_dof, n))
     rhs[:, 0] = 1.5 * lam[1] - 0.5 * lam[2]
     rhs[:, 1:] = 0.5 * (lam[1:n] + lam[2 : n + 1]).T
     p = np.zeros((n + 1, disc.n_dof))
     p[:n] = disc.gram_solve(rhs).T
-    # p[n] stays exactly zero: the final condition of the backward problem
-    return AdjointState(p=p, lam=lam, grid=grid)
+    return p
 
 
 def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
@@ -197,10 +200,8 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     lhs = float(theta @ np.einsum("ij,ji->i", x_hat, gv))
 
     sources = (disc.gram @ x_hat.T).T * theta[:, None]
-    dvecs = np.stack([disc.fnl_diag(row) for row in x_traj])
-    lam = _transpose_sweep(disc, sources, dvecs, grid)
+    adj = AdjointState(lam=_transpose_sweep(disc, sources, x_traj, grid), grid=grid)
     b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-    adj = AdjointState(p=np.zeros_like(x_traj), lam=lam, grid=grid)
     rhs = float(theta @ (adj.bstar_series(b_vec) * np.asarray(u_tilde, dtype=float)))
 
     scale = max(abs(lhs), abs(rhs))
@@ -222,48 +223,38 @@ def gradients_from_adjoint(disc, cost, u, r, adj):
     return grad_u, grad_r
 
 
-def gradient(disc, cost, x0, u, r, grid, x_traj=None, adj=None):
-    """GradientReport of the discrete J at (u, r) from x0.
-
-    Reuses a supplied forward trajectory / adjoint state when given;
-    forward blow-up propagates as BlowUpError.
-    """
-    if x_traj is None:
-        x_traj = solve_forward(disc, x0, u, r, grid)
-    if adj is None:
-        adj = solve_adjoint(disc, cost, x_traj, r, grid)
+def gradient(disc, cost, x0, u, r, grid):
+    """GradientReport of the discrete J at (u, r) from x0 (BlowUpError propagates)."""
+    x_traj = solve_forward(disc, x0, u, r, grid)
+    adj = solve_adjoint(disc, cost, x_traj, grid)
     grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r, adj)
     j = cost_eval(disc, cost, x_traj, u, grid)
     return GradientReport(grad_u=grad_u, grad_r=grad_r, j=j)
 
 
-def optimality_residual(disc, cost, u, r, x_traj, p, spec=None):
+def optimality_residual(disc, cost, u, r, adj, spec=None):
     """First-order residuals of the optimality system at (u, r).
 
-    p is the AdjointState of the run (carries the grid). When an
+    adj is the AdjointState of the run (carries the grid). When an
     admissible-set spec is given, the projected-gradient residuals
     ||z - Proj(z - grad)|| realizing the variational inequalities on the
     set boundary are filled in as well.
     """
-    grid = p.grid
+    grid = adj.grid
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     theta = grid.theta
-    bstar = p.bstar_series(disc.b_of_r(r_arr))
+    bstar = adj.bstar_series(disc.b_of_r(r_arr))
     viol = u + bstar / cost.r_weight
     res_u = math.sqrt(float(theta @ viol**2))
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, p)
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, adj)
     res_r = np.abs(0.5 * grad_r)
 
-    pg_u = None
-    pg_r = None
+    pg_u = pg_r = None
     if spec is not None:
-        from .optimizer import project_r, project_u
+        from .optimizer import _pg_residuals
 
-        pu = project_u(u - grad_u, spec, grid)
-        pg_u = math.sqrt(float(theta @ (u - pu) ** 2))
-        pr = project_r(r_arr - grad_r, spec)
-        pg_r = float(np.linalg.norm(r_arr - pr))
+        pg_u, pg_r = _pg_residuals(u, r_arr, grad_u, grad_r, spec, grid)
     return OptimalityResidual(
         res_u=res_u, res_r=res_r, grad_r=grad_r, pg_res_u=pg_u, pg_res_r=pg_r
     )
@@ -308,12 +299,12 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     return q[::-1].copy()
 
 
-def adjoint_compare(disc, cost, x_traj, r, grid):
+def adjoint_compare(disc, cost, x_traj, grid):
     """Relative L-infinity (in time, energy norm in space) distance between
     the discrete-adjoint node view and the continuous-adjoint oracle."""
-    adj = solve_adjoint(disc, cost, x_traj, r, grid)
+    p = adjoint_node_view(disc, solve_adjoint(disc, cost, x_traj, grid))
     p_oracle = continuous_adjoint_oracle(disc, cost, x_traj, grid)
-    num = max(energy_norm(disc, d) for d in (adj.p - p_oracle))
+    num = max(energy_norm(disc, d) for d in (p - p_oracle))
     den = max(energy_norm(disc, row) for row in p_oracle)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf

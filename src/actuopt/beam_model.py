@@ -238,7 +238,7 @@ def assemble_beam(params, act_width=0.05):
         return out
 
     def fnl_diag(x):
-        return (-3.0 * alpha * inv_rho) * x[:m] ** 2
+        return (-3.0 * alpha * inv_rho) * x[..., :m] ** 2
 
     def b_of_r(r_arr):
         act = BeamActuator(float(r_arr[0]), act_width)

@@ -84,7 +84,8 @@ def _probe_columns(cfg, prob, traj):
 # Each command takes (cfg, prob, out_dir, threads), writes its own files and
 # returns (exit code, status, converged, files written, extra summary keys);
 # main times it together with build_problem and writes summary.json, where
-# j_history and final_residuals are null unless the command sets them.
+# j_history and final_residuals are null unless the command sets them. A
+# BlowUpError that leaves a command becomes a blow_up summary with exit 1.
 
 
 def cmd_simulate(cfg, prob, out_dir, threads):
@@ -162,19 +163,10 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
 
 
 def cmd_optimize(cfg, prob, out_dir, threads):
-    try:
-        run = optimize(
-            prob["disc"], prob["cost"], prob["x0"], prob["u0"], prob["r_init"],
-            prob["pspec"], cfg.opt, prob["grid"],
-        )
-    except BlowUpError as exc:
-        # the initial point already explodes; there is no iterate to report
-        print(f"actuopt optimize: forward solve blew up at the initial point "
-              f"(step {exc.step}, t = {exc.time:g})", file=sys.stderr)
-        return 1, "blow_up", False, [], {
-            "blow_up_step": exc.step, "blow_up_time": exc.time,
-        }
-
+    run = optimize(
+        prob["disc"], prob["cost"], prob["x0"], prob["u0"], prob["r_init"],
+        prob["pspec"], cfg.opt, prob["grid"],
+    )
     r_dim = run.r.size
     hist_cols = (["iter", "j", "res_u", "res_r"]
                  + [f"r{c + 1}" for c in range(r_dim)]
@@ -235,7 +227,7 @@ def cmd_oracle_compare(cfg, prob, out_dir, threads):
     grid2 = TimeGrid(cfg.t_final, 2 * cfg.n_steps)
     u2 = control_series(cfg, grid2.times)
     x_traj = solve_forward(disc, prob["x0"], u2, prob["r_init"], grid2)
-    rel = adjoint_compare(disc, cost, x_traj, prob["r_init"], grid2)
+    rel = adjoint_compare(disc, cost, x_traj, grid2)
     greens = MODELS[cfg.model].greens_check(cfg.params)
     ok = bool(rel <= ORACLE_TOL) and (greens is None or greens["pass"])
 
@@ -322,9 +314,15 @@ def main(argv=None):
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     prob = build_problem(cfg)
-    code, status, converged, files, extra = _COMMANDS[args.command](
-        cfg, prob, cfg.out_dir, threads
-    )
+    try:
+        code, status, converged, files, extra = _COMMANDS[args.command](
+            cfg, prob, cfg.out_dir, threads
+        )
+    except BlowUpError as exc:
+        print(f"actuopt {args.command}: forward solve blew up "
+              f"(step {exc.step}, t = {exc.time:g})", file=sys.stderr)
+        code, status, converged, files = 1, "blow_up", False, []
+        extra = {"blow_up_step": exc.step, "blow_up_time": exc.time}
     summary = {
         "command": args.command,
         "model": cfg.model,

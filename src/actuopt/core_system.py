@@ -133,8 +133,9 @@ class Discretization:
     b_of_r:     r-array -> (2m,) control influence vector
     b_jac_of_r: r-array -> (2m, r_dim) derivative of the influence in r
     fnl:        x -> (2m,) nonlinearity F(x)
-    fnl_diag:   x -> (m,) diagonal d of the Jacobian coupling, i.e.
-                F'(x)(x~) = [0; d * x~_w]
+    fnl_diag:   x -> (..., m) diagonal d of the Jacobian coupling, i.e.
+                F'(x)(x~) = [0; d * x~_w], over the last axis: a whole
+                (n_steps+1, 2m) trajectory gives one row per state
     fstar_h:    (w_field, g) -> (m,) position part h of F'(x)* (f, g),
                 via the model's elliptic/4th-order adjoint solve
     cost_matrix_fn: CostSpec -> sparse symmetric PSD M_Q with

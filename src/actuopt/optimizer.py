@@ -20,8 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint_grad import gradients_from_adjoint, solve_adjoint
-from .core_system import BlowUpError, cost_eval, solve_forward, CostSpec, TimeGrid
+from .core_system import (BlowUpError, CostSpec, StepSolverError, TimeGrid,
+                          cost_eval, solve_forward)
 from .models import MODELS
+
+# Barzilai-Borwein step-size clamp and the line-search trial budget
+BB_MIN = 1e-10
+BB_MAX = 1e4
+MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -44,16 +50,14 @@ class ProjectionSpec:
 
 @dataclass
 class OptimizerConfig:
-    # tol_grad is a projected-gradient tolerance; 2e-6 is the certifiable
-    # floor for Armijo-on-exact-J at double precision on O(10)-scale costs
-    # (predicted decreases ~ tol^2 must stay above the J roundoff noise)
+    # tol_grad is a projected-gradient tolerance. The Armijo test compares
+    # exact J values, so predicted decreases ~ tol^2 must stay above J's
+    # roundoff; 2e-6 is not always above it on O(10)-scale costs: on the
+    # default beam, 5 of 16 grid points stall there until max_iters
     max_iters: int = 500
     tol_grad: float = 2e-6
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    bb_min: float = 1e-10
-    bb_max: float = 1e4
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -106,14 +110,6 @@ def project_r(r, spec):
     return np.clip(r, spec.r_box[:, 0], spec.r_box[:, 1])
 
 
-def _evaluate(disc, cost, x0, u, r, grid):
-    traj = solve_forward(disc, x0, u, r, grid)
-    adj = solve_adjoint(disc, cost, traj, r, grid)
-    gu, gr = gradients_from_adjoint(disc, cost, u, r, adj)
-    j = cost_eval(disc, cost, traj, u, grid)
-    return j, gu, gr, traj, adj
-
-
 def _pg_residuals(u, r, gu, gr, spec, grid):
     pu = project_u(u - gu, spec, grid)
     pg_u = _u_norm(u - pu, grid)
@@ -129,12 +125,16 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     (u scaled by max(1, ||u||)) or max_iters is reached. freeze_r solves
     the u-subproblem at fixed design (used by the grid search). Returns an
     OptimRun with the full per-iteration history; persistent line-search
-    blow-up marks the run failed instead of raising.
+    blow-up marks the run failed instead of raising. Trial points cost a
+    forward sweep and J; the adjoint sweep runs only at accepted points.
     """
     u = project_u(np.asarray(u_init, dtype=float), spec, grid)
     r = project_r(r_init, spec)
 
-    j, gu, gr, traj, adj = _evaluate(disc, cost, x0, u, r, grid)
+    traj = solve_forward(disc, x0, u, r, grid)
+    j = cost_eval(disc, cost, traj, u, grid)
+    adj = solve_adjoint(disc, cost, traj, grid)
+    gu, gr = gradients_from_adjoint(disc, cost, u, r, adj)
     pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
     alpha_u = 1.0
     alpha_r = 1.0
@@ -170,7 +170,7 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
         au, ar = alpha_u, alpha_r
         accepted = False
         saw_blowup = False
-        for bt in range(config.max_backtracks + 1):
+        for bt in range(MAX_BACKTRACKS + 1):
             u_new = project_u(u - au * gu, spec, grid) if active_u else u
             r_new = project_r(r - ar * gr, spec) if active_r else r
             dec = config.armijo_c * (
@@ -183,14 +183,13 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
                 ar *= config.backtrack
                 continue
             try:
-                j_new, gu_new, gr_new, traj_new, adj_new = _evaluate(
-                    disc, cost, x0, u_new, r_new, grid
-                )
+                traj_new = solve_forward(disc, x0, u_new, r_new, grid)
             except BlowUpError:
                 saw_blowup = True
                 au *= config.backtrack
                 ar *= config.backtrack
                 continue
+            j_new = cost_eval(disc, cost, traj_new, u_new, grid)
             if math.isfinite(j_new) and j_new <= j - dec:
                 accepted = True
                 break
@@ -200,6 +199,8 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
             status = "blow_up" if saw_blowup else "line_search_failure"
             it -= 1
             break
+        adj_new = solve_adjoint(disc, cost, traj_new, grid)
+        gu_new, gr_new = gradients_from_adjoint(disc, cost, u_new, r_new, adj_new)
 
         # Barzilai-Borwein step proposals for the next iteration (per block)
         if active_u:
@@ -208,18 +209,18 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
             den = float(grid.theta @ (s_u * y_u))
             num = float(grid.theta @ (s_u * s_u))
             if den > 0.0 and math.isfinite(den):
-                alpha_u = min(max(num / den, config.bb_min), config.bb_max)
+                alpha_u = min(max(num / den, BB_MIN), BB_MAX)
             else:
-                alpha_u = min(4.0 * au, config.bb_max)
+                alpha_u = min(4.0 * au, BB_MAX)
         if active_r:
             s_r = r_new - r
             y_r = gr_new - gr
             den = float(s_r @ y_r)
             num = float(s_r @ s_r)
             if den > 0.0 and math.isfinite(den):
-                alpha_r = min(max(num / den, config.bb_min), config.bb_max)
+                alpha_r = min(max(num / den, BB_MIN), BB_MAX)
             else:
-                alpha_r = min(4.0 * ar, config.bb_max)
+                alpha_r = min(4.0 * ar, BB_MAX)
 
         u, r, j, gu, gr, traj, adj = u_new, r_new, j_new, gu_new, gr_new, traj_new, adj_new
         pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
@@ -245,7 +246,7 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
 
 def _grid_point_worker(task):
     """Solve the u-subproblem at one design point (process-pool safe)."""
-    (idx, model, params, act_width, q1, q2, r_weight, x0, t_final, n_steps,
+    (model, params, act_width, q1, q2, r_weight, x0, t_final, n_steps,
      r_ad, r_box, config, r_point) = task
     disc = MODELS[model].assemble(params, act_width)
     grid = TimeGrid(t_final, n_steps)
@@ -256,9 +257,9 @@ def _grid_point_worker(task):
             disc, cost, x0, np.zeros(n_steps + 1), np.asarray(r_point), spec,
             config, grid, freeze_r=True,
         )
-        return idx, run.j_final, bool(run.converged)
-    except Exception:
-        return idx, math.nan, False
+    except (BlowUpError, StepSolverError) as exc:
+        return math.nan, False, str(exc)
+    return run.j_final, bool(run.converged), None
 
 
 def _box_for_dim(spec, r_dim):
@@ -277,8 +278,10 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     Points are independent; they are distributed over a process pool of
     min(threads, CPU count, number of points) workers when that exceeds
     one, and the result table order is by grid position either way.
-    Failed points carry J = nan and converged = False and are excluded
-    from the argmin.
+    Points whose forward solve blows up or whose step system is singular
+    carry J = nan and converged = False; they and the unconverged points
+    are excluded from the argmin. When no point is left, the RuntimeError
+    names the first point's failure.
 
     Returns (r_star, table): table rows are (r components..., J, converged).
     """
@@ -292,29 +295,26 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
 
     tasks = [
         (
-            i, disc.model, disc.params, disc.meta.get("act_width"),
+            disc.model, disc.params, disc.meta.get("act_width"),
             cost.q1, cost.q2, cost.r_weight, np.asarray(x0, dtype=float),
             grid.t_final, grid.n_steps, spec.r_ad, spec.r_box, config, pt,
         )
-        for i, pt in enumerate(points)
+        for pt in points
     ]
-    results = [None] * len(tasks)
     workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, j_val, ok in pool.map(_grid_point_worker, tasks):
-                results[idx] = (j_val, ok)
+            results = list(pool.map(_grid_point_worker, tasks))
     else:
-        for task in tasks:
-            idx, j_val, ok = _grid_point_worker(task)
-            results[idx] = (j_val, ok)
+        results = [_grid_point_worker(task) for task in tasks]
 
-    table = [
-        tuple(points[i]) + (results[i][0], results[i][1])
-        for i in range(len(points))
-    ]
-    valid = [i for i, (j_val, ok) in enumerate(results) if ok and math.isfinite(j_val)]
+    table = [tuple(pt) + (j_val, ok) for pt, (j_val, ok, _) in zip(points, results)]
+    valid = [i for i, (j_val, ok, _) in enumerate(results)
+             if ok and math.isfinite(j_val)]
     if not valid:
-        raise RuntimeError("grid search failed at every design point")
+        cause = results[0][2] or "its control solve did not converge"
+        raise RuntimeError(
+            f"grid search failed at every design point; the first: {cause}"
+        )
     best = min(valid, key=lambda i: results[i][0])
     return points[best].copy(), table

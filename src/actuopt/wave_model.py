@@ -303,7 +303,7 @@ def assemble_wave(params, act_width=0.1):
         return out
 
     def fnl_diag(x):
-        return fam.fprime(x[:m])
+        return fam.fprime(x[..., :m])
 
     def b_of_r(c_arr):
         act = WaveActuator(float(c_arr[0]), float(c_arr[1]), act_width)

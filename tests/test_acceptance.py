@@ -262,11 +262,11 @@ def test_criterion_08_continuous_adjoint_oracle():
 
     params, disc, _, cost, x0 = _beam_bundle(n_cells=64)
     traj = solve_forward(disc, x0, u, [0.5], grid)
-    rel_beam = adjoint_compare(disc, cost, traj, [0.5], grid)
+    rel_beam = adjoint_compare(disc, cost, traj, grid)
 
     wparams, wdisc, _, wcost, wx0 = _wave_bundle(nx=24)
     trajw = solve_forward(wdisc, wx0, u, [0.5, 0.5], grid)
-    rel_wave = adjoint_compare(wdisc, wcost, trajw, [0.5, 0.5], grid)
+    rel_wave = adjoint_compare(wdisc, wcost, trajw, grid)
 
     ok = rel_beam <= 1e-2 and rel_wave <= 1e-2
     assert record_acceptance(
@@ -282,8 +282,7 @@ def test_criterion_09_optimality_system():
     run = optimize(disc, cost, prob["x0"], prob["u0"], prob["r_init"], spec,
                    OptimizerConfig(), grid)
 
-    res = optimality_residual(disc, cost, run.u, run.r, run.x_traj,
-                              run.adjoint)
+    res = optimality_residual(disc, cost, run.u, run.r, run.adjoint)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     js = [row["j"] for row in run.history]
     monotone = all(b <= a + 1e-14 for a, b in zip(js, js[1:]))

@@ -117,8 +117,8 @@ def test_simulate_probe_positions_named_in_header(tmp_path):
     np.testing.assert_allclose(data[:, 2], data[:, 3], atol=1e-12)
 
 
-def test_simulate_blowup_truncates_with_marker(tmp_path):
-    text = """\
+# the forward solve leaves the state ceiling near step 28 of 50
+BLOWUP_BEAM = """\
 [run]
 model = beam
 [time]
@@ -131,7 +131,10 @@ alpha = 80.0
 kind = sine
 amplitude = 2.5
 """
-    code, out = run_cli(tmp_path, text, "simulate")
+
+
+def test_simulate_blowup_truncates_with_marker(tmp_path):
+    code, out = run_cli(tmp_path, BLOWUP_BEAM, "simulate")
     assert code == 1
     header, data, markers = read_csv(os.path.join(out, "trajectory.csv"))
     assert len(markers) == 1
@@ -190,6 +193,19 @@ def test_gradcheck_wave_passes(tmp_path):
     with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["pass"] is True
+
+
+def test_gradcheck_blowup_reports_failure(tmp_path, capsys):
+    code, out = run_cli(tmp_path, BLOWUP_BEAM, "gradcheck")
+    assert code == 1
+    assert "blew up" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "gradcheck.json"))
+    summary = read_summary(out)
+    assert summary["status"] == "blow_up"
+    assert summary["converged"] is False
+    assert summary["blow_up_step"] >= 1
+    assert summary["blow_up_time"] > 0.0
+    assert summary["files"] == ["summary.json"]
 
 
 def test_gradcheck_corrupt_mode_fails(tmp_path, capsys):
@@ -265,20 +281,7 @@ def test_optimize_zero_problem_trivially_converges(tmp_path):
 
 
 def test_optimize_initial_blowup_reports_failure(tmp_path):
-    text = """\
-[run]
-model = beam
-[time]
-t_final = 2.0
-n_steps = 50
-[beam]
-n_cells = 16
-alpha = 80.0
-[init]
-kind = sine
-amplitude = 2.5
-"""
-    code, out = run_cli(tmp_path, text, "optimize")
+    code, out = run_cli(tmp_path, BLOWUP_BEAM, "optimize")
     assert code == 1
     summary = read_summary(out)
     assert summary["status"] == "blow_up"
@@ -330,6 +333,16 @@ def test_gridsearch_honours_optimizer_section(tmp_path):
     assert code == 0
     _, data, _ = read_csv(os.path.join(out, "landscape.csv"))
     assert np.any(data[:, 2] == 0.0)
+
+
+def test_gridsearch_names_the_cause_when_every_point_fails(tmp_path, capsys):
+    text = BLOWUP_BEAM + "[gridsearch]\nn_grid = 8\n"
+    code, out = run_cli(tmp_path, text, "gridsearch")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "failed at every design point" in err
+    assert "blow-up at step" in err
+    assert read_summary(out)["status"] == "failed"
 
 
 def test_gridsearch_thread_pool_equivalent(tmp_path):

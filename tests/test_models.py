@@ -62,6 +62,26 @@ def test_simulate_header_has_one_column_per_probe(tmp_path, name):
     ]
 
 
+FNL_CASES = {name: minimal(name) for name in NAMES}
+FNL_CASES.update({
+    f"wave-{fam}": minimal("wave") + f"[wave]\nnonlinearity = {fam}\n"
+    for fam in ("none", "sine_gordon", "klein_gordon")
+})
+FNL_CASES["wave-klein_gordon-3"] = (
+    minimal("wave") + "[wave]\nnonlinearity = klein_gordon\nkg_exponent = 3\n")
+
+
+@pytest.mark.parametrize("case", sorted(FNL_CASES))
+def test_fnl_diag_of_trajectory_equals_row_stack(case):
+    cfg = parse_config_text(FNL_CASES[case] + "[time]\nt_final = 0.1\nn_steps = 4\n")
+    disc = build_problem(cfg)["disc"]
+    traj = 2.0 * np.random.default_rng(0).standard_normal((7, disc.n_dof))
+    whole = disc.fnl_diag(traj)
+    rows = np.stack([disc.fnl_diag(row) for row in traj])
+    assert whole.shape == rows.shape == (7, disc.n_space)
+    assert whole.tobytes() == rows.tobytes()
+
+
 def test_no_model_name_comparisons_outside_the_models():
     pkg = os.path.dirname(os.path.abspath(actuopt.__file__))
     found = []

@@ -89,10 +89,31 @@ def test_optimize_descends_monotone_and_feasible():
         assert row["u_norm"] <= spec.r_ad + 1e-12
         assert spec.r_box[0, 0] <= row["r1"] <= spec.r_box[0, 1]
     # converged point satisfies the stationarity system to tolerance
-    res = ao.optimality_residual(disc, cost, run.u, run.r, run.x_traj,
-                                 run.adjoint, spec=spec)
+    res = ao.optimality_residual(disc, cost, run.u, run.r, run.adjoint,
+                                 spec=spec)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     assert res.pg_res_u <= LOOSE.tol_grad * max(1.0, u_norm)
+
+
+def test_adjoint_sweeps_run_only_at_accepted_points(monkeypatch):
+    params, disc, grid, cost, x0 = make_beam(n_cells=16)
+    calls = {"solve_adjoint": 0, "gram_solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimizer_mod, "solve_adjoint",
+                        counted("solve_adjoint", optimizer_mod.solve_adjoint))
+    monkeypatch.setattr(disc, "gram_solve", counted("gram_solve", disc.gram_solve))
+    u0 = np.zeros(grid.n_steps + 1)
+    run = ao.optimize(disc, cost, x0, u0, np.array([0.42]), _spec_1d(), LOOSE, grid)
+    assert run.converged
+    assert sum(row["backtracks"] for row in run.history) > 0
+    assert calls["solve_adjoint"] == run.n_iters + 1
+    assert calls["gram_solve"] == 0
 
 
 def test_optimize_freeze_r_keeps_design_fixed():
