@@ -28,11 +28,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+# max-norm bound on a forward state; beyond it a sweep counts as blown up
+STATE_CEILING = 1e12
+
+
 class BlowUpError(RuntimeError):
     """Forward solve exceeded the state ceiling or went non-finite.
 
-    Carries the offending step index, the time, and the partial trajectory
-    (all completed rows, shape (step, n_dof)).
+    Carries the offending step index, the time, and the partial trajectory:
+    from solve_forward all completed rows, shape (step, n_dof); from
+    forward_costs, which keeps no trajectory, only the offending column's
+    last completed state, shape (1, n_dof).
     """
 
     def __init__(self, step, time, partial):
@@ -258,33 +264,84 @@ def _check_forward_args(disc, x0, u, grid):
     return x0, u
 
 
-def solve_forward(disc, x0, u, r, grid, ceiling=1e12):
+def _imex_states(disc, x0, u, b_vec, dt, ceiling):
+    """Yield x_1, ..., x_N of the IMEX recursion started at x0.
+
+    x0 is one state (n_dof,) with u (N+1,) and b_vec (n_dof,), or a block
+    of K states (n_dof, K) with u (N+1, K) and b_vec (n_dof, K), one column
+    per state. Raises BlowUpError at the first step where a state exceeds
+    `ceiling` in max-norm or goes non-finite; its partial holds one row,
+    the last completed state of the first column that blew up.
+    """
+    lu, m_plus = disc.step_factors(dt)
+    x = x0
+    f_curr = disc.fnl(x0)
+    f_prev = None
+    for i in range(u.shape[0] - 1):
+        f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
+        u_mid = 0.5 * (u[i] + u[i + 1])
+        x_next = lu.solve(m_plus @ x + dt * f_ext + (dt * u_mid) * b_vec)
+        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > ceiling:
+            bad = ~np.isfinite(x_next) | (np.abs(x_next) > ceiling)
+            col = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=0))[0]
+            last = x.reshape(len(x), -1)[:, col]
+            raise BlowUpError(i + 1, (i + 1) * dt, last[None, :].copy())
+        yield x_next
+        x = x_next
+        f_prev = f_curr
+        f_curr = disc.fnl(x_next)
+
+
+def solve_forward(disc, x0, u, r, grid, ceiling=STATE_CEILING):
     """Integrate the semi-linear system over the grid.
 
     Returns the trajectory as an (n_steps+1, n_dof) array. Raises
     BlowUpError if any state exceeds `ceiling` in max-norm or goes
-    non-finite.
+    non-finite; its partial holds every completed row.
     """
     x0, u = _check_forward_args(disc, x0, u, grid)
-    dt = grid.dt
-    lu, m_plus = disc.step_factors(dt)
     b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-
-    n = grid.n_steps
-    traj = np.empty((n + 1, disc.n_dof))
+    traj = np.empty((grid.n_steps + 1, disc.n_dof))
     traj[0] = x0
-    f_curr = disc.fnl(x0)
-    f_prev = None
-    for i in range(n):
-        f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
-        u_mid = 0.5 * (u[i] + u[i + 1])
-        x_next = lu.solve(m_plus @ traj[i] + dt * f_ext + (dt * u_mid) * b_vec)
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > ceiling:
-            raise BlowUpError(i + 1, (i + 1) * dt, traj[: i + 1].copy())
-        traj[i + 1] = x_next
-        f_prev = f_curr
-        f_curr = disc.fnl(x_next)
+    try:
+        for i, x in enumerate(_imex_states(disc, x0, u, b_vec, grid.dt, ceiling), 1):
+            traj[i] = x
+    except BlowUpError as exc:
+        raise BlowUpError(exc.step, exc.time, traj[: exc.step].copy()) from None
     return traj
+
+
+def forward_costs(disc, cost, x0, u, r, grid):
+    """J of K forward solves from x0, in one batched sweep.
+
+    Row k of u (K, n_steps+1) and of r (K, r_dim) drive column k of an
+    (n_dof, K) state block, so each step is one LU solve on K right-hand
+    sides. The quadratic cost term of each column is taken as the sweep
+    goes and weighted as in cost_eval; no trajectory is kept, only the
+    state block and K numbers per step. Returns the K costs, equal to
+    cost_eval of solve_forward per row up to roundoff. A state leaving
+    STATE_CEILING raises BlowUpError with the step and time of the first
+    column that blew up; as no trajectory is kept, its partial holds only
+    that column's last completed state (one row).
+    """
+    u = np.asarray(u, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if u.ndim != 2 or u.shape[0] < 1 or r.shape != (u.shape[0], disc.r_dim):
+        raise ValueError(
+            f"controls {u.shape} and designs {r.shape} must be (K, n_steps+1) "
+            f"and (K, {disc.r_dim}) with K >= 1"
+        )
+    for row in u:
+        x0, _ = _check_forward_args(disc, x0, row, grid)
+    mq = disc.cost_matrix(cost)
+    b_cols = np.column_stack([disc.b_of_r(rk) for rk in r])
+    block = np.repeat(x0[:, None], u.shape[0], axis=1)
+    quad = np.empty((grid.n_steps + 1, u.shape[0]))
+    quad[0] = np.einsum("ij,ij->j", block, mq @ block)
+    states = _imex_states(disc, block, u.T, b_cols, grid.dt, STATE_CEILING)
+    for i, x in enumerate(states, 1):
+        quad[i] = np.einsum("ij,ij->j", x, mq @ x)
+    return grid.theta @ (quad + cost.r_weight * u.T * u.T)
 
 
 def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):

@@ -74,7 +74,6 @@ class OptimizerConfig:
 class OptimRun:
     u: np.ndarray
     r: np.ndarray
-    x_traj: np.ndarray
     adjoint: object
     j_final: float
     converged: bool
@@ -222,7 +221,7 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
             else:
                 alpha_r = min(4.0 * ar, BB_MAX)
 
-        u, r, j, gu, gr, traj, adj = u_new, r_new, j_new, gu_new, gr_new, traj_new, adj_new
+        u, r, j, gu, gr, adj = u_new, r_new, j_new, gu_new, gr_new, adj_new
         pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
         push(it, bt)
         converged = pg_u <= tol_u() and (freeze_r or pg_r <= config.tol_grad)
@@ -234,7 +233,6 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     return OptimRun(
         u=u,
         r=r,
-        x_traj=traj,
         adjoint=adj,
         j_final=j,
         converged=converged,

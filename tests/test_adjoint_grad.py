@@ -95,6 +95,30 @@ def test_fd_check_flags_corrupted_gradient(beam_small):
     assert rep["fd_r_rel"] > 1e-5
 
 
+def test_fd_check_runs_one_batched_sweep(beam_small, monkeypatch):
+    # the perturbed costs come from one forward_costs call; solve_forward
+    # runs once, for the base gradient
+    import actuopt.adjoint_grad as adjoint_grad
+
+    params, disc, grid, cost, x0 = beam_small
+    calls = {"solve_forward": 0, "forward_costs": 0}
+
+    def counted(name):
+        original = getattr(adjoint_grad, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(adjoint_grad, name, wrapper)
+
+    counted("solve_forward")
+    counted("forward_costs")
+    u = 0.3 * np.sin(grid.times)
+    ao.gradient_fd_check(disc, cost, x0, u, np.array([0.45]), grid,
+                         n_directions=3, seed=4)
+    assert calls == {"solve_forward": 1, "forward_costs": 1}
+
+
 def test_design_gradient_antisymmetric_across_center():
     # symmetric beam + symmetric initial state: J(r) = J(l - r), so the
     # design derivative is odd about the midpoint and flips sign there

@@ -457,8 +457,8 @@ def _checkout_env():
     return env
 
 
-def test_console_entry_point_subprocess(tmp_path):
-    argv = _console_script_argv("actuopt")
+def _check_simulate_exit_codes(argv, tmp_path):
+    """`argv simulate` exits 0 with a trajectory, and 2 on a missing config."""
     env = _checkout_env()
     cfg = write_cfg(tmp_path, TINY_BEAM)
     out = str(tmp_path / "sub")
@@ -475,3 +475,11 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 2, proc.stderr
+
+
+def test_console_entry_point_subprocess(tmp_path):
+    _check_simulate_exit_codes(_console_script_argv("actuopt"), tmp_path)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    _check_simulate_exit_codes([sys.executable, "-m", "actuopt"], tmp_path)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import actuopt as ao
 from actuopt.core_system import Discretization
 
-from conftest import make_beam
+from conftest import make_beam, make_wave
 
 
 def test_time_grid_basics():
@@ -82,6 +82,56 @@ def test_blow_up_carries_partial_trajectory():
     assert err.partial.shape == (err.step, disc.n_dof)
     assert np.all(np.isfinite(err.partial))
     assert abs(err.time - err.step * grid.dt) < 1e-15
+
+
+def _serial_costs(disc, cost, x0, us, rs, grid):
+    return np.array([
+        ao.cost_eval(disc, cost, ao.solve_forward(disc, x0, u, r, grid), u, grid)
+        for u, r in zip(us, rs)
+    ])
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+@pytest.mark.parametrize("k", [1, 5])
+def test_forward_costs_equal_serial_solves(maker, k):
+    _, disc, grid, cost, x0 = maker()
+    rng = np.random.default_rng(k)
+    us = rng.standard_normal((k, grid.n_steps + 1))
+    rs = 0.45 + 0.1 * rng.random((k, disc.r_dim))
+    got = ao.forward_costs(disc, cost, x0, us, rs, grid)
+    want = _serial_costs(disc, cost, x0, us, rs, grid)
+    assert got.shape == (k,)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_forward_costs_blow_up_names_the_column():
+    # only the middle column's constant push of 1000 blows up (at step 11)
+    _, disc, grid, cost, x0 = make_beam(alpha=80.0, t_final=2.0, n_steps=50)
+    us = np.zeros((3, grid.n_steps + 1))
+    us[1] = 1000.0
+    us[2] = 100.0 * np.sin(np.pi * grid.times)
+    rs = np.full((3, 1), 0.4)
+    with pytest.raises(ao.BlowUpError) as serial:
+        ao.solve_forward(disc, x0, us[1], rs[1], grid)
+    with pytest.raises(ao.BlowUpError) as exc_info:
+        ao.forward_costs(disc, cost, x0, us, rs, grid)
+    err = exc_info.value
+    assert (err.step, err.time) == (serial.value.step, serial.value.time)
+    # no trajectory is kept: partial is the column's last completed state
+    assert err.partial.shape == (1, disc.n_dof)
+    np.testing.assert_allclose(err.partial[0], serial.value.partial[-1],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_forward_costs_validates_shapes(beam_small):
+    _, disc, grid, cost, x0 = beam_small
+    u = np.zeros((2, grid.n_steps + 1))
+    with pytest.raises(ValueError):
+        ao.forward_costs(disc, cost, x0, u, np.full((3, 1), 0.4), grid)
+    with pytest.raises(ValueError):
+        ao.forward_costs(disc, cost, x0, u[0], np.full((1, 1), 0.4), grid)
+    with pytest.raises(ValueError):
+        ao.forward_costs(disc, cost, x0, u[:, :-1], np.full((2, 1), 0.4), grid)
 
 
 def test_picard_linear_problem_converges_immediately():
