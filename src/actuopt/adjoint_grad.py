@@ -112,7 +112,7 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
             f"control direction shape {u_tilde.shape}, expected ({grid.n_steps + 1},)"
         )
     dt = grid.dt
-    lu, m_plus = disc.step_factors(dt)
+    step = disc.step_factors(dt)
     b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
     ms = disc.n_space
     n = grid.n_steps
@@ -123,9 +123,9 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     for i in range(n):
         j_curr = dvecs[i] * xt[i, :ms]
         jx = j_curr if i == 0 else 1.5 * j_curr - 0.5 * j_prev
-        rhs = m_plus @ xt[i] + (dt * 0.5 * (u_tilde[i] + u_tilde[i + 1])) * b_vec
+        rhs = step.apply(xt[i]) + (dt * 0.5 * (u_tilde[i] + u_tilde[i + 1])) * b_vec
         rhs[ms:] += dt * jx
-        xt[i + 1] = lu.solve(rhs)
+        xt[i + 1] = step.solve(rhs)
         j_prev = j_curr
     return xt
 
@@ -140,16 +140,15 @@ def _transpose_sweep(disc, sources, x_traj, grid):
     """
     dvecs = disc.fnl_diag(x_traj)
     dt = grid.dt
-    lu, m_plus = disc.step_factors(dt)
-    m_plus_t = m_plus.T.tocsr()
+    step = disc.step_factors(dt)
     ms = disc.n_space
     n = grid.n_steps
 
     lam = np.zeros((n + 3, disc.n_dof))
     for m in range(n, 0, -1):
-        rhs = m_plus_t @ lam[m + 1] + sources[m]
+        rhs = step.apply_T(lam[m + 1]) + sources[m]
         rhs[:ms] += dt * dvecs[m] * (1.5 * lam[m + 1, ms:] - 0.5 * lam[m + 2, ms:])
-        lam[m] = lu.solve(rhs, trans="T")
+        lam[m] = step.solve_T(rhs)
     return lam[: n + 1]
 
 
@@ -279,7 +278,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     dt = grid.dt
     n = grid.n_steps
     ms = disc.n_space
-    lu, m_plus = disc.step_factors(dt, operator="adjoint")
+    step = disc.step_factors(dt, operator="adjoint")
     mq = disc.cost_matrix(cost)
     qx = disc.gram_solve(mq @ x_traj.T)  # columns: Q x_m
 
@@ -294,7 +293,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     for j in range(n):
         g_curr = affine_term(n - j, q[j])
         g_ext = g_curr if j == 0 else 1.5 * g_curr - 0.5 * g_prev
-        q[j + 1] = lu.solve(m_plus @ q[j] + dt * g_ext)
+        q[j + 1] = step.solve(step.apply(q[j]) + dt * g_ext)
         g_prev = g_curr
     return q[::-1].copy()
 
@@ -311,15 +310,16 @@ def adjoint_compare(disc, cost, x_traj, grid):
     return num / den
 
 
-def gradient_fd_check(disc, cost, x0, u, r, grid, n_directions=10, seed=0,
+def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
                       eps_list=(1e-2, 1e-3, 1e-4), corrupt=False):
     """Central-difference verification of grad_u and grad_r.
 
-    For each random direction the directional derivative predicted by the
-    adjoint gradient is compared against central differences of the
-    evaluated discrete J over the eps sweep; the best (smallest) relative
-    error per direction is kept and the worst direction is reported. Every
-    perturbed J comes from one batched forward_costs sweep.
+    x_traj is the forward trajectory of (u, r), the base point. For each
+    random direction the directional derivative predicted by the adjoint
+    gradient is compared against central differences of the evaluated
+    discrete J over the eps sweep; the best (smallest) relative error per
+    direction is kept and the worst direction is reported. Every perturbed
+    J comes from one batched forward_costs sweep from x_traj[0].
     The corrupt flag deliberately biases the predictions (negative-control
     hook for the CLI contract tests).
     """
@@ -327,7 +327,9 @@ def gradient_fd_check(disc, cost, x0, u, r, grid, n_directions=10, seed=0,
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     theta = grid.theta
-    rep = gradient(disc, cost, x0, u, r_arr, grid)
+    adj = solve_adjoint(disc, cost, x_traj, grid)
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, adj)
+    j_base = cost_eval(disc, cost, x_traj, u, grid)
     bias = 1.001 if corrupt else 1.0
 
     # (predicted derivative, direction in u, direction in r): the random
@@ -336,17 +338,17 @@ def gradient_fd_check(disc, cost, x0, u, r, grid, n_directions=10, seed=0,
     for _ in range(n_directions):
         du = rng.standard_normal(u.shape)
         du /= math.sqrt(float(theta @ du**2))
-        pred = bias * float(theta @ (rep.grad_u * du))
+        pred = bias * float(theta @ (grad_u * du))
         checks.append((pred, du, np.zeros_like(r_arr)))
     for c in range(disc.r_dim):
         e_c = np.zeros_like(r_arr)
         e_c[c] = 1.0
-        checks.append((bias * float(rep.grad_r[c]), np.zeros_like(u), e_c))
+        checks.append((bias * float(grad_r[c]), np.zeros_like(u), e_c))
 
     # the +eps and -eps points of every check and eps, in one batched sweep
     steps = [sign * eps for eps in eps_list for sign in (1.0, -1.0)]
     j = forward_costs(
-        disc, cost, x0,
+        disc, cost, x_traj[0],
         [u + h * du for _, du, _ in checks for h in steps],
         [r_arr + h * dr for _, _, dr in checks for h in steps],
         grid,
@@ -354,10 +356,10 @@ def gradient_fd_check(disc, cost, x0, u, r, grid, n_directions=10, seed=0,
     fd = (j[..., 0] - j[..., 1]) / (2.0 * np.asarray(eps_list))
 
     def rel_err(pred, fd):
-        denom = max(abs(pred), abs(fd), 1e-14 * max(1.0, abs(rep.j)))
+        denom = max(abs(pred), abs(fd), 1e-14 * max(1.0, abs(j_base)))
         return abs(pred - fd) / denom
 
     best = [min([math.inf] + [rel_err(pred, f) for f in row])
             for (pred, _, _), row in zip(checks, fd)]
     return {"fd_u_rel": max([0.0] + best[:n_directions]),
-            "fd_r_rel": max([0.0] + best[n_directions:]), "j": rep.j}
+            "fd_r_rel": max([0.0] + best[n_directions:]), "j": j_base}

@@ -42,9 +42,7 @@ def _fmt(x):
 
 
 def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     return _fmt(v)
 
@@ -116,14 +114,13 @@ def cmd_simulate(cfg, prob, out_dir, threads):
 
 def cmd_gradcheck(cfg, prob, out_dir, threads):
     disc, grid, cost = prob["disc"], prob["grid"], prob["cost"]
-    x0, r = prob["x0"], prob["r_init"]
-    u = prob["u0"]
+    r, u = prob["r_init"], prob["u0"]
     if not np.any(u):
         # a zero control would make J independent of r; exercise the design
         # gradient with a deterministic unit sine instead
         u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
 
-    x_traj = solve_forward(disc, x0, u, r, grid)
+    x_traj = solve_forward(disc, prob["x0"], u, r, grid)
     rng = np.random.default_rng(cfg.seed)
     duality_max = 0.0
     for _ in range(5):
@@ -133,7 +130,7 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
             duality_max, duality_check(disc, x_traj, r, u_tilde, x_hat, grid)
         )
     fd = gradient_fd_check(
-        disc, cost, x0, u, r, grid,
+        disc, cost, x_traj, u, r, grid,
         n_directions=cfg.n_directions, seed=cfg.seed, corrupt=cfg.corrupt,
     )
 

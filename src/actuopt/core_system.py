@@ -17,6 +17,7 @@ its interval midpoint value:
     (I - dt/2 A) x_{n+1} = (I + dt/2 A) x_n + dt*F_ext(n) + dt*b(r)*u_mid(n)
 
 with F_ext(0) = F(x_0) and F_ext(n) = 1.5 F(x_n) - 0.5 F(x_{n-1}) after.
+Every sweep takes this step, and its transpose, from one CNStep object.
 """
 from __future__ import annotations
 
@@ -65,6 +66,44 @@ class NonContractionError(RuntimeError):
 
 class StepSolverError(ValueError):
     """The implicit step system could not be factorized."""
+
+
+class CNStep:
+    """One Crank-Nicolson step (I - dt/2 M) x+ = (I + dt/2 M) x + s.
+
+    apply(x) = (I + dt/2 M) x and solve(rhs) = (I - dt/2 M)^{-1} rhs;
+    apply_T and solve_T are their exact transposes, on one state (n_dof,)
+    or a block (n_dof, K). The transpose of I + dt/2 M is built once: a
+    transposed view costs more per call than the product itself. Unpacks
+    as (lu, m_plus), the LU factor of I - dt/2 M and the CSR I + dt/2 M.
+    """
+
+    def __init__(self, mat, dt):
+        eye = sp.identity(mat.shape[0], format="csr")
+        try:
+            self.lu = spla.splu((eye - (0.5 * dt) * mat).tocsc())
+        except RuntimeError as exc:
+            raise StepSolverError(
+                f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; dt "
+                f"likely resonates with an eigenvalue of A (factorization said: {exc})"
+            ) from exc
+        self.m_plus = (eye + (0.5 * dt) * mat).tocsr()
+        self._m_plus_t = self.m_plus.T.tocsr()
+
+    def __iter__(self):
+        return iter((self.lu, self.m_plus))
+
+    def apply(self, x):
+        return self.m_plus @ x
+
+    def apply_T(self, y):
+        return self._m_plus_t @ y
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+    def solve_T(self, rhs):
+        return self.lu.solve(rhs, trans="T")
 
 
 @dataclass(frozen=True)
@@ -148,6 +187,8 @@ class Discretization:
                 <Q x, y>_G = x^T M_Q y
     r_dim:      dimension of the actuator design vector
     meta:       model-specific extras (grids, widths, ...)
+
+    step_factors(dt, operator) gives the cached CNStep that every sweep uses.
     """
 
     def __init__(self, *, model, params, n_space, a_mat, gram, astar_mat,
@@ -186,29 +227,17 @@ class Discretization:
         return mq
 
     def step_factors(self, dt, operator="forward"):
-        """Factorized (I - dt/2 M) and assembled (I + dt/2 M), cached by dt.
+        """The CNStep of dt, cached by (dt, operator).
 
-        operator="forward" uses A, operator="adjoint" uses A* (for the
-        continuous-adjoint oracle sweep).
+        operator="forward" steps with A, operator="adjoint" with A* (for
+        the continuous-adjoint oracle sweep).
         """
         key = (float(dt), operator)
-        hit = self._step_cache.get(key)
-        if hit is not None:
-            return hit
-        mat = self.a_mat if operator == "forward" else self.astar_mat
-        eye = sp.identity(self.n_dof, format="csr")
-        m_minus = (eye - (0.5 * dt) * mat).tocsc()
-        m_plus = (eye + (0.5 * dt) * mat).tocsr()
-        try:
-            lu = spla.splu(m_minus)
-        except RuntimeError as exc:
-            raise StepSolverError(
-                f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; "
-                "dt likely resonates with an eigenvalue of A "
-                f"(factorization said: {exc})"
-            ) from exc
-        self._step_cache[key] = (lu, m_plus)
-        return lu, m_plus
+        step = self._step_cache.get(key)
+        if step is None:
+            mat = self.a_mat if operator == "forward" else self.astar_mat
+            step = self._step_cache[key] = CNStep(mat, dt)
+        return step
 
     def gram_solve(self, rhs):
         """Solve G z = rhs; rhs may be a vector or a (n_dof, k) matrix."""
@@ -230,22 +259,6 @@ def energy_series(disc, traj):
     """Quadratic energy form x^T G x for each trajectory row."""
     gv = disc.gram @ traj.T
     return np.einsum("ij,ji->i", traj, gv)
-
-
-def imex_step(disc, x_n, x_prev, u_mid, r, dt):
-    """Advance one IMEX Crank-Nicolson step.
-
-    x_prev is the previous state for the AB2 extrapolation of F; pass None
-    on the first step (falls back to F(x_n)).
-    """
-    lu, m_plus = disc.step_factors(dt)
-    b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-    if x_prev is None:
-        f_ext = disc.fnl(x_n)
-    else:
-        f_ext = 1.5 * disc.fnl(x_n) - 0.5 * disc.fnl(x_prev)
-    rhs = m_plus @ x_n + dt * f_ext + (dt * u_mid) * b_vec
-    return lu.solve(rhs)
 
 
 def _check_forward_args(disc, x0, u, grid):
@@ -273,14 +286,14 @@ def _imex_states(disc, x0, u, b_vec, dt, ceiling):
     `ceiling` in max-norm or goes non-finite; its partial holds one row,
     the last completed state of the first column that blew up.
     """
-    lu, m_plus = disc.step_factors(dt)
+    step = disc.step_factors(dt)
     x = x0
     f_curr = disc.fnl(x0)
     f_prev = None
     for i in range(u.shape[0] - 1):
         f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
         u_mid = 0.5 * (u[i] + u[i + 1])
-        x_next = lu.solve(m_plus @ x + dt * f_ext + (dt * u_mid) * b_vec)
+        x_next = step.solve(step.apply(x) + dt * f_ext + (dt * u_mid) * b_vec)
         if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > ceiling:
             bad = ~np.isfinite(x_next) | (np.abs(x_next) > ceiling)
             col = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=0))[0]
@@ -320,9 +333,7 @@ def forward_costs(disc, cost, x0, u, r, grid):
     goes and weighted as in cost_eval; no trajectory is kept, only the
     state block and K numbers per step. Returns the K costs, equal to
     cost_eval of solve_forward per row up to roundoff. A state leaving
-    STATE_CEILING raises BlowUpError with the step and time of the first
-    column that blew up; as no trajectory is kept, its partial holds only
-    that column's last completed state (one row).
+    STATE_CEILING raises BlowUpError for the first column that blew up.
     """
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -364,7 +375,7 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     """
     x0, u = _check_forward_args(disc, x0, u, grid)
     dt = grid.dt
-    lu, m_plus = disc.step_factors(dt)
+    step = disc.step_factors(dt)
     b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
     n = grid.n_steps
     u_mid = 0.5 * (u[:-1] + u[1:])
@@ -380,7 +391,7 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
         y_new[0] = x0
         for i in range(n):
             src = 0.5 * (f_all[i] + f_all[i + 1]) + u_mid[i] * b_vec
-            y_new[i + 1] = lu.solve(m_plus @ y_new[i] + dt * src)
+            y_new[i + 1] = step.solve(step.apply(y_new[i]) + dt * src)
         diff = y_new - y
         d = math.sqrt(max(np.max(energy_series(disc, diff)), 0.0))
         scale = math.sqrt(max(np.max(np.abs(energy_series(disc, y_new))), 1.0))

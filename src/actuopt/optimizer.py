@@ -82,6 +82,14 @@ class OptimRun:
     n_iters: int = 0
 
 
+def _bb_step(num, den, tried):
+    """Clamped Barzilai-Borwein step num/den; without curvature (den <= 0)
+    the step last tried grows fourfold."""
+    if den > 0.0 and math.isfinite(den):
+        return min(max(num / den, BB_MIN), BB_MAX)
+    return min(4.0 * tried, BB_MAX)
+
+
 def _u_norm(u, grid):
     return math.sqrt(float(grid.theta @ (np.asarray(u, dtype=float) ** 2)))
 
@@ -204,22 +212,11 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
         # Barzilai-Borwein step proposals for the next iteration (per block)
         if active_u:
             s_u = u_new - u
-            y_u = gu_new - gu
-            den = float(grid.theta @ (s_u * y_u))
-            num = float(grid.theta @ (s_u * s_u))
-            if den > 0.0 and math.isfinite(den):
-                alpha_u = min(max(num / den, BB_MIN), BB_MAX)
-            else:
-                alpha_u = min(4.0 * au, BB_MAX)
+            alpha_u = _bb_step(float(grid.theta @ (s_u * s_u)),
+                               float(grid.theta @ (s_u * (gu_new - gu))), au)
         if active_r:
             s_r = r_new - r
-            y_r = gr_new - gr
-            den = float(s_r @ y_r)
-            num = float(s_r @ s_r)
-            if den > 0.0 and math.isfinite(den):
-                alpha_r = min(max(num / den, BB_MIN), BB_MAX)
-            else:
-                alpha_r = min(4.0 * ar, BB_MAX)
+            alpha_r = _bb_step(float(s_r @ s_r), float(s_r @ (gr_new - gr)), ar)
 
         u, r, j, gu, gr, adj = u_new, r_new, j_new, gu_new, gr_new, adj_new
         pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
@@ -260,15 +257,6 @@ def _grid_point_worker(task):
     return run.j_final, bool(run.converged), None
 
 
-def _box_for_dim(spec, r_dim):
-    box = spec.r_box
-    if box.shape[0] != r_dim:
-        raise ValueError(
-            f"r_box has {box.shape[0]} components but the design space has {r_dim}"
-        )
-    return box
-
-
 def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     """Dense design-space sweep: solve the u-subproblem on a uniform grid.
 
@@ -287,7 +275,10 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
         raise ValueError(f"n_grid must be >= 8, got {n_grid}")
     if config is None:
         config = OptimizerConfig()
-    axes = [np.linspace(lo, hi, n_grid) for lo, hi in _box_for_dim(spec, disc.r_dim)]
+    if spec.r_box.shape[0] != disc.r_dim:
+        raise ValueError(f"r_box has {spec.r_box.shape[0]} components but the "
+                         f"design space has {disc.r_dim}")
+    axes = [np.linspace(lo, hi, n_grid) for lo, hi in spec.r_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
 

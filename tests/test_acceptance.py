@@ -122,14 +122,16 @@ def test_criterion_02_gradient_exactness():
     params, disc, grid, cost, x0 = _beam_bundle(n_cells=32)
     disc = ao.assemble_beam(params, act_width=0.2)
     u = 0.3 * np.sin(2.0 * np.pi * grid.times / grid.t_final)
-    beam = gradient_fd_check(disc, cost, x0, u, np.array([0.43]), grid,
-                             n_directions=10, seed=7)
+    r = np.array([0.43])
+    beam = gradient_fd_check(disc, cost, solve_forward(disc, x0, u, r, grid),
+                             u, r, grid, n_directions=10, seed=7)
 
     wparams, wdisc, wgrid, wcost, wx0 = _wave_bundle()
     wdisc = ao.assemble_wave(wparams, act_width=0.25)
     uw = 0.5 * np.cos(wgrid.times)
-    wave = gradient_fd_check(wdisc, wcost, wx0, uw, np.array([0.45, 0.55]),
-                             wgrid, n_directions=10, seed=8)
+    rw = np.array([0.45, 0.55])
+    wave = gradient_fd_check(wdisc, wcost, solve_forward(wdisc, wx0, uw, rw, wgrid),
+                             uw, rw, wgrid, n_directions=10, seed=8)
     wall = time.perf_counter() - t0
 
     worst = max(beam["fd_u_rel"], beam["fd_r_rel"],

@@ -71,7 +71,9 @@ def test_gradient_matches_fd_beam():
     # for the finite-difference reference itself to be trustworthy
     params, disc, grid, cost, x0 = make_beam(n_cells=32, act_width=0.2)
     u = 0.3 * np.sin(2.0 * np.pi * grid.times / grid.t_final)
-    rep = ao.gradient_fd_check(disc, cost, x0, u, np.array([0.43]), grid,
+    r = np.array([0.43])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    rep = ao.gradient_fd_check(disc, cost, traj, u, r, grid,
                                n_directions=4, seed=2)
     assert rep["fd_u_rel"] <= 1e-5
     assert rep["fd_r_rel"] <= 1e-5
@@ -80,7 +82,9 @@ def test_gradient_matches_fd_beam():
 def test_gradient_matches_fd_wave(wave_small):
     params, disc, grid, cost, x0 = wave_small
     u = 0.5 * np.cos(grid.times)
-    rep = ao.gradient_fd_check(disc, cost, x0, u, np.array([0.5, 0.45]), grid,
+    r = np.array([0.5, 0.45])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    rep = ao.gradient_fd_check(disc, cost, traj, u, r, grid,
                                n_directions=4, seed=3)
     assert rep["fd_u_rel"] <= 1e-5
     assert rep["fd_r_rel"] <= 1e-5
@@ -89,18 +93,23 @@ def test_gradient_matches_fd_wave(wave_small):
 def test_fd_check_flags_corrupted_gradient(beam_small):
     params, disc, grid, cost, x0 = beam_small
     u = 0.3 * np.sin(grid.times)
-    rep = ao.gradient_fd_check(disc, cost, x0, u, np.array([0.45]), grid,
+    r = np.array([0.45])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    rep = ao.gradient_fd_check(disc, cost, traj, u, r, grid,
                                n_directions=3, seed=4, corrupt=True)
     assert rep["fd_u_rel"] > 1e-5
     assert rep["fd_r_rel"] > 1e-5
 
 
 def test_fd_check_runs_one_batched_sweep(beam_small, monkeypatch):
-    # the perturbed costs come from one forward_costs call; solve_forward
-    # runs once, for the base gradient
+    # the perturbed costs come from one forward_costs call; the base
+    # trajectory is the caller's, so solve_forward does not run at all
     import actuopt.adjoint_grad as adjoint_grad
 
     params, disc, grid, cost, x0 = beam_small
+    u = 0.3 * np.sin(grid.times)
+    r = np.array([0.45])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
     calls = {"solve_forward": 0, "forward_costs": 0}
 
     def counted(name):
@@ -113,10 +122,8 @@ def test_fd_check_runs_one_batched_sweep(beam_small, monkeypatch):
 
     counted("solve_forward")
     counted("forward_costs")
-    u = 0.3 * np.sin(grid.times)
-    ao.gradient_fd_check(disc, cost, x0, u, np.array([0.45]), grid,
-                         n_directions=3, seed=4)
-    assert calls == {"solve_forward": 1, "forward_costs": 1}
+    ao.gradient_fd_check(disc, cost, traj, u, r, grid, n_directions=3, seed=4)
+    assert calls == {"solve_forward": 0, "forward_costs": 1}
 
 
 def test_design_gradient_antisymmetric_across_center():

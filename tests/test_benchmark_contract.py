@@ -8,6 +8,7 @@ import os
 import re
 
 from actuopt.core_system import Discretization
+from conftest import make_beam
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCHMARK.json")
@@ -39,3 +40,12 @@ def test_per_layer_span_metrics_have_a_source():
     assert len(spans) >= 20
     missing = [m.group(0) for m in spans if m.group(2) not in _sources(m.group(1))]
     assert missing == []
+
+
+def test_step_factors_result_has_what_the_tracer_reads():
+    # the tracer unpacks step_factors' result as (lu, m_plus) and records
+    # lu.L.nnz + lu.U.nnz and m_plus.nnz
+    _, disc, grid, _, _ = make_beam()
+    lu, m_plus = disc.step_factors(grid.dt)
+    assert int(lu.L.nnz + lu.U.nnz) > 0
+    assert int(m_plus.nnz) > 0

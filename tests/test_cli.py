@@ -156,8 +156,7 @@ def test_summary_config_text_round_trips(tmp_path):
     assert cfg_round == effective
 
 
-def test_gradcheck_beam_passes(tmp_path):
-    text = """\
+GRADCHECK_BEAM = """\
 [run]
 model = beam
 [time]
@@ -171,7 +170,10 @@ r_init = 0.43
 [gradcheck]
 n_directions = 3
 """
-    code, out = run_cli(tmp_path, text, "gradcheck")
+
+
+def test_gradcheck_beam_passes(tmp_path):
+    code, out = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
     assert code == 0
     with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
         report = json.load(fh)
@@ -180,6 +182,24 @@ n_directions = 3
     assert report["duality_rel"] <= 1e-10
     assert report["fd_u_rel"] <= 1e-5
     assert report["fd_r_rel"] <= 1e-5
+
+
+def test_gradcheck_integrates_its_base_trajectory_once(tmp_path, monkeypatch):
+    # the duality pairs and the finite-difference check share one base
+    # trajectory; the perturbed costs come from forward_costs
+    original = actuopt.core_system.solve_forward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "actuopt" and hasattr(mod, "solve_forward"):
+            monkeypatch.setattr(mod, "solve_forward", counted)
+    code, _ = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_gradcheck_wave_passes(tmp_path):

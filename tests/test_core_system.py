@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -50,14 +52,67 @@ def test_solve_forward_matches_manual_imex_steps(beam_small):
     r = np.array([0.31])
     traj = ao.solve_forward(disc, x0, u, r, grid)
 
+    step = disc.step_factors(grid.dt)
+    b_vec = disc.b_of_r(r)
     x = x0.copy()
     x_prev = None
     for i in range(grid.n_steps):
         u_mid = 0.5 * (u[i] + u[i + 1])
-        x_new = ao.imex_step(disc, x, x_prev, u_mid, r, grid.dt)
+        f_ext = (disc.fnl(x) if x_prev is None
+                 else 1.5 * disc.fnl(x) - 0.5 * disc.fnl(x_prev))
+        x_new = step.solve(step.apply(x) + grid.dt * f_ext + (grid.dt * u_mid) * b_vec)
         np.testing.assert_array_equal(x_new, traj[i + 1])
         x_prev = x
         x = x_new
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+@pytest.mark.parametrize("operator", ["forward", "adjoint"])
+@pytest.mark.parametrize("k", [None, 5])
+def test_step_transposes_are_exact(maker, operator, k):
+    # y . apply(x) = apply_T(y) . x and y . solve(x) = solve_T(y) . x, per
+    # column of an (n_dof, K) block as for one state, relative to the
+    # Cauchy-Schwarz bound |y| |z| of both sides, z = apply(x) or solve(x)
+    # (a single column's dot product may cancel far below it)
+    _, disc, grid, _, _ = maker()
+    step = disc.step_factors(grid.dt, operator)
+    rng = np.random.default_rng(0)
+    shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape)
+    for fwd, bwd in ((step.apply, step.apply_T), (step.solve, step.solve_T)):
+        z = fwd(x)
+        gap = np.abs(np.sum(y * z, axis=0) - np.sum(bwd(y) * x, axis=0))
+        scale = np.linalg.norm(y, axis=0) * np.linalg.norm(z, axis=0)
+        assert np.all(gap <= 1e-13 * scale), gap / scale
+
+
+def test_step_factors_cache_returns_one_object(beam_small):
+    _, disc, grid, _, _ = beam_small
+    step = disc.step_factors(grid.dt)
+    assert disc.step_factors(grid.dt) is step
+    assert disc.step_factors(grid.dt, "adjoint") is not step
+
+
+def test_step_internals_stay_in_the_step_class():
+    # only CNStep knows how a step is factorised, applied or transposed: no
+    # other code names its factors or passes an LU trans= flag
+    pkg = os.path.dirname(os.path.abspath(ao.__file__))
+    found = []
+    for module in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        inside = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "CNStep"
+                  for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in ("lu", "m_plus")
+                    or isinstance(node, ast.Name) and node.id == "m_plus"
+                    or isinstance(node, ast.keyword) and node.arg == "trans"):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
 
 
 def test_solve_forward_validates_shapes(beam_small):
