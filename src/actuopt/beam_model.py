@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core_system import CostSpec, Discretization
+from .core_system import Discretization
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,6 @@ def _cost_matrix(params, q1, q2):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def uniform_cost(params, r_weight=1.0):
-    """CostSpec with q1 = q2 = 1: the running cost is the energy itself."""
-    m = params.n_cells - 1
-    return CostSpec(q1=np.ones(m), q2=np.ones(m), r_weight=r_weight)
-
-
 def assemble_beam(params, act_width=0.05):
     """Build the beam Discretization.
 
@@ -285,7 +279,7 @@ def _greens_gap(params, n_cells):
 
 
 class BeamModel:
-    """The beam as the config, the CLI and the grid search see it.
+    """The beam as the config, the CLI and a pickled Discretization see it.
 
     One design dimension along (0, length); q1/q2 and the position dofs
     both sit at the interior nodes.

@@ -74,7 +74,10 @@ class ExperimentConfig:
 
 
 def _f(s):
-    return float(s)
+    val = float(s)
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return val
 
 
 def _i(s):
@@ -100,8 +103,14 @@ def _names(s):
     return tuple(e.strip() for e in s.split(",") if e.strip())
 
 
-# a model section's parser per field follows the type of the field's default
+# the sections built from a dataclass (the models' parameters and the
+# optimizer) parse each field by the type of the field's default
 _PARSERS = {float: _f, int: _i, str: _s, tuple: _names}
+
+
+def _fields_schema(cls):
+    return {f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(cls)}
+
 
 _SCHEMA = {
     "run": {"model": _s, "seed": _i},
@@ -111,22 +120,19 @@ _SCHEMA = {
     "init": {"kind": _s, "amplitude": _f, "mode": _i, "center": _s, "sigma": _f},
     "control": {"kind": _s, "amplitude": _f, "freq": _f},
     "admissible": {"r_ad": _f, "r_box": _s},
-    "optimizer": {"max_iters": _i, "tol_grad": _f, "armijo_c": _f, "backtrack": _f},
+    "optimizer": _fields_schema(OptimizerConfig),
     "gradcheck": {"n_directions": _i, "corrupt": _b},
     "gridsearch": {"n_grid": _i},
     "output": {"out_dir": _s, "probe": _s},
 }
 for _model in MODELS.values():
-    _SCHEMA[_model.name] = {
-        f.name: _PARSERS[type(f.default)]
-        for f in dataclasses.fields(_model.params_cls)
-    }
+    _SCHEMA[_model.name] = _fields_schema(_model.params_cls)
 
 
 def _floats(spec, what, count=None):
     parts = [p.strip() for p in spec.split(",") if p.strip() != ""]
     try:
-        vals = tuple(float(p) for p in parts)
+        vals = tuple(_f(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
     if count is not None and len(vals) != count:
@@ -173,6 +179,9 @@ def parse_config_text(text, source="<config>"):
     def take(section, key, default):
         return raw.pop((section, key), (default, None))[0]
 
+    def given(section):
+        return {k: raw.pop((sec, k))[0] for (sec, k) in list(raw) if sec == section}
+
     name = take("run", "model", None)
     if name is None:
         raise ConfigError(f"{source}: missing required key 'model' in [run]")
@@ -190,9 +199,8 @@ def parse_config_text(text, source="<config>"):
     t_final = take("time", "t_final", 2.0)
     n_steps = take("time", "n_steps", 400)
 
-    given = {k: raw.pop((sec, k))[0] for (sec, k) in list(raw) if sec == name}
     try:
-        params = model.params_cls(**given)
+        params = model.params_cls(**given(name))
     except ValueError as exc:
         raise ConfigError(f"{source}: [{name}] section: {exc}") from None
     domain = model.domain(params)
@@ -201,10 +209,20 @@ def parse_config_text(text, source="<config>"):
     act_width = take("actuator", "width", model.act_width)
     if not (act_width > 0.0):
         raise ConfigError(f"{source}: actuator width must be positive")
+
+    def check_support(point, what):
+        # the actuator support [p - width, p + width] must stay in the domain
+        for c, p in enumerate(point):
+            if not act_width <= p <= domain[c] - act_width:
+                raise ConfigError(f"{source}: {what} component {c + 1} lets the "
+                                  f"actuator support leave the domain (valid range "
+                                  f"[{act_width}, {domain[c] - act_width}])")
+
     r_init_s = take("actuator", "r_init", "center")
-    r_init = "center" if r_init_s == "center" else _floats(
-        r_init_s, f"{source}: [actuator] r_init", r_dim
-    )
+    r_init = "center"
+    if r_init_s != "center":
+        r_init = _floats(r_init_s, f"{source}: [actuator] r_init", r_dim)
+        check_support(r_init, "[actuator] r_init")
 
     q1 = take("cost", "q1", "uniform")
     q2 = take("cost", "q2", "uniform")
@@ -245,28 +263,22 @@ def parse_config_text(text, source="<config>"):
     r_box_s = take("admissible", "r_box", "auto")
     if r_box_s == "auto":
         r_box = "auto"
+        for c, h in enumerate(model.spacing(params)):
+            if not act_width + h < domain[c] - act_width - h:
+                raise ConfigError(f"{source}: [actuator] width {act_width} leaves "
+                                  f"the automatic r_box component {c + 1} empty")
     else:
         r_box = _floats(r_box_s, f"{source}: [admissible] r_box", 2 * r_dim)
         for c in range(r_dim):
-            lo, hi = r_box[2 * c], r_box[2 * c + 1]
-            if not lo <= hi:
+            if not r_box[2 * c] <= r_box[2 * c + 1]:
                 raise ConfigError(
                     f"{source}: [admissible] r_box component {c + 1} empty (lo > hi)"
                 )
-            if lo < act_width or hi > domain[c] - act_width:
-                raise ConfigError(
-                    f"{source}: [admissible] r_box component {c + 1} lets the "
-                    f"actuator support leave the domain (valid range "
-                    f"[{act_width}, {domain[c] - act_width}])"
-                )
+        check_support(r_box[0::2], "[admissible] r_box")
+        check_support(r_box[1::2], "[admissible] r_box")
 
     try:
-        opt = OptimizerConfig(
-            max_iters=take("optimizer", "max_iters", 500),
-            tol_grad=take("optimizer", "tol_grad", 2e-6),
-            armijo_c=take("optimizer", "armijo_c", 1e-4),
-            backtrack=take("optimizer", "backtrack", 0.5),
-        )
+        opt = OptimizerConfig(**given("optimizer"))
     except ValueError as exc:
         raise ConfigError(f"{source}: [optimizer] section: {exc}") from None
 
@@ -275,6 +287,8 @@ def parse_config_text(text, source="<config>"):
         raise ConfigError(f"{source}: [gradcheck] n_directions must be >= 1")
     corrupt = take("gradcheck", "corrupt", False)
     n_grid = take("gridsearch", "n_grid", 64)
+    if n_grid < 8:
+        raise ConfigError(f"{source}: [gridsearch] n_grid must be >= 8")
 
     out_dir = take("output", "out_dir", "runs/out")
     probe_s = take("output", "probe", "center")
@@ -315,8 +329,10 @@ def _check_preset(preset, r_dim, where):
     if preset in ("uniform", "zero"):
         return
     if preset.startswith("gaussian(") and preset.endswith(")"):
-        _floats(preset[len("gaussian("):-1], f"{where}: gaussian arguments",
-                r_dim + 1)
+        *_, width = _floats(preset[len("gaussian("):-1],
+                            f"{where}: gaussian arguments", r_dim + 1)
+        if not width > 0.0:
+            raise ConfigError(f"{where}: gaussian width must be positive")
         return
     raise ConfigError(
         f"{where}: unknown preset {preset!r} "
@@ -367,12 +383,12 @@ def canonical_text(cfg):
     def fmt_tuple(t):
         return ",".join(repr(float(x)) for x in t)
 
+    def fields(obj):
+        return [(f.name, fmt(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
+
     sec("run", [("model", cfg.model), ("seed", cfg.seed)])
     sec("time", [("t_final", fmt(cfg.t_final)), ("n_steps", cfg.n_steps)])
-    sec(cfg.model, [
-        (f.name, fmt(getattr(cfg.params, f.name)))
-        for f in dataclasses.fields(cfg.params)
-    ])
+    sec(cfg.model, fields(cfg.params))
     r_init = cfg.r_init if cfg.r_init == "center" else fmt_tuple(cfg.r_init)
     sec("actuator", [("width", fmt(cfg.act_width)), ("r_init", r_init)])
     sec("cost", [("q1", cfg.q1), ("q2", cfg.q2), ("r_weight", fmt(cfg.r_weight))])
@@ -387,10 +403,7 @@ def canonical_text(cfg):
     ])
     r_box = cfg.r_box if cfg.r_box == "auto" else fmt_tuple(cfg.r_box)
     sec("admissible", [("r_ad", fmt(cfg.r_ad)), ("r_box", r_box)])
-    sec("optimizer", [
-        ("max_iters", cfg.opt.max_iters), ("tol_grad", fmt(cfg.opt.tol_grad)),
-        ("armijo_c", fmt(cfg.opt.armijo_c)), ("backtrack", fmt(cfg.opt.backtrack)),
-    ])
+    sec("optimizer", fields(cfg.opt))
     sec("gradcheck", [("n_directions", cfg.n_directions), ("corrupt", fmt(cfg.corrupt))])
     sec("gridsearch", [("n_grid", cfg.n_grid)])
     probe = "center"

@@ -189,6 +189,8 @@ class Discretization:
     meta:       model-specific extras (grids, widths, ...)
 
     step_factors(dt, operator) gives the cached CNStep that every sweep uses.
+    A Discretization pickles as its recipe, the model's assemble call on
+    (params, meta["act_width"]): unpickling reassembles it, caches empty.
     """
 
     def __init__(self, *, model, params, n_space, a_mat, gram, astar_mat,
@@ -211,6 +213,12 @@ class Discretization:
         self._step_cache = {}
         self._mq_cache = {}
         self._gram_lu = None
+
+    def __reduce__(self):
+        # imported here because actuopt.models imports this module
+        from .models import MODELS
+
+        return MODELS[self.model].assemble, (self.params, self.meta["act_width"])
 
     @property
     def n_dof(self):

@@ -1,7 +1,8 @@
 """The registry of models, keyed by the `[run] model` name.
 
-A model object carries what the config, the CLI and the grid search need
-to know about one model, so none of them branches on the model name:
+A model object carries what the config and the CLI need to know about
+one model, so neither branches on the model name (a Discretization
+pickles as a call of its model's assemble, found here on unpickling):
 
     name, params_cls    the [run] model name and the parameter dataclass;
                         its fields and defaults are the config section

@@ -8,10 +8,12 @@ cost, which is what guarantees the recorded monotone-descent invariant.
 A block whose projected residual is already below tolerance is frozen so
 that machine-noise gradients (e.g. at a symmetry point) cannot push it
 around. The problem is not convex in r: the optimizer reports local
-stationarity, and grid_search_r is the global reference at desk scale.
+stationarity, and grid_search_r, which solves every grid point on the
+caller's problem, is the global reference at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,9 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint_grad import gradients_from_adjoint, solve_adjoint
-from .core_system import (BlowUpError, CostSpec, StepSolverError, TimeGrid,
-                          cost_eval, solve_forward)
-from .models import MODELS
+from .core_system import BlowUpError, StepSolverError, cost_eval, solve_forward
 
 # Barzilai-Borwein step-size clamp and the line-search trial budget
 BB_MIN = 1e-10
@@ -239,19 +239,11 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     )
 
 
-def _grid_point_worker(task):
-    """Solve the u-subproblem at one design point (process-pool safe)."""
-    (model, params, act_width, q1, q2, r_weight, x0, t_final, n_steps,
-     r_ad, r_box, config, r_point) = task
-    disc = MODELS[model].assemble(params, act_width)
-    grid = TimeGrid(t_final, n_steps)
-    cost = CostSpec(q1=q1, q2=q2, r_weight=r_weight)
-    spec = ProjectionSpec(r_ad=r_ad, r_box=r_box)
+def _solve_point(disc, cost, x0, spec, config, grid, r_point):
+    """(J, converged, error message) of the u-subproblem at r_point from u = 0."""
     try:
-        run = optimize(
-            disc, cost, x0, np.zeros(n_steps + 1), np.asarray(r_point), spec,
-            config, grid, freeze_r=True,
-        )
+        run = optimize(disc, cost, x0, np.zeros(grid.n_steps + 1), r_point,
+                       spec, config, grid, freeze_r=True)
     except (BlowUpError, StepSolverError) as exc:
         return math.nan, False, str(exc)
     return run.j_final, bool(run.converged), None
@@ -261,9 +253,11 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     """Dense design-space sweep: solve the u-subproblem on a uniform grid.
 
     n_grid points per design dimension over r_box (lexicographic order).
-    Points are independent; they are distributed over a process pool of
-    min(threads, CPU count, number of points) workers when that exceeds
-    one, and the result table order is by grid position either way.
+    Points run on the caller's problem: a serial sweep assembles nothing
+    and factorises the step once. A pool of min(threads, CPU count, points)
+    workers, when that exceeds one, gets fixed chunks of consecutive points,
+    one per worker, and reassembles the problem once per chunk. The table
+    is in grid order either way.
     Points whose forward solve blows up or whose step system is singular
     carry J = nan and converged = False; they and the unconverged points
     are excluded from the argmin. When no point is left, the RuntimeError
@@ -282,20 +276,14 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
 
-    tasks = [
-        (
-            disc.model, disc.params, disc.meta.get("act_width"),
-            cost.q1, cost.q2, cost.r_weight, np.asarray(x0, dtype=float),
-            grid.t_final, grid.n_steps, spec.r_ad, spec.r_box, config, pt,
-        )
-        for pt in points
-    ]
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    solve = functools.partial(_solve_point, disc, cost, x0, spec, config, grid)
+    workers = min(threads, os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_point_worker, tasks))
+            results = list(pool.map(solve, points,
+                                    chunksize=math.ceil(len(points) / workers)))
     else:
-        results = [_grid_point_worker(task) for task in tasks]
+        results = [solve(pt) for pt in points]
 
     table = [tuple(pt) + (j_val, ok) for pt, (j_val, ok, _) in zip(points, results)]
     valid = [i for i, (j_val, ok, _) in enumerate(results)

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core_system import CostSpec, Discretization
+from .core_system import Discretization
 
 _EDGES = ("bottom", "left", "right", "top")
 _FAMILIES = ("none", "sine_gordon", "klein_gordon")
@@ -274,12 +274,6 @@ def wave_adjoint_h(params, w_o, g):
     return asm["l_lu"].solve(rhs)
 
 
-def uniform_cost(params, r_weight=1.0):
-    """CostSpec with q1 = q2 = 1 on the full node grid."""
-    n_nodes = (params.nx + 1) * (params.ny + 1)
-    return CostSpec(q1=np.ones(n_nodes), q2=np.ones(n_nodes), r_weight=r_weight)
-
-
 def assemble_wave(params, act_width=0.1):
     """Build the wave Discretization (act_width fixes the bump radius)."""
     asm = _assembly(params)
@@ -360,7 +354,7 @@ def assemble_wave(params, act_width=0.1):
 
 
 class WaveModel:
-    """The wave as the config, the CLI and the grid search see it.
+    """The wave as the config, the CLI and a pickled Discretization see it.
 
     Two design dimensions over (0, lx) x (0, ly); q1/q2 are sampled at all
     grid nodes, the position dofs sit at the free (non-Dirichlet) nodes.

@@ -7,7 +7,6 @@ from actuopt.beam_model import (
     beam_adjoint_h,
     beam_b,
     beam_b_r,
-    uniform_cost,
 )
 
 

@@ -441,6 +441,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_values_that_would_fail_later_exit_2(tmp_path, capsys):
+    # n_grid = 4 used to pass the parser and end in a ValueError, exit 1
+    code, out = run_cli(tmp_path, GRID_BEAM.replace("n_grid = 8", "n_grid = 4"),
+                        "gridsearch")
+    assert code == 2
+    assert "n_grid must be >= 8" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o")])

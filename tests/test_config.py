@@ -81,8 +81,22 @@ probe = 0.25, 0.25; 0.75, 0.5
     ("[run]\nmodel = train\n", "model must be 'beam' or 'wave'"),
     ("[run]\nmodel = beam\n[wave]\nnx = 12\n", "section [wave] is invalid"),
     ("[run]\nmodel = wave\n[beam]\nei = 2.0\n", "section [beam] is invalid"),
+    (MINIMAL_BEAM + "[optimizer]\nmax_iters = 0\n",
+     "[optimizer] section: max_iters must be >= 1"),
+    (MINIMAL_BEAM + "[gridsearch]\nn_grid = 4\n", "n_grid must be >= 8"),
+    (MINIMAL_BEAM + "[cost]\nq1 = gaussian(0.5, 0)\n", "width must be positive"),
+    (MINIMAL_BEAM + "[cost]\nq2 = gaussian(0.5, -0.1)\n",
+     "width must be positive"),
+    (MINIMAL_BEAM + "[actuator]\nwidth = 0.6\n", "r_box component 1 empty"),
+    (MINIMAL_BEAM + "[actuator]\nwidth = inf\n", ":4: bad value"),
+    (MINIMAL_BEAM + "[init]\namplitude = nan\n", ":4: bad value"),
+    (MINIMAL_BEAM + "[control]\nfreq = nan\n", ":4: bad value"),
+    (MINIMAL_WAVE + "[actuator]\nr_init = 0.02, 0.5\n",
+     "r_init component 1 lets the actuator support leave the domain"),
 ], ids=["section", "key", "dup", "nosection", "noeq", "badvalue",
-        "nomodel", "badmodel", "wavesec", "beamsec"])
+        "nomodel", "badmodel", "wavesec", "beamsec", "optimizer", "ngrid",
+        "zerowidth", "negwidth", "widebeam", "infwidth", "nanamplitude",
+        "nanfreq", "waverinit"])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)

@@ -2,6 +2,7 @@
 model-name branches out of the model-agnostic layers."""
 import ast
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def test_simulate_header_has_one_column_per_probe(tmp_path, name):
     assert header[2:] == [
         "w_at_" + "_".join("%g" % c for c in p) for p in points
     ]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_discretization_pickles_as_its_recipe(name):
+    cfg = parse_config_text(minimal(name) + "[time]\nt_final = 0.2\nn_steps = 20\n"
+                            + "[control]\nkind = sine\n")
+    prob = build_problem(cfg)
+    disc = prob["disc"]
+    blob = pickle.dumps(disc)
+    assert len(blob) < 1000  # parameters and width, not operators
+    again = pickle.loads(blob)
+    assert again is not disc and again.model == name
+    args = (prob["x0"], prob["u0"], prob["r_init"], prob["grid"])
+    a = actuopt.solve_forward(disc, *args)
+    b = actuopt.solve_forward(again, *args)
+    assert a.tobytes() == b.tobytes()
 
 
 FNL_CASES = {name: minimal(name) for name in NAMES}

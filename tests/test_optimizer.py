@@ -1,10 +1,13 @@
+import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 from conftest import make_beam
 
 import actuopt as ao
+import actuopt.beam_model as beam_mod
 import actuopt.optimizer as optimizer_mod
 from actuopt.optimizer import OptimizerConfig, ProjectionSpec
 
@@ -162,6 +165,27 @@ def test_grid_search_landscape_and_consistency_with_optimize():
     assert run.j_final <= js.min() + 1e-8 * scale
 
 
+def _count_beam_assemblies(monkeypatch):
+    calls = []
+    assemble = beam_mod.assemble_beam
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(beam_mod, "assemble_beam", counted)
+    return calls
+
+
+def test_serial_grid_search_solves_on_the_callers_problem(monkeypatch):
+    params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
+    assemblies = _count_beam_assemblies(monkeypatch)
+    ao.grid_search_r(disc, cost, x0, _spec_1d(lo=0.3, hi=0.7), 8, grid,
+                     config=LOOSE)
+    assert assemblies == []
+    assert list(disc._step_cache) == [(grid.dt, "forward")]
+
+
 def test_grid_search_process_pool_matches_serial():
     params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
     spec = _spec_1d(lo=0.3, hi=0.7)
@@ -174,9 +198,12 @@ def test_grid_search_process_pool_matches_serial():
 
 def test_grid_search_pool_size_is_bounded(monkeypatch):
     created = []
+    chunks = []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records the size, maps here."""
+        """Stands in for ProcessPoolExecutor: records the size, and maps here
+        chunk by chunk, sending fn through pickle once per chunk as the pool
+        does."""
 
         def __init__(self, max_workers):
             created.append(max_workers)
@@ -187,16 +214,27 @@ def test_grid_search_pool_size_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, points, chunksize):
+            out = []
+            for i in range(0, len(points), chunksize):
+                chunks.append(points[i:i + chunksize])
+                out.extend(map(pickle.loads(pickle.dumps(fn)), chunks[-1]))
+            return out
 
     monkeypatch.setattr(optimizer_mod, "ProcessPoolExecutor", InProcessPool)
     params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
     spec = _spec_1d(lo=0.3, hi=0.7)
     _, serial = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE)
     assert created == []
+    assemblies = _count_beam_assemblies(monkeypatch)
     _, pooled = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE,
                                  threads=10**6)
     workers = min(os.cpu_count() or 1, 8)
     assert created == ([workers] if workers > 1 else [])
+    if workers > 1:
+        # fixed chunks in grid order, one rebuild of the problem per chunk
+        assert max(len(c) for c in chunks) == math.ceil(8 / workers)
+        np.testing.assert_array_equal(np.concatenate(chunks)[:, 0],
+                                      np.linspace(0.3, 0.7, 8))
+    assert len(assemblies) == len(chunks)
     assert pooled == serial

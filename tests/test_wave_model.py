@@ -4,7 +4,6 @@ import pytest
 import actuopt as ao
 from actuopt.wave_model import (
     _assembly,
-    uniform_cost,
     wave_actuator_grad,
     wave_adjoint_h,
 )
@@ -205,5 +204,6 @@ def test_state_nonlinearity_wiring(wave_small):
 def test_uniform_cost_matrix_is_the_gram_matrix():
     params = ao.WaveParams(nx=10, ny=10)
     disc = ao.assemble_wave(params)
-    mq = disc.cost_matrix(uniform_cost(params))
+    nn = disc.meta["n_nodes"]
+    mq = disc.cost_matrix(ao.CostSpec(q1=np.ones(nn), q2=np.ones(nn)))
     assert (mq != disc.gram).nnz == 0
