@@ -24,7 +24,7 @@ import numpy as np
 from .beam_model import BeamParams
 from .core_system import CostSpec, TimeGrid
 from .models import MODELS
-from .optimizer import OptimizerConfig, ProjectionSpec
+from .optimizer import MIN_GRID, OptimizerConfig, ProjectionSpec
 from .wave_model import WaveParams
 
 
@@ -263,19 +263,17 @@ def parse_config_text(text, source="<config>"):
     r_box_s = take("admissible", "r_box", "auto")
     if r_box_s == "auto":
         r_box = "auto"
-        for c, h in enumerate(model.spacing(params)):
-            if not act_width + h < domain[c] - act_width - h:
-                raise ConfigError(f"{source}: [actuator] width {act_width} leaves "
-                                  f"the automatic r_box component {c + 1} empty")
+        box = _auto_box(domain, model.spacing(params), act_width)
     else:
         r_box = _floats(r_box_s, f"{source}: [admissible] r_box", 2 * r_dim)
-        for c in range(r_dim):
-            if not r_box[2 * c] <= r_box[2 * c + 1]:
-                raise ConfigError(
-                    f"{source}: [admissible] r_box component {c + 1} empty (lo > hi)"
-                )
-        check_support(r_box[0::2], "[admissible] r_box")
-        check_support(r_box[1::2], "[admissible] r_box")
+        box = np.reshape(r_box, (r_dim, 2))
+    for c, (lo, hi) in enumerate(box):
+        if not lo <= hi:
+            raise ConfigError(f"{source}: [admissible] r_box component {c + 1} "
+                              f"empty (lo > hi) with [actuator] width {act_width}")
+    if r_box != "auto":
+        check_support(box[:, 0], "[admissible] r_box")
+        check_support(box[:, 1], "[admissible] r_box")
 
     try:
         opt = OptimizerConfig(**given("optimizer"))
@@ -287,8 +285,8 @@ def parse_config_text(text, source="<config>"):
         raise ConfigError(f"{source}: [gradcheck] n_directions must be >= 1")
     corrupt = take("gradcheck", "corrupt", False)
     n_grid = take("gridsearch", "n_grid", 64)
-    if n_grid < 8:
-        raise ConfigError(f"{source}: [gridsearch] n_grid must be >= 8")
+    if n_grid < MIN_GRID:
+        raise ConfigError(f"{source}: [gridsearch] n_grid must be >= {MIN_GRID}")
 
     out_dir = take("output", "out_dir", "runs/out")
     probe_s = take("output", "probe", "center")
@@ -434,6 +432,11 @@ def control_series(cfg, times):
     )
 
 
+def _auto_box(domain, spacing, w):
+    """The automatic r_box: one cell inside [w, L - w] per dimension."""
+    return np.array([[w + h, length - w - h] for length, h in zip(domain, spacing)])
+
+
 def build_problem(cfg):
     """Materialize runtime objects for a parsed configuration.
 
@@ -461,11 +464,7 @@ def build_problem(cfg):
         x0[:m] = cfg.init_amplitude * np.exp(-d2 / (2.0 * cfg.init_sigma**2))
 
     if cfg.r_box == "auto":
-        w = cfg.act_width
-        box = np.array([
-            [w + h, length - w - h]
-            for length, h in zip(domain, model.spacing(cfg.params))
-        ])
+        box = _auto_box(domain, model.spacing(cfg.params), cfg.act_width)
     else:
         box = np.asarray(cfg.r_box, dtype=float).reshape(len(domain), 2)
     probe_pts = (

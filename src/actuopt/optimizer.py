@@ -28,6 +28,7 @@ from .core_system import BlowUpError, StepSolverError, cost_eval, solve_forward
 BB_MIN = 1e-10
 BB_MAX = 1e4
 MAX_BACKTRACKS = 60
+MIN_GRID = 8  # fewest grid_search_r points per design dimension
 
 
 @dataclass
@@ -255,8 +256,8 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     n_grid points per design dimension over r_box (lexicographic order).
     Points run on the caller's problem: a serial sweep assembles nothing
     and factorises the step once. A pool of min(threads, CPU count, points)
-    workers, when that exceeds one, gets fixed chunks of consecutive points,
-    one per worker, and reassembles the problem once per chunk. The table
+    workers, when that exceeds one, hands each free worker the next point,
+    which rebuilds the discretization from its pickled recipe. The table
     is in grid order either way.
     Points whose forward solve blows up or whose step system is singular
     carry J = nan and converged = False; they and the unconverged points
@@ -265,8 +266,8 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
 
     Returns (r_star, table): table rows are (r components..., J, converged).
     """
-    if n_grid < 8:
-        raise ValueError(f"n_grid must be >= 8, got {n_grid}")
+    if n_grid < MIN_GRID:
+        raise ValueError(f"n_grid must be >= {MIN_GRID}, got {n_grid}")
     if config is None:
         config = OptimizerConfig()
     if spec.r_box.shape[0] != disc.r_dim:
@@ -280,8 +281,7 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     workers = min(threads, os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, points,
-                                    chunksize=math.ceil(len(points) / workers)))
+            results = list(pool.map(solve, points))
     else:
         results = [solve(pt) for pt in points]
 
