@@ -29,6 +29,9 @@ import numpy as np
 
 from .core_system import cost_eval, energy_norm, forward_costs, solve_forward
 
+# the central-difference steps of gradient_fd_check
+FD_EPS = (1e-2, 1e-3, 1e-4)
+
 
 @dataclass
 class AdjointState:
@@ -311,13 +314,13 @@ def adjoint_compare(disc, cost, x_traj, grid):
 
 
 def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
-                      eps_list=(1e-2, 1e-3, 1e-4), corrupt=False):
+                      corrupt=False):
     """Central-difference verification of grad_u and grad_r.
 
     x_traj is the forward trajectory of (u, r), the base point. For each
     random direction the directional derivative predicted by the adjoint
     gradient is compared against central differences of the evaluated
-    discrete J over the eps sweep; the best (smallest) relative error per
+    discrete J over the FD_EPS sweep; the best (smallest) relative error per
     direction is kept and the worst direction is reported. Every perturbed
     J comes from one batched forward_costs sweep from x_traj[0].
     The corrupt flag deliberately biases the predictions (negative-control
@@ -346,14 +349,14 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
         checks.append((bias * float(grad_r[c]), np.zeros_like(u), e_c))
 
     # the +eps and -eps points of every check and eps, in one batched sweep
-    steps = [sign * eps for eps in eps_list for sign in (1.0, -1.0)]
+    steps = [sign * eps for eps in FD_EPS for sign in (1.0, -1.0)]
     j = forward_costs(
         disc, cost, x_traj[0],
         [u + h * du for _, du, _ in checks for h in steps],
         [r_arr + h * dr for _, _, dr in checks for h in steps],
         grid,
-    ).reshape(len(checks), len(eps_list), 2)
-    fd = (j[..., 0] - j[..., 1]) / (2.0 * np.asarray(eps_list))
+    ).reshape(len(checks), len(FD_EPS), 2)
+    fd = (j[..., 0] - j[..., 1]) / (2.0 * np.asarray(FD_EPS))
 
     def rel_err(pred, fd):
         denom = max(abs(pred), abs(fd), 1e-14 * max(1.0, abs(j_base)))

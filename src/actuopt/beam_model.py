@@ -29,6 +29,9 @@ import scipy.sparse.linalg as spla
 
 from .core_system import Discretization
 
+# the default actuator bump half-width
+ACT_WIDTH = 0.05
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -68,7 +71,7 @@ class BeamActuator:
     """Actuator design: bump center r and fixed half-width."""
 
     r: float
-    width: float = 0.05
+    width: float = ACT_WIDTH
 
     def __post_init__(self):
         if not (self.width > 0.0 and math.isfinite(self.width)):
@@ -199,7 +202,7 @@ def _cost_matrix(params, q1, q2):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def assemble_beam(params, act_width=0.05):
+def assemble_beam(params, act_width=ACT_WIDTH):
     """Build the beam Discretization.
 
     act_width fixes the actuator bump half-width used by b_of_r (the
@@ -287,7 +290,7 @@ class BeamModel:
 
     name = "beam"
     params_cls = BeamParams
-    act_width = 0.05
+    act_width = ACT_WIDTH
 
     def domain(self, params):
         return (params.length,)

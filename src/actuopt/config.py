@@ -9,9 +9,14 @@ minimal valid file is just
     [run]
     model = beam
 
-The canonical serialization (canonical_text) writes every key of every
-applicable section in a fixed order; it reparses to an equal
-ExperimentConfig, which is the round-trip contract echoed in summary.json.
+Each plain key is declared once, as an ExperimentConfig field whose
+metadata holds its section, key name and parser (see _key); the field's
+default is the key's default. The `[<model>]` and `[optimizer]` sections
+are the fields of the model's parameter dataclass and of OptimizerConfig.
+The schema, the parser's defaults and the canonical serialization
+(canonical_text) all follow from these fields, in field order; the
+canonical text reparses to an equal ExperimentConfig, which is the
+round-trip contract echoed in summary.json.
 """
 from __future__ import annotations
 
@@ -21,56 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_model import BeamParams
 from .core_system import CostSpec, TimeGrid
 from .models import MODELS
 from .optimizer import MIN_GRID, OptimizerConfig, ProjectionSpec
-from .wave_model import WaveParams
 
 
 class ConfigError(ValueError):
     """Configuration file rejected; message carries line/field context."""
-
-
-@dataclass
-class ExperimentConfig:
-    model: str
-    seed: int
-    t_final: float
-    n_steps: int
-    beam: BeamParams
-    wave: WaveParams
-    act_width: float
-    r_init: object  # "center" or tuple of floats
-    q1: str
-    q2: str
-    r_weight: float
-    init_kind: str
-    init_amplitude: float
-    init_mode: int
-    init_center: tuple
-    init_sigma: float
-    control_kind: str
-    control_amplitude: float
-    control_freq: float
-    r_ad: float
-    r_box: object  # "auto" or flat tuple (lo1, hi1[, lo2, hi2])
-    opt: OptimizerConfig
-    n_directions: int
-    corrupt: bool
-    n_grid: int
-    out_dir: str
-    probe: object  # "center" or tuple of floats (beam) / tuple of pairs (wave)
-
-    @property
-    def params(self):
-        """The parameters of the configured model."""
-        return getattr(self, self.model)
-
-    @property
-    def domain(self):
-        """Side lengths of the model's domain, one per design dimension."""
-        return MODELS[self.model].domain(self.params)
 
 
 def _f(s):
@@ -103,6 +65,52 @@ def _names(s):
     return tuple(e.strip() for e in s.split(",") if e.strip())
 
 
+def _key(section, key, parser, default):
+    """The field of config key `key` in [section]: parser and default."""
+    return dataclasses.field(
+        default=default, metadata={"section": section, "key": key, "parser": parser}
+    )
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig:
+    """A parsed configuration; the field order is the canonical key order."""
+
+    model: str = _key("run", "model", _s, None)  # required: None is rejected
+    seed: int = _key("run", "seed", _i, 0)
+    t_final: float = _key("time", "t_final", _f, 2.0)
+    n_steps: int = _key("time", "n_steps", _i, 400)
+    params: object  # the [<model>] section: the model's params_cls
+    act_width: float = _key("actuator", "width", _f, None)  # None: model default
+    r_init: object = _key("actuator", "r_init", _s, "center")  # or tuple of floats
+    q1: str = _key("cost", "q1", _s, "uniform")
+    q2: str = _key("cost", "q2", _s, "uniform")
+    r_weight: float = _key("cost", "r_weight", _f, 1.0)
+    init_kind: str = _key("init", "kind", _s, "sine")
+    init_amplitude: float = _key("init", "amplitude", _f, 1.0)
+    init_mode: int = _key("init", "mode", _i, 1)
+    init_center: tuple = _key("init", "center", _s, None)  # None: domain center
+    init_sigma: float = _key("init", "sigma", _f, 0.1)
+    control_kind: str = _key("control", "kind", _s, "zero")
+    control_amplitude: float = _key("control", "amplitude", _f, 1.0)
+    control_freq: float = _key("control", "freq", _f, 1.0)
+    r_ad: float = _key("admissible", "r_ad", _f, 10.0)
+    # "auto" or flat tuple (lo1, hi1[, lo2, hi2])
+    r_box: object = _key("admissible", "r_box", _s, "auto")
+    opt: OptimizerConfig = dataclasses.field(metadata={"section": "optimizer"})
+    n_directions: int = _key("gradcheck", "n_directions", _i, 10)
+    corrupt: bool = _key("gradcheck", "corrupt", _b, False)
+    n_grid: int = _key("gridsearch", "n_grid", _i, 64)
+    out_dir: str = _key("output", "out_dir", _s, "runs/out")
+    # "center" or tuple of floats (beam) / tuple of pairs (wave)
+    probe: object = _key("output", "probe", _s, "center")
+
+    @property
+    def domain(self):
+        """Side lengths of the model's domain, one per design dimension."""
+        return MODELS[self.model].domain(self.params)
+
+
 # the sections built from a dataclass (the models' parameters and the
 # optimizer) parse each field by the type of the field's default
 _PARSERS = {float: _f, int: _i, str: _s, tuple: _names}
@@ -112,19 +120,10 @@ def _fields_schema(cls):
     return {f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(cls)}
 
 
-_SCHEMA = {
-    "run": {"model": _s, "seed": _i},
-    "time": {"t_final": _f, "n_steps": _i},
-    "actuator": {"width": _f, "r_init": _s},
-    "cost": {"q1": _s, "q2": _s, "r_weight": _f},
-    "init": {"kind": _s, "amplitude": _f, "mode": _i, "center": _s, "sigma": _f},
-    "control": {"kind": _s, "amplitude": _f, "freq": _f},
-    "admissible": {"r_ad": _f, "r_box": _s},
-    "optimizer": _fields_schema(OptimizerConfig),
-    "gradcheck": {"n_directions": _i, "corrupt": _b},
-    "gridsearch": {"n_grid": _i},
-    "output": {"out_dir": _s, "probe": _s},
-}
+_KEYS = [f for f in dataclasses.fields(ExperimentConfig) if "key" in f.metadata]
+_SCHEMA = {"optimizer": _fields_schema(OptimizerConfig)}
+for _meta in (f.metadata for f in _KEYS):
+    _SCHEMA.setdefault(_meta["section"], {})[_meta["key"]] = _meta["parser"]
 for _model in MODELS.values():
     _SCHEMA[_model.name] = _fields_schema(_model.params_cls)
 
@@ -172,17 +171,18 @@ def parse_config_text(text, source="<config>"):
         if (section, key) in raw:
             raise ConfigError(f"{where}: duplicate key {key!r} in section [{section}]")
         try:
-            raw[(section, key)] = (_SCHEMA[section][key](val), lineno)
+            raw[(section, key)] = _SCHEMA[section][key](val)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
-    def take(section, key, default):
-        return raw.pop((section, key), (default, None))[0]
-
     def given(section):
-        return {k: raw.pop((sec, k))[0] for (sec, k) in list(raw) if sec == section}
+        return {k: raw.pop((sec, k)) for (sec, k) in list(raw) if sec == section}
 
-    name = take("run", "model", None)
+    # every plain key, given or its field's default; the dataclass
+    # sections ([<model>], [optimizer]) stay in raw
+    values = {f.name: raw.pop((f.metadata["section"], f.metadata["key"]), f.default)
+              for f in _KEYS}
+    name = values["model"]
     if name is None:
         raise ConfigError(f"{source}: missing required key 'model' in [run]")
     if name not in MODELS:
@@ -195,10 +195,6 @@ def parse_config_text(text, source="<config>"):
         )
     model = MODELS[name]
 
-    seed = take("run", "seed", 0)
-    t_final = take("time", "t_final", 2.0)
-    n_steps = take("time", "n_steps", 400)
-
     try:
         params = model.params_cls(**given(name))
     except ValueError as exc:
@@ -206,116 +202,93 @@ def parse_config_text(text, source="<config>"):
     domain = model.domain(params)
     r_dim = len(domain)
 
-    act_width = take("actuator", "width", model.act_width)
+    if values["act_width"] is None:
+        values["act_width"] = model.act_width
+    act_width = values["act_width"]
     if not (act_width > 0.0):
         raise ConfigError(f"{source}: actuator width must be positive")
 
-    def check_support(point, what):
-        # the actuator support [p - width, p + width] must stay in the domain
+    def check_range(point, what, margin=0.0):
+        # the point must lie in the domain; an actuator center (margin =
+        # width) keeps its whole support [p - width, p + width] in it
         for c, p in enumerate(point):
-            if not act_width <= p <= domain[c] - act_width:
-                raise ConfigError(f"{source}: {what} component {c + 1} lets the "
-                                  f"actuator support leave the domain (valid range "
-                                  f"[{act_width}, {domain[c] - act_width}])")
+            hi = domain[c] - margin
+            if not margin <= p <= hi:
+                why = "lets the actuator support leave" if margin else "lies outside"
+                raise ConfigError(f"{source}: {what} component {c + 1} {why} the "
+                                  f"domain (valid range [{margin}, {hi}])")
 
-    r_init_s = take("actuator", "r_init", "center")
-    r_init = "center"
-    if r_init_s != "center":
-        r_init = _floats(r_init_s, f"{source}: [actuator] r_init", r_dim)
-        check_support(r_init, "[actuator] r_init")
+    if values["r_init"] != "center":
+        values["r_init"] = _floats(
+            values["r_init"], f"{source}: [actuator] r_init", r_dim
+        )
+        check_range(values["r_init"], "[actuator] r_init", act_width)
 
-    q1 = take("cost", "q1", "uniform")
-    q2 = take("cost", "q2", "uniform")
-    for key, preset in (("q1", q1), ("q2", q2)):
-        _check_preset(preset, r_dim, f"{source}: [cost] {key}")
-    r_weight = take("cost", "r_weight", 1.0)
-    if not (r_weight > 0.0 and math.isfinite(r_weight)):
+    for key in ("q1", "q2"):
+        _check_preset(values[key], r_dim, f"{source}: [cost] {key}")
+    if not (values["r_weight"] > 0.0 and math.isfinite(values["r_weight"])):
         raise ConfigError(f"{source}: [cost] r_weight must be positive")
 
-    init_kind = take("init", "kind", "sine")
-    if init_kind not in ("sine", "gaussian", "zero"):
-        raise ConfigError(
-            f"{source}: [init] kind must be sine, gaussian, or zero, got {init_kind!r}"
-        )
-    init_amplitude = take("init", "amplitude", 1.0)
-    init_mode = take("init", "mode", 1)
-    if init_mode < 1:
+    if values["init_kind"] not in ("sine", "gaussian", "zero"):
+        raise ConfigError(f"{source}: [init] kind must be sine, gaussian, or zero, "
+                          f"got {values['init_kind']!r}")
+    if values["init_mode"] < 1:
         raise ConfigError(f"{source}: [init] mode must be >= 1")
-    default_center = ",".join(repr(d / 2.0) for d in domain)
-    init_center = _floats(
-        take("init", "center", default_center), f"{source}: [init] center", r_dim
-    )
-    init_sigma = take("init", "sigma", 0.1)
-    if not (init_sigma > 0.0):
+    if values["init_center"] is None:
+        values["init_center"] = tuple(d / 2.0 for d in domain)
+    else:
+        values["init_center"] = _floats(
+            values["init_center"], f"{source}: [init] center", r_dim
+        )
+        check_range(values["init_center"], "[init] center")
+    if not (values["init_sigma"] > 0.0):
         raise ConfigError(f"{source}: [init] sigma must be positive")
 
-    control_kind = take("control", "kind", "zero")
-    if control_kind not in ("zero", "sine"):
-        raise ConfigError(
-            f"{source}: [control] kind must be zero or sine, got {control_kind!r}"
-        )
-    control_amplitude = take("control", "amplitude", 1.0)
-    control_freq = take("control", "freq", 1.0)
+    if values["control_kind"] not in ("zero", "sine"):
+        raise ConfigError(f"{source}: [control] kind must be zero or sine, "
+                          f"got {values['control_kind']!r}")
 
-    r_ad = take("admissible", "r_ad", 10.0)
-    if not (r_ad > 0.0 and math.isfinite(r_ad)):
+    if not (values["r_ad"] > 0.0 and math.isfinite(values["r_ad"])):
         raise ConfigError(f"{source}: [admissible] r_ad must be positive")
-    r_box_s = take("admissible", "r_box", "auto")
-    if r_box_s == "auto":
-        r_box = "auto"
+    if values["r_box"] == "auto":
         box = _auto_box(domain, model.spacing(params), act_width)
     else:
-        r_box = _floats(r_box_s, f"{source}: [admissible] r_box", 2 * r_dim)
-        box = np.reshape(r_box, (r_dim, 2))
+        values["r_box"] = _floats(
+            values["r_box"], f"{source}: [admissible] r_box", 2 * r_dim
+        )
+        box = np.reshape(values["r_box"], (r_dim, 2))
     for c, (lo, hi) in enumerate(box):
         if not lo <= hi:
             raise ConfigError(f"{source}: [admissible] r_box component {c + 1} "
                               f"empty (lo > hi) with [actuator] width {act_width}")
-    if r_box != "auto":
-        check_support(box[:, 0], "[admissible] r_box")
-        check_support(box[:, 1], "[admissible] r_box")
+    if values["r_box"] != "auto":
+        check_range(box[:, 0], "[admissible] r_box", act_width)
+        check_range(box[:, 1], "[admissible] r_box", act_width)
 
     try:
         opt = OptimizerConfig(**given("optimizer"))
     except ValueError as exc:
         raise ConfigError(f"{source}: [optimizer] section: {exc}") from None
 
-    n_directions = take("gradcheck", "n_directions", 10)
-    if n_directions < 1:
+    if values["n_directions"] < 1:
         raise ConfigError(f"{source}: [gradcheck] n_directions must be >= 1")
-    corrupt = take("gradcheck", "corrupt", False)
-    n_grid = take("gridsearch", "n_grid", 64)
-    if n_grid < MIN_GRID:
+    if values["n_grid"] < MIN_GRID:
         raise ConfigError(f"{source}: [gridsearch] n_grid must be >= {MIN_GRID}")
 
-    out_dir = take("output", "out_dir", "runs/out")
-    probe_s = take("output", "probe", "center")
-    probe = "center"
-    if probe_s != "center":
+    if values["probe"] != "center":
+        # one-dimensional probes are a list of numbers, others "x, y; x, y"
         points = tuple(
             _floats(point, f"{source}: [output] probe", r_dim)
-            for point in probe_s.split(_probe_sep(r_dim))
+            for point in values["probe"].split("," if r_dim == 1 else ";")
             if point.strip()
         )
         if not points:
             raise ConfigError(f"{source}: [output] probe is empty")
-        probe = tuple(p for (p,) in points) if r_dim == 1 else points
+        for k, point in enumerate(points):
+            check_range(point, f"[output] probe point {k + 1}")
+        values["probe"] = tuple(p for (p,) in points) if r_dim == 1 else points
 
-    if raw:
-        (sec, key), (_, lineno) = next(iter(raw.items()))
-        raise ConfigError(f"{source}:{lineno}: key {key!r} not consumed from [{sec}]")
-
-    cfg = ExperimentConfig(
-        model=name, seed=seed, t_final=t_final, n_steps=n_steps,
-        **{n: params if n == name else None for n in MODELS},
-        act_width=act_width, r_init=r_init, q1=q1, q2=q2,
-        r_weight=r_weight, init_kind=init_kind, init_amplitude=init_amplitude,
-        init_mode=init_mode, init_center=init_center, init_sigma=init_sigma,
-        control_kind=control_kind, control_amplitude=control_amplitude,
-        control_freq=control_freq, r_ad=r_ad, r_box=r_box, opt=opt,
-        n_directions=n_directions, corrupt=corrupt, n_grid=n_grid,
-        out_dir=out_dir, probe=probe,
-    )
+    cfg = ExperimentConfig(params=params, opt=opt, **values)
     try:
         TimeGrid(cfg.t_final, cfg.n_steps)
     except ValueError as exc:
@@ -338,18 +311,6 @@ def _check_preset(preset, r_dim, where):
     )
 
 
-def _probe_sep(r_dim):
-    # one-dimensional probes are a list of numbers, others "x, y; x, y"
-    return "," if r_dim == 1 else ";"
-
-
-def _probe_points(cfg):
-    """The configured probe as a tuple of points (no "center")."""
-    if len(cfg.domain) == 1:
-        return tuple((p,) for p in cfg.probe)
-    return tuple(cfg.probe)
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -359,57 +320,32 @@ def load_config(path):
     return parse_config_text(text, source=str(path))
 
 
+def _fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        # the points of a two-dimensional probe are "x, y; x, y"
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_fmt(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def canonical_text(cfg):
-    """Serialize with every applicable key explicit, in schema order."""
-    lines = []
-
-    def sec(name, pairs):
-        lines.append(f"[{name}]")
-        for k, v in pairs:
-            lines.append(f"{k} = {v}")
-        lines.append("")
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, tuple):
-            return ",".join(v)
-        return str(v)
-
-    def fmt_tuple(t):
-        return ",".join(repr(float(x)) for x in t)
-
-    def fields(obj):
-        return [(f.name, fmt(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
-
-    sec("run", [("model", cfg.model), ("seed", cfg.seed)])
-    sec("time", [("t_final", fmt(cfg.t_final)), ("n_steps", cfg.n_steps)])
-    sec(cfg.model, fields(cfg.params))
-    r_init = cfg.r_init if cfg.r_init == "center" else fmt_tuple(cfg.r_init)
-    sec("actuator", [("width", fmt(cfg.act_width)), ("r_init", r_init)])
-    sec("cost", [("q1", cfg.q1), ("q2", cfg.q2), ("r_weight", fmt(cfg.r_weight))])
-    sec("init", [
-        ("kind", cfg.init_kind), ("amplitude", fmt(cfg.init_amplitude)),
-        ("mode", cfg.init_mode), ("center", fmt_tuple(cfg.init_center)),
-        ("sigma", fmt(cfg.init_sigma)),
-    ])
-    sec("control", [
-        ("kind", cfg.control_kind), ("amplitude", fmt(cfg.control_amplitude)),
-        ("freq", fmt(cfg.control_freq)),
-    ])
-    r_box = cfg.r_box if cfg.r_box == "auto" else fmt_tuple(cfg.r_box)
-    sec("admissible", [("r_ad", fmt(cfg.r_ad)), ("r_box", r_box)])
-    sec("optimizer", fields(cfg.opt))
-    sec("gradcheck", [("n_directions", cfg.n_directions), ("corrupt", fmt(cfg.corrupt))])
-    sec("gridsearch", [("n_grid", cfg.n_grid)])
-    probe = "center"
-    if cfg.probe != "center":
-        sep = _probe_sep(len(cfg.domain))
-        probe = sep.join(fmt_tuple(p) for p in _probe_points(cfg))
-    sec("output", [("out_dir", cfg.out_dir), ("probe", probe)])
-    return "\n".join(lines)
+    """Serialize with every applicable key explicit, in field order."""
+    lines, current = [], None
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            section = f.metadata.get("section", cfg.model)
+            pairs = [(g.name, getattr(value, g.name))
+                     for g in dataclasses.fields(value)]
+        else:
+            section, pairs = f.metadata["section"], [(f.metadata["key"], value)]
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        lines += [f"{key} = {_fmt(v)}" for key, v in pairs]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def _eval_preset(preset, coords):
@@ -467,10 +403,10 @@ def build_problem(cfg):
         box = _auto_box(domain, model.spacing(cfg.params), cfg.act_width)
     else:
         box = np.asarray(cfg.r_box, dtype=float).reshape(len(domain), 2)
-    probe_pts = (
-        (tuple(length / 2.0 for length in domain),) if cfg.probe == "center"
-        else _probe_points(cfg)
-    )
+    if cfg.probe == "center":
+        probe_pts = (tuple(length / 2.0 for length in domain),)
+    else:
+        probe_pts = tuple((p,) for p in cfg.probe) if len(domain) == 1 else cfg.probe
 
     cost = CostSpec(q1=q1, q2=q2, r_weight=cfg.r_weight)
     pspec = ProjectionSpec(r_ad=cfg.r_ad, r_box=box)

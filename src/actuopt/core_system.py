@@ -285,13 +285,13 @@ def _check_forward_args(disc, x0, u, grid):
     return x0, u
 
 
-def _imex_states(disc, x0, u, b_vec, dt, ceiling):
+def _imex_states(disc, x0, u, b_vec, dt):
     """Yield x_1, ..., x_N of the IMEX recursion started at x0.
 
     x0 is one state (n_dof,) with u (N+1,) and b_vec (n_dof,), or a block
     of K states (n_dof, K) with u (N+1, K) and b_vec (n_dof, K), one column
     per state. Raises BlowUpError at the first step where a state exceeds
-    `ceiling` in max-norm or goes non-finite; its partial holds one row,
+    STATE_CEILING in max-norm or goes non-finite; its partial holds one row,
     the last completed state of the first column that blew up.
     """
     step = disc.step_factors(dt)
@@ -302,8 +302,8 @@ def _imex_states(disc, x0, u, b_vec, dt, ceiling):
         f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
         u_mid = 0.5 * (u[i] + u[i + 1])
         x_next = step.solve(step.apply(x) + dt * f_ext + (dt * u_mid) * b_vec)
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > ceiling:
-            bad = ~np.isfinite(x_next) | (np.abs(x_next) > ceiling)
+        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > STATE_CEILING:
+            bad = ~np.isfinite(x_next) | (np.abs(x_next) > STATE_CEILING)
             col = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=0))[0]
             last = x.reshape(len(x), -1)[:, col]
             raise BlowUpError(i + 1, (i + 1) * dt, last[None, :].copy())
@@ -313,11 +313,11 @@ def _imex_states(disc, x0, u, b_vec, dt, ceiling):
         f_curr = disc.fnl(x_next)
 
 
-def solve_forward(disc, x0, u, r, grid, ceiling=STATE_CEILING):
+def solve_forward(disc, x0, u, r, grid):
     """Integrate the semi-linear system over the grid.
 
     Returns the trajectory as an (n_steps+1, n_dof) array. Raises
-    BlowUpError if any state exceeds `ceiling` in max-norm or goes
+    BlowUpError if any state exceeds STATE_CEILING in max-norm or goes
     non-finite; its partial holds every completed row.
     """
     x0, u = _check_forward_args(disc, x0, u, grid)
@@ -325,7 +325,7 @@ def solve_forward(disc, x0, u, r, grid, ceiling=STATE_CEILING):
     traj = np.empty((grid.n_steps + 1, disc.n_dof))
     traj[0] = x0
     try:
-        for i, x in enumerate(_imex_states(disc, x0, u, b_vec, grid.dt, ceiling), 1):
+        for i, x in enumerate(_imex_states(disc, x0, u, b_vec, grid.dt), 1):
             traj[i] = x
     except BlowUpError as exc:
         raise BlowUpError(exc.step, exc.time, traj[: exc.step].copy()) from None
@@ -357,7 +357,7 @@ def forward_costs(disc, cost, x0, u, r, grid):
     block = np.repeat(x0[:, None], u.shape[0], axis=1)
     quad = np.empty((grid.n_steps + 1, u.shape[0]))
     quad[0] = np.einsum("ij,ij->j", block, mq @ block)
-    states = _imex_states(disc, block, u.T, b_cols, grid.dt, STATE_CEILING)
+    states = _imex_states(disc, block, u.T, b_cols, grid.dt)
     for i, x in enumerate(states, 1):
         quad[i] = np.einsum("ij,ij->j", x, mq @ x)
     return grid.theta @ (quad + cost.r_weight * u.T * u.T)

@@ -36,6 +36,9 @@ import scipy.sparse.linalg as spla
 
 from .core_system import Discretization
 
+# the default actuator bump radial half-width
+ACT_WIDTH = 0.1
+
 _EDGES = ("bottom", "left", "right", "top")
 _FAMILIES = ("none", "sine_gordon", "klein_gordon")
 
@@ -90,7 +93,7 @@ class WaveActuator:
 
     c1: float
     c2: float
-    width: float = 0.1
+    width: float = ACT_WIDTH
 
     def __post_init__(self):
         if not (self.width > 0.0 and math.isfinite(self.width)):
@@ -274,7 +277,7 @@ def wave_adjoint_h(params, w_o, g):
     return asm["l_lu"].solve(rhs)
 
 
-def assemble_wave(params, act_width=0.1):
+def assemble_wave(params, act_width=ACT_WIDTH):
     """Build the wave Discretization (act_width fixes the bump radius)."""
     asm = _assembly(params)
     m = asm["free_idx"].size
@@ -362,7 +365,7 @@ class WaveModel:
 
     name = "wave"
     params_cls = WaveParams
-    act_width = 0.1
+    act_width = ACT_WIDTH
 
     def domain(self, params):
         return (params.lx, params.ly)

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import actuopt as ao
 from actuopt.config import (
+    _SCHEMA,
     ConfigError,
     build_problem,
     canonical_text,
@@ -10,6 +14,7 @@ from actuopt.config import (
     load_config,
     parse_config_text,
 )
+from actuopt.models import MODELS
 
 MINIMAL_BEAM = "[run]\nmodel = beam\n"
 MINIMAL_WAVE = "[run]\nmodel = wave\n"
@@ -19,7 +24,7 @@ def test_minimal_beam_defaults():
     cfg = parse_config_text(MINIMAL_BEAM)
     assert cfg.model == "beam"
     assert cfg.t_final == 2.0 and cfg.n_steps == 400
-    assert cfg.beam.n_cells == 64 and cfg.wave is None
+    assert isinstance(cfg.params, ao.BeamParams) and cfg.params.n_cells == 64
     assert cfg.act_width == 0.05
     assert cfg.r_init == "center"
     assert cfg.q1 == "uniform" and cfg.q2 == "uniform"
@@ -29,9 +34,9 @@ def test_minimal_beam_defaults():
 
 def test_minimal_wave_defaults():
     cfg = parse_config_text(MINIMAL_WAVE)
-    assert cfg.wave.nx == 24 and cfg.beam is None
+    assert isinstance(cfg.params, ao.WaveParams) and cfg.params.nx == 24
     assert cfg.act_width == 0.1
-    assert cfg.wave.nonlinearity == "sine_gordon"
+    assert cfg.params.nonlinearity == "sine_gordon"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -70,6 +75,234 @@ probe = 0.25, 0.25; 0.75, 0.5
     assert canonical_text(again) == canon
 
 
+# canonical_text of the minimal configs: every default, in canonical order
+CANONICAL_BEAM = """\
+[run]
+model = beam
+seed = 0
+
+[time]
+t_final = 2.0
+n_steps = 400
+
+[beam]
+ei = 1.0
+rho_a = 1.0
+length = 1.0
+k = 1.0
+alpha = 1.0
+mu = 0.1
+c_d = 0.01
+n_cells = 64
+
+[actuator]
+width = 0.05
+r_init = center
+
+[cost]
+q1 = uniform
+q2 = uniform
+r_weight = 1.0
+
+[init]
+kind = sine
+amplitude = 1.0
+mode = 1
+center = 0.5
+sigma = 0.1
+
+[control]
+kind = zero
+amplitude = 1.0
+freq = 1.0
+
+[admissible]
+r_ad = 10.0
+r_box = auto
+
+[optimizer]
+max_iters = 500
+tol_grad = 2e-06
+armijo_c = 0.0001
+backtrack = 0.5
+
+[gradcheck]
+n_directions = 10
+corrupt = false
+
+[gridsearch]
+n_grid = 64
+
+[output]
+out_dir = runs/out
+probe = center
+"""
+
+CANONICAL_WAVE = """\
+[run]
+model = wave
+seed = 0
+
+[time]
+t_final = 2.0
+n_steps = 400
+
+[wave]
+lx = 1.0
+ly = 1.0
+nx = 24
+ny = 24
+gamma1_edges =\x20
+nonlinearity = sine_gordon
+kg_exponent = 2
+
+[actuator]
+width = 0.1
+r_init = center
+
+[cost]
+q1 = uniform
+q2 = uniform
+r_weight = 1.0
+
+[init]
+kind = sine
+amplitude = 1.0
+mode = 1
+center = 0.5,0.5
+sigma = 0.1
+
+[control]
+kind = zero
+amplitude = 1.0
+freq = 1.0
+
+[admissible]
+r_ad = 10.0
+r_box = auto
+
+[optimizer]
+max_iters = 500
+tol_grad = 2e-06
+armijo_c = 0.0001
+backtrack = 0.5
+
+[gradcheck]
+n_directions = 10
+corrupt = false
+
+[gridsearch]
+n_grid = 64
+
+[output]
+out_dir = runs/out
+probe = center
+"""
+
+
+@pytest.mark.parametrize("text,golden", [
+    (MINIMAL_BEAM, CANONICAL_BEAM), (MINIMAL_WAVE, CANONICAL_WAVE),
+], ids=["beam", "wave"])
+def test_canonical_text_of_minimal_configs(text, golden):
+    assert canonical_text(parse_config_text(text)) == golden
+
+
+# a valid value other than the default for every key; a dict holds one
+# value per model where the value depends on the design dimension
+NON_DEFAULT = {
+    ("run", "model"): {"beam": "wave", "wave": "beam"},
+    ("run", "seed"): "3",
+    ("time", "t_final"): "1.5",
+    ("time", "n_steps"): "200",
+    ("beam", "ei"): "2.0",
+    ("beam", "rho_a"): "2.0",
+    ("beam", "length"): "2.0",
+    ("beam", "k"): "0.5",
+    ("beam", "alpha"): "0.0",
+    ("beam", "mu"): "0.2",
+    ("beam", "c_d"): "0.02",
+    ("beam", "n_cells"): "32",
+    ("wave", "lx"): "2.0",
+    ("wave", "ly"): "2.0",
+    ("wave", "nx"): "12",
+    ("wave", "ny"): "12",
+    ("wave", "gamma1_edges"): "left, top",
+    ("wave", "nonlinearity"): "klein_gordon",
+    ("wave", "kg_exponent"): "3",
+    ("actuator", "width"): "0.08",
+    ("actuator", "r_init"): {"beam": "0.3", "wave": "0.3, 0.7"},
+    ("cost", "q1"): {"beam": "gaussian(0.5, 0.2)", "wave": "gaussian(0.5, 0.5, 0.2)"},
+    ("cost", "q2"): "zero",
+    ("cost", "r_weight"): "2.0",
+    ("init", "kind"): "gaussian",
+    ("init", "amplitude"): "2.0",
+    ("init", "mode"): "2",
+    ("init", "center"): {"beam": "0.3", "wave": "0.3, 0.6"},
+    ("init", "sigma"): "0.2",
+    ("control", "kind"): "sine",
+    ("control", "amplitude"): "2.0",
+    ("control", "freq"): "1.5",
+    ("admissible", "r_ad"): "5.0",
+    ("admissible", "r_box"): {"beam": "0.2, 0.8", "wave": "0.2, 0.8, 0.3, 0.7"},
+    ("optimizer", "max_iters"): "50",
+    ("optimizer", "tol_grad"): "1e-5",
+    ("optimizer", "armijo_c"): "1e-3",
+    ("optimizer", "backtrack"): "0.25",
+    ("gradcheck", "n_directions"): "4",
+    ("gradcheck", "corrupt"): "true",
+    ("gridsearch", "n_grid"): "16",
+    ("output", "out_dir"): "runs/elsewhere",
+    ("output", "probe"): {"beam": "0.25, 0.75", "wave": "0.25, 0.25; 0.75, 0.5"},
+}
+
+# every key of every section a config of the model may hold
+MODEL_KEYS = [
+    (model, section, key)
+    for model in MODELS for section, keys in _SCHEMA.items()
+    if section == model or section not in MODELS for key in keys
+]
+
+
+@pytest.mark.parametrize("model,section,key", MODEL_KEYS,
+                         ids=["-".join(k) for k in MODEL_KEYS])
+def test_every_key_acts(model, section, key):
+    value = NON_DEFAULT[(section, key)]
+    if isinstance(value, dict):
+        value = value[model]
+    minimal = f"[run]\nmodel = {model}\n"
+    if (section, key) == ("run", "model"):
+        text = f"[run]\nmodel = {value}\n"
+    else:
+        text = minimal + f"[{section}]\n{key} = {value}\n"
+    cfg = parse_config_text(text)
+    assert cfg != parse_config_text(minimal)
+    assert parse_config_text(canonical_text(cfg)) == cfg
+
+
+def _readme_config_block():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Configuration"):]
+    start = section.index("```ini\n") + len("```ini\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_config_block_is_the_schema_and_its_defaults():
+    block = _readme_config_block()
+    sections, keys, current = set(), set(), None
+    for line in block.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body.startswith("["):
+            current = body[1:-1]
+            sections.add(current)
+        elif body:
+            keys.add((current, body.partition("=")[0].strip()))
+    assert sections == set(_SCHEMA)
+    assert keys == {(s, k) for s, ks in _SCHEMA.items() for k in ks}
+    beam_only = "".join(chunk for chunk in re.split(r"(?m)^(?=\[)", block)
+                        if not chunk.startswith("[wave]"))
+    assert parse_config_text(beam_only) == parse_config_text(MINIMAL_BEAM)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[orbit]\nx = 1\n", ":1: unknown section"),
     ("[run]\nmodel = beam\nplanet = mars\n", ":3: unknown key 'planet'"),
@@ -93,10 +326,16 @@ probe = 0.25, 0.25; 0.75, 0.5
     (MINIMAL_BEAM + "[control]\nfreq = nan\n", ":4: bad value"),
     (MINIMAL_WAVE + "[actuator]\nr_init = 0.02, 0.5\n",
      "r_init component 1 lets the actuator support leave the domain"),
+    (MINIMAL_BEAM + "[beam]\nn_cells = 12\n[output]\nprobe = 0.5, 7.0, -3\n",
+     "[output] probe point 2 component 1 lies outside the domain"),
+    (MINIMAL_WAVE + "[output]\nprobe = 0.5, 0.5; 0.5, 1.5\n",
+     "[output] probe point 2 component 2 lies outside the domain"),
+    (MINIMAL_BEAM + "[init]\nkind = gaussian\ncenter = 5.0\n",
+     "[init] center component 1 lies outside the domain"),
 ], ids=["section", "key", "dup", "nosection", "noeq", "badvalue",
         "nomodel", "badmodel", "wavesec", "beamsec", "optimizer", "ngrid",
         "zerowidth", "negwidth", "widebeam", "infwidth", "nanamplitude",
-        "nanfreq", "waverinit"])
+        "nanfreq", "waverinit", "beamprobe", "waveprobe", "initcenter"])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
