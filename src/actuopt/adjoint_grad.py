@@ -126,9 +126,9 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     for i in range(n):
         j_curr = dvecs[i] * xt[i, :ms]
         jx = j_curr if i == 0 else 1.5 * j_curr - 0.5 * j_prev
-        rhs = step.apply(xt[i]) + (dt * 0.5 * (u_tilde[i] + u_tilde[i + 1])) * b_vec
-        rhs[ms:] += dt * jx
-        xt[i + 1] = step.solve(rhs)
+        src = (dt * 0.5 * (u_tilde[i] + u_tilde[i + 1])) * b_vec
+        src[ms:] += dt * jx
+        xt[i + 1] = step.advance(xt[i], src)
         j_prev = j_curr
     return xt
 
@@ -149,9 +149,9 @@ def _transpose_sweep(disc, sources, x_traj, grid):
 
     lam = np.zeros((n + 3, disc.n_dof))
     for m in range(n, 0, -1):
-        rhs = step.apply_T(lam[m + 1]) + sources[m]
-        rhs[:ms] += dt * dvecs[m] * (1.5 * lam[m + 1, ms:] - 0.5 * lam[m + 2, ms:])
-        lam[m] = step.solve_T(rhs)
+        src = sources[m].copy()
+        src[:ms] += dt * dvecs[m] * (1.5 * lam[m + 1, ms:] - 0.5 * lam[m + 2, ms:])
+        lam[m] = step.advance_T(lam[m + 1], src)
     return lam[: n + 1]
 
 
@@ -296,7 +296,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     for j in range(n):
         g_curr = affine_term(n - j, q[j])
         g_ext = g_curr if j == 0 else 1.5 * g_curr - 0.5 * g_prev
-        q[j + 1] = step.solve(step.apply(q[j]) + dt * g_ext)
+        q[j + 1] = step.advance(q[j], dt * g_ext)
         g_prev = g_curr
     return q[::-1].copy()
 

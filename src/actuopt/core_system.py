@@ -18,6 +18,9 @@ its interval midpoint value:
 
 with F_ext(0) = F(x_0) and F_ext(n) = 1.5 F(x_n) - 0.5 F(x_{n-1}) after.
 Every sweep takes this step, and its transpose, from one CNStep object.
+Both models are second order in time, A = [[0, s I], [B, C]] in m x m
+blocks, so the step eliminates the velocity and factorises only an m x m
+matrix (see CNStep).
 """
 from __future__ import annotations
 
@@ -69,41 +72,81 @@ class StepSolverError(ValueError):
 
 
 class CNStep:
-    """One Crank-Nicolson step (I - dt/2 M) x+ = (I + dt/2 M) x + s.
+    """One Crank-Nicolson step (I - h A) x+ = (I + h A) x + src, h = dt/2.
 
-    apply(x) = (I + dt/2 M) x and solve(rhs) = (I - dt/2 M)^{-1} rhs;
-    apply_T and solve_T are their exact transposes, on one state (n_dof,)
-    or a block (n_dof, K). The transpose of I + dt/2 M is built once: a
-    transposed view costs more per call than the product itself. Unpacks
-    as (lu, m_plus), the LU factor of I - dt/2 M and the CSR I + dt/2 M.
+    A must be second order in time, A = [[0, s I], [B, C]] in m x m blocks
+    for a scalar s (+1 for both models' A, -1 for their closed-form A*);
+    any other top row raises ValueError. Eliminating the velocity leaves
+    the m x m Schur complement S = I - h C - s h^2 B, the Newmark
+    average-acceleration effective stiffness, which is the only factor:
+    I - h A is singular exactly when S is. As I + h A = 2 I - (I - h A),
+
+        advance(x, src)   = (I - h A)^{-1} ((I + h A) x + src) = P (2x + src) - x,
+        advance_T(y, src) = P^T (2y + src) - y,
+
+    P = (I - h A)^{-1}, are one step and its exact transpose, on one state
+    (n_dof,) or a C-ordered block (n_dof, K). Unpacks as (lu, coupling),
+    the LU factor of S and the CSR block B. B is applied unscaled, then
+    times h: rounded entries of a prescaled h B would break the zero row
+    sums of the beam's stiffness stencil and bias every step the same way.
     """
 
     def __init__(self, mat, dt):
-        eye = sp.identity(mat.shape[0], format="csr")
+        mat = mat.tocsr()
+        m = mat.shape[0] // 2
+        if m == 0 or mat.shape != (2 * m, 2 * m):
+            raise ValueError(f"step operator has shape {mat.shape}, expected (2m, 2m)")
+        if mat[:m, :m].count_nonzero():
+            raise ValueError("step operator's top-left (position-position) block "
+                             "is not zero; A must be second order in time")
+        top_right = mat[:m, m:]
+        sign = top_right.diagonal()[0]
+        eye = sp.identity(m, format="csr")
+        if (top_right - sign * eye).count_nonzero():
+            raise ValueError("step operator's top-right (position-velocity) block "
+                             "is not a multiple s I of the identity")
+        h = 0.5 * dt
+        b_blk = mat[m:, :m]
+        schur = (eye - h * mat[m:, m:] - (sign * h * h) * b_blk).tocsc()
         try:
-            self.lu = spla.splu((eye - (0.5 * dt) * mat).tocsc())
+            # S has a symmetric pattern in both models (beam: I + (h D +
+            # h^2 K)/rho, wave: Mv^{-1}(Mv + h^2 L)) and needs no pivoting
+            self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise StepSolverError(
                 f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; dt "
                 f"likely resonates with an eigenvalue of A (factorization said: {exc})"
             ) from exc
-        self.m_plus = (eye + (0.5 * dt) * mat).tocsr()
-        self._m_plus_t = self.m_plus.T.tocsr()
+        self.coupling = b_blk
+        self._coupling_t = b_blk.T.tocsr()
+        self._h = h
+        self._hs = h * sign
+        self._m = m
 
     def __iter__(self):
-        return iter((self.lu, self.m_plus))
+        return iter((self.lu, self.coupling))
 
-    def apply(self, x):
-        return self.m_plus @ x
+    def advance(self, x, src):
+        m = self._m
+        r = 2.0 * x + src
+        v = self.lu.solve(r[m:] + self._h * (self.coupling @ r[:m]))
+        out = np.empty_like(r)
+        out[:m] = r[:m] + self._hs * v
+        out[m:] = v
+        out -= x
+        return out
 
-    def apply_T(self, y):
-        return self._m_plus_t @ y
-
-    def solve(self, rhs):
-        return self.lu.solve(rhs)
-
-    def solve_T(self, rhs):
-        return self.lu.solve(rhs, trans="T")
+    def advance_T(self, y, src):
+        m = self._m
+        r = 2.0 * y + src
+        z = self.lu.solve(self._hs * r[:m] + r[m:], trans="T")
+        out = np.empty_like(r)
+        out[:m] = r[:m] + self._h * (self._coupling_t @ z)
+        out[m:] = z
+        out -= y
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,10 +214,12 @@ class Discretization:
     model:      the model's name in actuopt.models.MODELS ("beam", "wave")
     params:     the model parameter dataclass
     n_space:    number of position dofs m (state dimension is 2m)
-    a_mat:      sparse (2m, 2m) system operator A
+    a_mat:      sparse (2m, 2m) system operator A, second order in time:
+                A = [[0, I], [B, C]] in m x m blocks
     gram:       sparse SPD (2m, 2m) energy Gram matrix G
     astar_mat:  sparse (2m, 2m) adjoint operator A* w.r.t. G, assembled
-                from the model's closed-form adjoint (not a transpose)
+                from the model's closed-form adjoint (not a transpose),
+                of the form [[0, -I], [B*, C*]]
     b_of_r:     r-array -> (2m,) control influence vector
     b_jac_of_r: r-array -> (2m, r_dim) derivative of the influence in r
     fnl:        x -> (2m,) nonlinearity F(x)
@@ -188,7 +233,11 @@ class Discretization:
     r_dim:      dimension of the actuator design vector
     meta:       model-specific extras (grids, widths, ...)
 
-    step_factors(dt, operator) gives the cached CNStep that every sweep uses.
+    step_factors(dt, operator) gives the cached CNStep that every sweep uses:
+    advance(x, src) = (I - dt/2 M)^{-1}((I + dt/2 M) x + src) for M = A or
+    A*, and its transpose advance_T, through one m x m factor; it unpacks
+    as (lu, B), that factor and the CSR coupling block. An operator not of
+    the second-order form raises ValueError there.
     A Discretization pickles as its recipe, the model's assemble call on
     (params, meta["act_width"]): unpickling reassembles it, caches empty.
     """
@@ -301,8 +350,8 @@ def _imex_states(disc, x0, u, b_vec, dt):
     for i in range(u.shape[0] - 1):
         f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
         u_mid = 0.5 * (u[i] + u[i + 1])
-        x_next = step.solve(step.apply(x) + dt * f_ext + (dt * u_mid) * b_vec)
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > STATE_CEILING:
+        x_next = step.advance(x, dt * f_ext + (dt * u_mid) * b_vec)
+        if not np.max(np.abs(x_next)) <= STATE_CEILING:
             bad = ~np.isfinite(x_next) | (np.abs(x_next) > STATE_CEILING)
             col = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=0))[0]
             last = x.reshape(len(x), -1)[:, col]
@@ -399,7 +448,7 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
         y_new[0] = x0
         for i in range(n):
             src = 0.5 * (f_all[i] + f_all[i + 1]) + u_mid[i] * b_vec
-            y_new[i + 1] = step.solve(step.apply(y_new[i]) + dt * src)
+            y_new[i + 1] = step.advance(y_new[i], dt * src)
         diff = y_new - y
         d = math.sqrt(max(np.max(energy_series(disc, diff)), 0.0))
         scale = math.sqrt(max(np.max(np.abs(energy_series(disc, y_new))), 1.0))

@@ -43,9 +43,10 @@ def test_per_layer_span_metrics_have_a_source():
 
 
 def test_step_factors_result_has_what_the_tracer_reads():
-    # the tracer unpacks step_factors' result as (lu, m_plus) and records
-    # lu.L.nnz + lu.U.nnz and m_plus.nnz
+    # the tracer unpacks step_factors' result as two sparse pieces, here the
+    # m x m LU factor of the step and its coupling block, and records
+    # lu.L.nnz + lu.U.nnz and the block's nnz
     _, disc, grid, _, _ = make_beam()
-    lu, m_plus = disc.step_factors(grid.dt)
+    lu, coupling = disc.step_factors(grid.dt)
     assert int(lu.L.nnz + lu.U.nnz) > 0
-    assert int(m_plus.nnz) > 0
+    assert int(coupling.nnz) > 0

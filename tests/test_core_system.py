@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import actuopt as ao
-from actuopt.core_system import Discretization
+from actuopt.core_system import CNStep, Discretization
 
 from conftest import make_beam, make_wave
 
@@ -60,7 +61,7 @@ def test_solve_forward_matches_manual_imex_steps(beam_small):
         u_mid = 0.5 * (u[i] + u[i + 1])
         f_ext = (disc.fnl(x) if x_prev is None
                  else 1.5 * disc.fnl(x) - 0.5 * disc.fnl(x_prev))
-        x_new = step.solve(step.apply(x) + grid.dt * f_ext + (grid.dt * u_mid) * b_vec)
+        x_new = step.advance(x, grid.dt * f_ext + (grid.dt * u_mid) * b_vec)
         np.testing.assert_array_equal(x_new, traj[i + 1])
         x_prev = x
         x = x_new
@@ -70,21 +71,47 @@ def test_solve_forward_matches_manual_imex_steps(beam_small):
 @pytest.mark.parametrize("operator", ["forward", "adjoint"])
 @pytest.mark.parametrize("k", [None, 5])
 def test_step_transposes_are_exact(maker, operator, k):
-    # y . apply(x) = apply_T(y) . x and y . solve(x) = solve_T(y) . x, per
-    # column of an (n_dof, K) block as for one state, relative to the
-    # Cauchy-Schwarz bound |y| |z| of both sides, z = apply(x) or solve(x)
-    # (a single column's dot product may cancel far below it)
+    # y . advance(x, 0) = advance_T(y, 0) . x in the state and
+    # y . advance(0, s) = advance_T(0, y) . s in the source, per column of
+    # an (n_dof, K) block as for one state, relative to the Cauchy-Schwarz
+    # bound |y| |z| of both sides, z the advanced state (a single column's
+    # dot product may cancel far below it)
     _, disc, grid, _, _ = maker()
     step = disc.step_factors(grid.dt, operator)
     rng = np.random.default_rng(0)
     shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
     x = rng.standard_normal(shape)
     y = rng.standard_normal(shape)
-    for fwd, bwd in ((step.apply, step.apply_T), (step.solve, step.solve_T)):
+    zero = np.zeros(shape)
+    for fwd, bwd in ((lambda a: step.advance(a, zero), lambda a: step.advance_T(a, zero)),
+                     (lambda a: step.advance(zero, a), lambda a: step.advance_T(zero, a))):
         z = fwd(x)
         gap = np.abs(np.sum(y * z, axis=0) - np.sum(bwd(y) * x, axis=0))
         scale = np.linalg.norm(y, axis=0) * np.linalg.norm(z, axis=0)
         assert np.all(gap <= 1e-13 * scale), gap / scale
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+@pytest.mark.parametrize("operator", ["forward", "adjoint"])
+@pytest.mark.parametrize("k", [None, 5])
+def test_step_equals_full_size_crank_nicolson(maker, operator, k):
+    # the m x m elimination gives the 2m x 2m step (I - h A)^{-1}((I + h A) x
+    # + s), h = dt/2, and its transpose, up to roundoff
+    _, disc, grid, _, _ = maker()
+    step = disc.step_factors(grid.dt, operator)
+    mat = disc.a_mat if operator == "forward" else disc.astar_mat
+    eye = sp.identity(disc.n_dof, format="csr")
+    lu = spla.splu((eye - (0.5 * grid.dt) * mat).tocsc())
+    m_plus = (eye + (0.5 * grid.dt) * mat).tocsr()
+    rng = np.random.default_rng(1)
+    shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
+    x, s = rng.standard_normal(shape), rng.standard_normal(shape)
+    for got, want in ((step.advance(x, s), lu.solve(m_plus @ x + s)),
+                      (step.advance_T(x, s), lu.solve(m_plus.T @ x + s, trans="T"))):
+        assert got.shape == shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    lu_step, _ = step
+    assert lu_step.shape == (disc.n_space, disc.n_space)
 
 
 def test_step_factors_cache_returns_one_object(beam_small):
@@ -96,7 +123,7 @@ def test_step_factors_cache_returns_one_object(beam_small):
 
 def test_step_internals_stay_in_the_step_class():
     # only CNStep knows how a step is factorised, applied or transposed: no
-    # other code names its factors or passes an LU trans= flag
+    # other code names its factor or coupling block or passes an LU trans= flag
     pkg = os.path.dirname(os.path.abspath(ao.__file__))
     found = []
     for module in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
@@ -108,8 +135,9 @@ def test_step_internals_stay_in_the_step_class():
         for node in ast.walk(tree):
             if id(node) in inside:
                 continue
-            if (isinstance(node, ast.Attribute) and node.attr in ("lu", "m_plus")
-                    or isinstance(node, ast.Name) and node.id == "m_plus"
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("lu", "coupling", "_coupling_t")
+                    or isinstance(node, ast.Name) and node.id == "coupling"
                     or isinstance(node, ast.keyword) and node.arg == "trans"):
                 found.append(f"{module}:{node.lineno}")
     assert found == []
@@ -178,6 +206,22 @@ def test_forward_costs_blow_up_names_the_column():
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_blows_up_at_step_one(bad):
+    # a nonlinearity that returns NaN or inf makes x_1 non-finite: both
+    # sweeps stop there with x0 as the last completed state
+    _, disc, grid, cost, x0 = make_beam()
+    disc.fnl = lambda x: np.full_like(x, bad)
+    u = np.zeros(grid.n_steps + 1)
+    with pytest.raises(ao.BlowUpError) as serial:
+        ao.solve_forward(disc, x0, u, [0.4], grid)
+    with pytest.raises(ao.BlowUpError) as batched:
+        ao.forward_costs(disc, cost, x0, np.stack([u, u]), np.full((2, 1), 0.4), grid)
+    for err in (serial.value, batched.value):
+        assert err.step == 1
+        np.testing.assert_array_equal(err.partial, x0[None, :])
+
+
 def test_forward_costs_validates_shapes(beam_small):
     _, disc, grid, cost, x0 = beam_small
     u = np.zeros((2, grid.n_steps + 1))
@@ -242,11 +286,9 @@ def test_cost_eval_zero_and_manual(beam_small):
     assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
-def test_step_solver_error_on_singular_system():
-    # toy 2x2 system with A = (2/dt) I makes (I - dt/2 A) exactly singular
-    dt = 0.1
-    a = sp.identity(2, format="csr") * (2.0 / dt)
-    disc = Discretization(
+def _toy_disc(a):
+    # a one-position-dof toy Discretization around the 2x2 operator a
+    return Discretization(
         model="toy",
         params=None,
         n_space=1,
@@ -262,5 +304,26 @@ def test_step_solver_error_on_singular_system():
         r_dim=1,
         meta={},
     )
+
+
+def test_step_solver_error_on_singular_system():
+    # second-order toy A = [[0, 1], [4/dt^2, 0]]: S = 1 - (dt/2)^2 4/dt^2 and
+    # det(I - dt/2 A) are both exactly zero (dt a power of two)
+    dt = 0.5
+    a = sp.csr_matrix(np.array([[0.0, 1.0], [4.0 / dt**2, 0.0]]))
     with pytest.raises(ao.StepSolverError):
-        disc.step_factors(dt)
+        _toy_disc(a).step_factors(dt)
+
+
+def test_step_rejects_a_first_order_operator():
+    # A = (2/dt) I has a position-position block, and a top-right block
+    # [[1, 1], [0, 1]] is no multiple of I: neither is second order in time
+    dt = 0.1
+    with pytest.raises(ValueError, match="top-left") as exc_info:
+        _toy_disc(sp.identity(2, format="csr") * (2.0 / dt)).step_factors(dt)
+    assert not isinstance(exc_info.value, ao.StepSolverError)
+    coupled = np.zeros((4, 4))
+    coupled[:2, 2:] = [[1.0, 1.0], [0.0, 1.0]]
+    coupled[2:, :2] = -np.eye(2)
+    with pytest.raises(ValueError, match="top-right"):
+        CNStep(sp.csr_matrix(coupled), dt)
