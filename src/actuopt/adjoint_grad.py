@@ -92,14 +92,22 @@ class OptimalityResidual:
     pg_res_r: float = None
 
 
-def _check_traj(disc, x_traj, grid):
+def _check_traj(disc, x_traj, grid, block=False):
+    """x_traj as a float array; block admits a stack (K, n_steps+1, n_dof)."""
     x_traj = np.asarray(x_traj, dtype=float)
-    if x_traj.shape != (grid.n_steps + 1, disc.n_dof):
+    if (x_traj.shape[-2:] != (grid.n_steps + 1, disc.n_dof)
+            or x_traj.ndim not in ((2, 3) if block else (2,))):
         raise ValueError(
             f"trajectory shape {x_traj.shape} does not match the grid "
             f"({grid.n_steps + 1}, {disc.n_dof}): grid mismatch"
         )
     return x_traj
+
+
+def _time_major(a):
+    """a with time first: one trajectory-shaped (n_steps+1, n) array as it
+    is, a stack (K, n_steps+1, n) as the (n_steps+1, n, K) view."""
+    return a if a.ndim == 2 else a.transpose(1, 2, 0)
 
 
 def solve_linearized(disc, x_traj, u_tilde, r, grid):
@@ -133,39 +141,57 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     return xt
 
 
-def _transpose_sweep(disc, sources, x_traj, grid):
+def _transpose_sweep(disc, source, x_traj, grid, overwrite=False):
     """Exact transpose of the linearized sweep along x_traj against
     Euclidean sources.
 
-    sources[m] is the covector paired with x~_m in the output functional
-    (sources[0] is irrelevant since x~_0 = 0). Returns lam with rows
-    1..n_steps filled, row 0 zero.
+    source(m) is a new array holding the covector paired with x~_m in the
+    output functional, m = n_steps, ..., 1 (x~_0 = 0 pairs with nothing).
+    x_traj is one trajectory (n_steps+1, n_dof), source(m) then (n_dof,),
+    or a stack (K, n_steps+1, n_dof) swept as the columns of one (n_dof, K)
+    block, source(m) then (n_dof, K). Returns lam shaped like x_traj with
+    rows 1..n_steps filled and row 0 zero; overwrite writes it over x_traj,
+    each row m once source(m) has read it.
     """
-    dvecs = disc.fnl_diag(x_traj)
+    dvecs = _time_major(disc.fnl_diag(x_traj))
     dt = grid.dt
     step = disc.step_factors(dt)
     ms = disc.n_space
-    n = grid.n_steps
+    lam = x_traj if overwrite else np.empty_like(x_traj)
+    rows = _time_major(lam)
+    nxt = nxt2 = np.zeros(rows.shape[1:])  # lam_{m+1}, lam_{m+2}
+    for m in range(grid.n_steps, 0, -1):
+        src = source(m)
+        src[:ms] += dt * dvecs[m] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
+        nxt2, nxt = nxt, step.advance_T(nxt, src)
+        rows[m] = nxt
+    rows[0] = 0.0
+    return lam
 
-    lam = np.zeros((n + 3, disc.n_dof))
-    for m in range(n, 0, -1):
-        src = sources[m].copy()
-        src[:ms] += dt * dvecs[m] * (1.5 * lam[m + 1, ms:] - 0.5 * lam[m + 2, ms:])
-        lam[m] = step.advance_T(lam[m + 1], src)
-    return lam[: n + 1]
 
-
-def solve_adjoint(disc, cost, x_traj, grid):
+def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
     """Backward sweep sourced by Q x along the trajectory; p(tau) = 0.
 
     The sweep is the exact Gram-weighted transpose of the linearized
     forward sweep (all adjoints are G^{-1} M^T G against the energy inner
     product, realized on multipliers without forming G^{-1} M^T G).
+    A stack of K trajectories (K, n_steps+1, n_dof) runs as one sweep of
+    an (n_dof, K) multiplier block and returns a list of K AdjointStates,
+    views of one (K, n_steps+1, n_dof) array, each bit for bit the one its
+    own sweep gives. overwrite_traj writes the multipliers over x_traj,
+    each row once the sweep has read it.
     """
-    x_traj = _check_traj(disc, x_traj, grid)
+    x_traj = _check_traj(disc, x_traj, grid, block=True)
     mq = disc.cost_matrix(cost)
-    sources = (mq @ x_traj.T).T * grid.theta[:, None]
-    return AdjointState(lam=_transpose_sweep(disc, sources, x_traj, grid), grid=grid)
+    theta = grid.theta
+    # a stack of one sweeps as one trajectory, at less cost
+    sweep = x_traj[0] if x_traj.ndim == 3 and len(x_traj) == 1 else x_traj
+    states = _time_major(sweep)
+    lam = _transpose_sweep(disc, lambda m: theta[m] * (mq @ states[m]), sweep,
+                           grid, overwrite=overwrite_traj)
+    if x_traj.ndim == 2:
+        return AdjointState(lam=lam, grid=grid)
+    return [AdjointState(lam=rows, grid=grid) for rows in lam.reshape(x_traj.shape)]
 
 
 def adjoint_node_view(disc, adj):
@@ -201,8 +227,9 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     gv = disc.gram @ xt.T
     lhs = float(theta @ np.einsum("ij,ji->i", x_hat, gv))
 
-    sources = (disc.gram @ x_hat.T).T * theta[:, None]
-    adj = AdjointState(lam=_transpose_sweep(disc, sources, x_traj, grid), grid=grid)
+    lam = _transpose_sweep(disc, lambda m: theta[m] * (disc.gram @ x_hat[m]),
+                           x_traj, grid)
+    adj = AdjointState(lam=lam, grid=grid)
     b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
     rhs = float(theta @ (adj.bstar_series(b_vec) * np.asarray(u_tilde, dtype=float)))
 

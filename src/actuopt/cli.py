@@ -209,8 +209,7 @@ def cmd_gridsearch(cfg, prob, out_dir, threads):
     header = [f"r{c + 1}" for c in range(r_dim)] + ["j", "converged"]
     _write_csv(os.path.join(out_dir, "landscape.csv"), header, table)
 
-    best_j = min(row[r_dim] for row in table
-                 if row[r_dim + 1] and np.isfinite(row[r_dim]))
+    best_j = next(row[r_dim] for row in table if row[:r_dim] == tuple(best))
     return 0, "ok", None, ["landscape.csv"], {
         "best_r": [float(v) for v in best],
         "best_j": best_j,

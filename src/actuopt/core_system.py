@@ -34,15 +34,17 @@ import scipy.sparse.linalg as spla
 
 # max-norm bound on a forward state; beyond it a sweep counts as blown up
 STATE_CEILING = 1e12
+# trajectory rows per product in cost_eval
+QUAD_ROWS = 64
 
 
 class BlowUpError(RuntimeError):
     """Forward solve exceeded the state ceiling or went non-finite.
 
     Carries the offending step index, the time, and the partial trajectory:
-    from solve_forward all completed rows, shape (step, n_dof); from
-    forward_costs, which keeps no trajectory, only the offending column's
-    last completed state, shape (1, n_dof).
+    from solve_forward and blowup_of all completed rows, shape (step,
+    n_dof); from forward_costs, which keeps no trajectory, only the
+    offending column's last completed state, shape (1, n_dof).
     """
 
     def __init__(self, step, time, partial):
@@ -334,14 +336,29 @@ def _check_forward_args(disc, x0, u, grid):
     return x0, u
 
 
+def _check_block(disc, x0, u, r, grid):
+    """(x0, u, b columns) of K solves: u (K, n_steps+1), r (K, r_dim)."""
+    u = np.asarray(u, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if u.ndim != 2 or u.shape[0] < 1 or r.shape != (u.shape[0], disc.r_dim):
+        raise ValueError(
+            f"controls {u.shape} and designs {r.shape} must be (K, n_steps+1) "
+            f"and (K, {disc.r_dim}) with K >= 1"
+        )
+    for row in u:
+        x0, _ = _check_forward_args(disc, x0, row, grid)
+    return x0, u, np.column_stack([disc.b_of_r(rk) for rk in r])
+
+
 def _imex_states(disc, x0, u, b_vec, dt):
     """Yield x_1, ..., x_N of the IMEX recursion started at x0.
 
     x0 is one state (n_dof,) with u (N+1,) and b_vec (n_dof,), or a block
     of K states (n_dof, K) with u (N+1, K) and b_vec (n_dof, K), one column
-    per state. Raises BlowUpError at the first step where a state exceeds
-    STATE_CEILING in max-norm or goes non-finite; its partial holds one row,
-    the last completed state of the first column that blew up.
+    per state. Every operation of a step acts column by column, so each
+    column's states are bit for bit those of its own sweep. A column whose
+    state exceeds STATE_CEILING in max-norm or goes non-finite is NaN in
+    every entry from that step on; the other columns step on unchanged.
     """
     step = disc.step_factors(dt)
     x = x0
@@ -352,33 +369,62 @@ def _imex_states(disc, x0, u, b_vec, dt):
         u_mid = 0.5 * (u[i] + u[i + 1])
         x_next = step.advance(x, dt * f_ext + (dt * u_mid) * b_vec)
         if not np.max(np.abs(x_next)) <= STATE_CEILING:
-            bad = ~np.isfinite(x_next) | (np.abs(x_next) > STATE_CEILING)
-            col = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=0))[0]
-            last = x.reshape(len(x), -1)[:, col]
-            raise BlowUpError(i + 1, (i + 1) * dt, last[None, :].copy())
+            cols = x_next.reshape(len(x_next), -1)
+            cols[:, ~(np.abs(cols) <= STATE_CEILING).all(axis=0)] = np.nan
         yield x_next
         x = x_next
         f_prev = f_curr
         f_curr = disc.fnl(x_next)
 
 
-def solve_forward(disc, x0, u, r, grid):
+def solve_forward(disc, x0, u, r, grid, out=None):
     """Integrate the semi-linear system over the grid.
 
     Returns the trajectory as an (n_steps+1, n_dof) array. Raises
     BlowUpError if any state exceeds STATE_CEILING in max-norm or goes
     non-finite; its partial holds every completed row.
+
+    K controls u (K, n_steps+1) with designs r (K, r_dim) run as one sweep
+    of an (n_dof, K) state block, each step one LU solve on K right-hand
+    sides, and return a (K, n_steps+1, n_dof) array, out when given: row k
+    is column k's trajectory, bit for bit the one its own solve returns. A
+    column that blows up raises nothing; its rows are NaN from the failing
+    step on (see blowup_of) and the other columns run to the end.
     """
-    x0, u = _check_forward_args(disc, x0, u, grid)
-    b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-    traj = np.empty((grid.n_steps + 1, disc.n_dof))
-    traj[0] = x0
-    try:
-        for i, x in enumerate(_imex_states(disc, x0, u, b_vec, grid.dt), 1):
-            traj[i] = x
-    except BlowUpError as exc:
-        raise BlowUpError(exc.step, exc.time, traj[: exc.step].copy()) from None
+    block = np.ndim(u) == 2
+    if block:
+        x0, u, b_vec = _check_block(disc, x0, u, r, grid)
+        shape = (u.shape[0], grid.n_steps + 1, disc.n_dof)
+        traj = np.empty(shape) if out is None else out
+        if traj.shape != shape:
+            raise ValueError(f"out has shape {traj.shape}, expected {shape}")
+        if u.shape[0] == 1:  # one column steps as one state, at less cost
+            rows, start, u, b_vec = traj[0], x0, u[0], b_vec[:, 0]
+        else:
+            rows = traj.transpose(1, 2, 0)  # time first, one column per solve
+            start = np.repeat(x0[:, None], u.shape[0], axis=1)
+            u = u.T
+    else:
+        x0, u = _check_forward_args(disc, x0, u, grid)
+        b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
+        traj = rows = np.empty((grid.n_steps + 1, disc.n_dof))
+        start = x0
+    rows[0] = start
+    for i, x in enumerate(_imex_states(disc, start, u, b_vec, grid.dt), 1):
+        rows[i] = x
+        if not block and math.isnan(x[0]):
+            raise BlowUpError(i, i * grid.dt, traj[:i].copy())
     return traj
+
+
+def blowup_of(traj, dt):
+    """The BlowUpError of one trajectory of a block solve_forward, or None
+    when it reached the end; its partial holds every completed row."""
+    blown = np.isnan(traj[:, 0])
+    if not blown[-1]:
+        return None
+    step = int(np.argmax(blown))
+    return BlowUpError(step, step * dt, traj[:step].copy())
 
 
 def forward_costs(disc, cost, x0, u, r, grid):
@@ -392,23 +438,18 @@ def forward_costs(disc, cost, x0, u, r, grid):
     cost_eval of solve_forward per row up to roundoff. A state leaving
     STATE_CEILING raises BlowUpError for the first column that blew up.
     """
-    u = np.asarray(u, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if u.ndim != 2 or u.shape[0] < 1 or r.shape != (u.shape[0], disc.r_dim):
-        raise ValueError(
-            f"controls {u.shape} and designs {r.shape} must be (K, n_steps+1) "
-            f"and (K, {disc.r_dim}) with K >= 1"
-        )
-    for row in u:
-        x0, _ = _check_forward_args(disc, x0, row, grid)
+    x0, u, b_cols = _check_block(disc, x0, u, r, grid)
     mq = disc.cost_matrix(cost)
-    b_cols = np.column_stack([disc.b_of_r(rk) for rk in r])
     block = np.repeat(x0[:, None], u.shape[0], axis=1)
     quad = np.empty((grid.n_steps + 1, u.shape[0]))
     quad[0] = np.einsum("ij,ij->j", block, mq @ block)
-    states = _imex_states(disc, block, u.T, b_cols, grid.dt)
-    for i, x in enumerate(states, 1):
+    for i, x in enumerate(_imex_states(disc, block, u.T, b_cols, grid.dt), 1):
+        blown = np.isnan(x[0])
+        if blown.any():
+            col = int(np.argmax(blown))
+            raise BlowUpError(i, i * grid.dt, block[:, col][None, :].copy())
         quad[i] = np.einsum("ij,ij->j", x, mq @ x)
+        block = x
     return grid.theta @ (quad + cost.r_weight * u.T * u.T)
 
 
@@ -483,5 +524,11 @@ def cost_eval(disc, cost, traj, u, grid):
     if u.shape != (grid.n_steps + 1,):
         raise ValueError(f"control shape {u.shape}, expected ({grid.n_steps + 1},)")
     mq = disc.cost_matrix(cost)
-    quad = np.einsum("ij,ji->i", traj, mq @ traj.T)
+    # <Q x_i, x_i> in chunks of rows: whole-trajectory temporaries, made
+    # and freed on every call, can cost as much in page faults as the
+    # products. Each row's sum is formed as before, so J is unchanged.
+    quad = np.empty(traj.shape[0])
+    for i in range(0, traj.shape[0], QUAD_ROWS):
+        rows = traj[i:i + QUAD_ROWS]
+        quad[i:i + QUAD_ROWS] = np.einsum("ij,ji->i", rows, mq @ rows.T)
     return float(grid.theta @ (quad + cost.r_weight * u * u))

@@ -9,7 +9,9 @@ A block whose projected residual is already below tolerance is frozen so
 that machine-noise gradients (e.g. at a symmetry point) cannot push it
 around. The problem is not convex in r: the optimizer reports local
 stationarity, and grid_search_r, which solves every grid point on the
-caller's problem, is the global reference at desk scale.
+caller's problem, is the global reference at desk scale. Every solve runs
+in one lockstep engine that batches the sweeps of many designs; optimize
+is its one-design case.
 """
 from __future__ import annotations
 
@@ -21,14 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint_grad import gradients_from_adjoint, solve_adjoint
-from .core_system import BlowUpError, StepSolverError, cost_eval, solve_forward
+from .adjoint_grad import AdjointState, gradients_from_adjoint, solve_adjoint
+from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
+                          solve_forward)
 
 # Barzilai-Borwein step-size clamp and the line-search trial budget
 BB_MIN = 1e-10
 BB_MAX = 1e4
 MAX_BACKTRACKS = 60
 MIN_GRID = 8  # fewest grid_search_r points per design dimension
+# relative J gap within which grid points tie; the first in grid order wins
+GRID_TIE = 1e-9
+# bytes the stored arrays of one lockstep block may take: each column holds
+# two (n_steps+1, n_dof) float arrays, its multipliers and a trial trajectory
+BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -53,8 +61,8 @@ class ProjectionSpec:
 class OptimizerConfig:
     # tol_grad is a projected-gradient tolerance. The Armijo test compares
     # exact J values, so predicted decreases ~ tol^2 must stay above J's
-    # roundoff; 2e-6 is not always above it on O(10)-scale costs: on the
-    # default beam, 5 of 16 grid points stall there until max_iters
+    # roundoff, which 2e-6 need not be on O(10)-scale costs; which points
+    # of a beam grid stall on it moves with the roundoff of the sweeps
     max_iters: int = 500
     tol_grad: float = 2e-6
     armijo_c: float = 1e-4
@@ -126,22 +134,19 @@ def _pg_residuals(u, r, gu, gr, spec, grid):
     return pg_u, pg_r
 
 
-def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False):
-    """Joint projected-gradient minimization of J over (u, r).
+def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
+    """One projected-gradient run as a generator that yields its sweeps.
 
-    Terminates when both blocks' projected residuals fall below tol_grad
-    (u scaled by max(1, ||u||)) or max_iters is reached. freeze_r solves
-    the u-subproblem at fixed design (used by the grid search). Returns an
-    OptimRun with the full per-iteration history; persistent line-search
-    blow-up marks the run failed instead of raising. Trial points cost a
-    forward sweep and J; the adjoint sweep runs only at accepted points.
+    Yielding (u, r) asks for J at (u, r), answered with J or a thrown
+    BlowUpError; yielding None asks for the AdjointState at the point last
+    evaluated. Returns the run's OptimRun; a blow-up of the first forward
+    solve propagates, as there is no earlier iterate to retreat to.
     """
     u = project_u(np.asarray(u_init, dtype=float), spec, grid)
     r = project_r(r_init, spec)
 
-    traj = solve_forward(disc, x0, u, r, grid)
-    j = cost_eval(disc, cost, traj, u, grid)
-    adj = solve_adjoint(disc, cost, traj, grid)
+    j = yield u, r
+    adj = yield None
     gu, gr = gradients_from_adjoint(disc, cost, u, r, adj)
     pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
     alpha_u = 1.0
@@ -191,13 +196,12 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
                 ar *= config.backtrack
                 continue
             try:
-                traj_new = solve_forward(disc, x0, u_new, r_new, grid)
+                j_new = yield u_new, r_new
             except BlowUpError:
                 saw_blowup = True
                 au *= config.backtrack
                 ar *= config.backtrack
                 continue
-            j_new = cost_eval(disc, cost, traj_new, u_new, grid)
             if math.isfinite(j_new) and j_new <= j - dec:
                 accepted = True
                 break
@@ -207,8 +211,8 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
             status = "blow_up" if saw_blowup else "line_search_failure"
             it -= 1
             break
-        adj_new = solve_adjoint(disc, cost, traj_new, grid)
-        gu_new, gr_new = gradients_from_adjoint(disc, cost, u_new, r_new, adj_new)
+        adj = yield None
+        gu_new, gr_new = gradients_from_adjoint(disc, cost, u_new, r_new, adj)
 
         # Barzilai-Borwein step proposals for the next iteration (per block)
         if active_u:
@@ -219,7 +223,7 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
             s_r = r_new - r
             alpha_r = _bb_step(float(s_r @ s_r), float(s_r @ (gr_new - gr)), ar)
 
-        u, r, j, gu, gr, adj = u_new, r_new, j_new, gu_new, gr_new, adj_new
+        u, r, j, gu, gr = u_new, r_new, j_new, gu_new, gr_new
         pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
         push(it, bt)
         converged = pg_u <= tol_u() and (freeze_r or pg_r <= config.tol_grad)
@@ -240,29 +244,129 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     )
 
 
-def _solve_point(disc, cost, x0, spec, config, grid, r_point):
-    """(J, converged, error message) of the u-subproblem at r_point from u = 0."""
+def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
+    """Run one _descent per start (u_init[k], r_init[k]) in lockstep.
+
+    Each round answers every column's cost request from one forward sweep
+    of an (n_dof, K) block, then every column that accepted a trial point
+    from one transpose sweep of the block of their trajectories. A column
+    leaves the rounds when it stops, and a column that blows up fails only
+    its own trial: the columns share no arithmetic, so each run is bit for
+    bit the one it makes alone. Returns each column's OptimRun, or the
+    BlowUpError of its first forward solve.
+    """
+    columns = [_descent(disc, cost, spec, config, grid, u0, r0, freeze_r)
+               for u0, r0 in zip(u_init, r_init)]
+    asks = {}  # column -> its request: (u, r), or None for an adjoint state
+    runs = [None] * len(columns)
+    # the two arrays a column stores, allocated once: the trajectories of a
+    # round's trial points, and each column's multipliers at its iterate
+    trials = np.empty((len(columns), grid.n_steps + 1, disc.n_dof))
+    lams = np.empty_like(trials)
+
+    def reply(k, answer):
+        try:
+            if isinstance(answer, BlowUpError):
+                asks[k] = columns[k].throw(answer)
+            else:
+                asks[k] = columns[k].send(answer)
+        except StopIteration as stop:
+            runs[k] = stop.value
+            asks.pop(k, None)
+        except BlowUpError as exc:
+            runs[k] = exc
+            asks.pop(k, None)
+
+    def sweep_round():
+        cols = list(asks)  # each asks for a cost
+        block = solve_forward(disc, x0, np.stack([asks[k][0] for k in cols]),
+                              np.stack([asks[k][1] for k in cols]), grid,
+                              out=trials[:len(cols)])
+        for k, traj in zip(cols, block):
+            u = asks[k][0]
+            fault = blowup_of(traj, grid.dt)
+            reply(k, fault if fault is not None else cost_eval(disc, cost, traj, u, grid))
+        reached = [i for i, k in enumerate(cols) if k in asks and asks[k] is None]
+        if not reached:
+            return
+        # their trajectories move to the front of the block, where the
+        # adjoint sweep overwrites them with the multipliers
+        for front, i in enumerate(reached):
+            if front != i:
+                block[front] = block[i]
+        states = solve_adjoint(disc, cost, block[:len(reached)], grid,
+                               overwrite_traj=True)
+        for i, state in zip(reached, states):
+            # an accepted point's multipliers replace the column's last ones
+            lams[cols[i]] = state.lam
+            reply(cols[i], AdjointState(lam=lams[cols[i]], grid=grid))
+
+    for k in range(len(columns)):
+        reply(k, None)
+    while asks:
+        sweep_round()
+    return runs
+
+
+def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False):
+    """Joint projected-gradient minimization of J over (u, r).
+
+    Terminates when both blocks' projected residuals fall below tol_grad
+    (u scaled by max(1, ||u||)) or max_iters is reached. freeze_r solves
+    the u-subproblem at fixed design, as grid_search_r does at every grid
+    point. Returns an OptimRun with the full per-iteration history;
+    persistent line-search blow-up marks the run failed instead of
+    raising, and a blow-up of the first forward solve raises BlowUpError.
+    Trial points cost a forward sweep and J; the adjoint sweep runs only
+    at accepted points. This is the one-column case of the lockstep
+    engine that grid_search_r runs on blocks of grid points.
+    """
+    run, = _lockstep(disc, cost, x0, [u_init], [r_init], spec, config, grid,
+                     freeze_r)
+    if isinstance(run, BlowUpError):
+        raise run
+    return run
+
+
+def _solve_block(disc, cost, x0, spec, config, grid, r_points):
+    """(J, converged, error message) of the u-subproblem from u = 0 at each
+    design of r_points, solved in one lockstep run."""
+    u0 = np.zeros((len(r_points), grid.n_steps + 1))
     try:
-        run = optimize(disc, cost, x0, np.zeros(grid.n_steps + 1), r_point,
-                       spec, config, grid, freeze_r=True)
-    except (BlowUpError, StepSolverError) as exc:
-        return math.nan, False, str(exc)
-    return run.j_final, bool(run.converged), None
+        runs = _lockstep(disc, cost, x0, u0, r_points, spec, config, grid,
+                         freeze_r=True)
+    except StepSolverError as exc:
+        return [(math.nan, False, str(exc))] * len(r_points)
+    return [(math.nan, False, str(run)) if isinstance(run, BlowUpError)
+            else (run.j_final, bool(run.converged), None) for run in runs]
+
+
+def _block_width(disc, grid):
+    """Grid points per lockstep block: as many columns as BLOCK_BYTES holds."""
+    column = 2 * 8 * (grid.n_steps + 1) * disc.n_dof
+    return max(1, BLOCK_BYTES // column)
 
 
 def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     """Dense design-space sweep: solve the u-subproblem on a uniform grid.
 
-    n_grid points per design dimension over r_box (lexicographic order).
-    Points run on the caller's problem: a serial sweep assembles nothing
-    and factorises the step once. A pool of min(threads, CPU count, points)
-    workers, when that exceeds one, hands each free worker the next point,
-    which rebuilds the discretization from its pickled recipe. The table
-    is in grid order either way.
+    n_grid points per design dimension over r_box (lexicographic order),
+    split into contiguous blocks of at most _block_width points. A block's
+    u-solves run in lockstep, every sweep of its running points as the
+    columns of one block sweep, and each point's result is bit for bit
+    the one optimize(freeze_r=True) reaches alone. Blocks run on the
+    caller's problem: a serial sweep assembles nothing and factorises the
+    step once. A pool of min(threads, CPU count, blocks) workers, when that
+    exceeds one, hands each free worker the next block, which rebuilds the
+    discretization from its pickled recipe. The table is in grid order
+    either way.
     Points whose forward solve blows up or whose step system is singular
     carry J = nan and converged = False; they and the unconverged points
-    are excluded from the argmin. When no point is left, the RuntimeError
-    names the first point's failure.
+    are excluded from the argmin. Of the rest, the first in grid order
+    whose J lies within GRID_TIE * |J_min| of the minimum J_min wins, so
+    the roundoff between mirror points of a symmetric landscape cannot
+    move it. When no point is left, the RuntimeError names the first
+    point's failure.
 
     Returns (r_star, table): table rows are (r components..., J, converged).
     """
@@ -276,14 +380,16 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     axes = [np.linspace(lo, hi, n_grid) for lo, hi in spec.r_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
+    blocks = np.array_split(points, -(-len(points) // _block_width(disc, grid)))
 
-    solve = functools.partial(_solve_point, disc, cost, x0, spec, config, grid)
-    workers = min(threads, os.cpu_count() or 1, len(points))
+    solve = functools.partial(_solve_block, disc, cost, x0, spec, config, grid)
+    workers = min(threads, os.cpu_count() or 1, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, points))
+            solved = list(pool.map(solve, blocks))
     else:
-        results = [solve(pt) for pt in points]
+        solved = [solve(block) for block in blocks]
+    results = [res for block in solved for res in block]
 
     table = [tuple(pt) + (j_val, ok) for pt, (j_val, ok, _) in zip(points, results)]
     valid = [i for i, (j_val, ok, _) in enumerate(results)
@@ -293,5 +399,6 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
         raise RuntimeError(
             f"grid search failed at every design point; the first: {cause}"
         )
-    best = min(valid, key=lambda i: results[i][0])
+    j_min = min(results[i][0] for i in valid)
+    best = next(i for i in valid if results[i][0] <= j_min + GRID_TIE * abs(j_min))
     return points[best].copy(), table

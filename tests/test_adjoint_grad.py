@@ -186,3 +186,23 @@ def test_trajectory_shape_mismatch_rejected(beam_small):
     traj = ao.solve_forward(disc, x0, u, r, grid)
     with pytest.raises(ValueError):
         ao.solve_adjoint(disc, cost, traj[:-1], grid)
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+@pytest.mark.parametrize("k", [1, 5])
+def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
+    _, disc, grid, cost, x0 = maker()
+    rng = np.random.default_rng(k)
+    us = rng.standard_normal((k, grid.n_steps + 1))
+    rs = 0.45 + 0.1 * rng.random((k, disc.r_dim))
+    block = ao.solve_forward(disc, x0, us, rs, grid)
+    singles = [ao.solve_forward(disc, x0, u, r, grid) for u, r in zip(us, rs)]
+    assert np.array_equal(block, np.stack(singles))
+    adjs = ao.solve_adjoint(disc, cost, block, grid)
+    assert len(adjs) == k
+    for adj, traj in zip(adjs, singles):
+        assert np.array_equal(adj.lam, ao.solve_adjoint(disc, cost, traj, grid).lam)
+    # written over the trajectories, the multipliers come out the same
+    over = ao.solve_adjoint(disc, cost, block, grid, overwrite_traj=True)
+    assert np.array_equal(block, np.stack([adj.lam for adj in adjs]))
+    assert all(adj.lam.base is block for adj in over)

@@ -222,6 +222,27 @@ def test_non_finite_state_blows_up_at_step_one(bad):
         np.testing.assert_array_equal(err.partial, x0[None, :])
 
 
+def test_block_solve_forward_leaves_blown_columns_to_themselves():
+    # the middle column blows up at step 11 of 50; its rows turn NaN from
+    # there and the other columns stay bit for bit their own solves
+    _, disc, grid, cost, x0 = make_beam(alpha=80.0, t_final=2.0, n_steps=50)
+    us = np.zeros((3, grid.n_steps + 1))
+    us[1] = 1000.0
+    us[2] = 100.0 * np.sin(np.pi * grid.times)
+    rs = np.array([[0.3], [0.4], [0.6]])
+    block = ao.solve_forward(disc, x0, us, rs, grid)
+    assert block.shape == (3, grid.n_steps + 1, disc.n_dof)
+    with pytest.raises(ao.BlowUpError) as serial:
+        ao.solve_forward(disc, x0, us[1], rs[1], grid)
+    err = ao.blowup_of(block[1], grid.dt)
+    assert (err.step, err.time) == (serial.value.step, serial.value.time)
+    np.testing.assert_array_equal(err.partial, serial.value.partial)
+    assert np.all(np.isnan(block[1, err.step:]))
+    for k in (0, 2):
+        assert ao.blowup_of(block[k], grid.dt) is None
+        assert np.array_equal(block[k], ao.solve_forward(disc, x0, us[k], rs[k], grid))
+
+
 def test_forward_costs_validates_shapes(beam_small):
     _, disc, grid, cost, x0 = beam_small
     u = np.zeros((2, grid.n_steps + 1))
