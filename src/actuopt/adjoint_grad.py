@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import cost_eval, energy_norm, forward_costs, solve_forward
+from .core_system import (chunk_rows, cost_eval, energy_norm, forward_costs,
+                          solve_forward)
 
 # the central-difference steps of gradient_fd_check
 FD_EPS = (1e-2, 1e-3, 1e-4)
@@ -151,18 +152,23 @@ def _transpose_sweep(disc, source, x_traj, grid, overwrite=False):
     or a stack (K, n_steps+1, n_dof) swept as the columns of one (n_dof, K)
     block, source(m) then (n_dof, K). Returns lam shaped like x_traj with
     rows 1..n_steps filled and row 0 zero; overwrite writes it over x_traj,
-    each row m once source(m) has read it.
+    each row m once source(m) has read it. F'(x) is formed a chunk of
+    steps at a time, so no trajectory-sized temporary is made.
     """
-    dvecs = _time_major(disc.fnl_diag(x_traj))
     dt = grid.dt
     step = disc.step_factors(dt)
     ms = disc.n_space
     lam = x_traj if overwrite else np.empty_like(x_traj)
     rows = _time_major(lam)
     nxt = nxt2 = np.zeros(rows.shape[1:])  # lam_{m+1}, lam_{m+2}
+    chunk = chunk_rows(x_traj[..., 0, :ms].nbytes)
+    lo = grid.n_steps + 1  # dvecs holds F'(x_lo), ..., F'(x_m)
     for m in range(grid.n_steps, 0, -1):
+        if m < lo:
+            lo = max(1, m + 1 - chunk)
+            dvecs = _time_major(disc.fnl_diag(x_traj[..., lo:m + 1, :]))
         src = source(m)
-        src[:ms] += dt * dvecs[m] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
+        src[:ms] += dt * dvecs[m - lo] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
         nxt2, nxt = nxt, step.advance_T(nxt, src)
         rows[m] = nxt
     rows[0] = 0.0

@@ -34,8 +34,11 @@ import scipy.sparse.linalg as spla
 
 # max-norm bound on a forward state; beyond it a sweep counts as blown up
 STATE_CEILING = 1e12
-# trajectory rows per product in cost_eval
-QUAD_ROWS = 64
+# bytes the temporaries of one chunk of trajectory rows may take, in
+# cost_eval and in the transpose sweep. Large temporaries, made and freed
+# on every call, cost as much in page faults as the work on them; glibc
+# serves requests under 128 KiB from heap memory that it reuses
+CHUNK_BYTES = 2**16
 
 
 class BlowUpError(RuntimeError):
@@ -512,6 +515,11 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     return y, info
 
 
+def chunk_rows(row_bytes):
+    """Trajectory rows per chunk when a row's temporaries take row_bytes."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
 def cost_eval(disc, cost, traj, u, grid):
     """Trapezoid evaluation of J = int <Q x, x> + R_weight u^2 dt."""
     traj = np.asarray(traj, dtype=float)
@@ -524,11 +532,15 @@ def cost_eval(disc, cost, traj, u, grid):
     if u.shape != (grid.n_steps + 1,):
         raise ValueError(f"control shape {u.shape}, expected ({grid.n_steps + 1},)")
     mq = disc.cost_matrix(cost)
-    # <Q x_i, x_i> in chunks of rows: whole-trajectory temporaries, made
-    # and freed on every call, can cost as much in page faults as the
-    # products. Each row's sum is formed as before, so J is unchanged.
-    quad = np.empty(traj.shape[0])
-    for i in range(0, traj.shape[0], QUAD_ROWS):
-        rows = traj[i:i + QUAD_ROWS]
-        quad[i:i + QUAD_ROWS] = np.einsum("ij,ji->i", rows, mq @ rows.T)
+    # <Q x_i, x_i> in chunks of rows. einsum sums a row in the same order
+    # in every chunk of two rows or more, and in another order for one row
+    # alone, so a last lone row joins its predecessor and J does not depend
+    # on the chunk size (n_steps >= 2)
+    n_rows = traj.shape[0]
+    step = max(2, chunk_rows(traj[0].nbytes))
+    quad = np.empty(n_rows)
+    for i in range(0, n_rows, step):
+        lo = min(i, n_rows - 2)
+        rows = traj[lo:i + step]
+        quad[lo:i + step] = np.einsum("ij,ji->i", rows, mq @ rows.T)
     return float(grid.theta @ (quad + cost.r_weight * u * u))

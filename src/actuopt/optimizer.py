@@ -16,6 +16,7 @@ is its one-design case.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint_grad import AdjointState, gradients_from_adjoint, solve_adjoint
+from .adjoint_grad import gradients_from_adjoint, solve_adjoint
 from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
                           solve_forward)
 
@@ -35,7 +36,8 @@ MIN_GRID = 8  # fewest grid_search_r points per design dimension
 # relative J gap within which grid points tie; the first in grid order wins
 GRID_TIE = 1e-9
 # bytes the stored arrays of one lockstep block may take: each column holds
-# two (n_steps+1, n_dof) float arrays, its multipliers and a trial trajectory
+# one (n_steps+1, n_dof) float array, its trial trajectory, which the
+# adjoint sweep overwrites with its multipliers
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -83,7 +85,6 @@ class OptimizerConfig:
 class OptimRun:
     u: np.ndarray
     r: np.ndarray
-    adjoint: object
     j_final: float
     converged: bool
     status: str
@@ -139,8 +140,10 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
 
     Yielding (u, r) asks for J at (u, r), answered with J or a thrown
     BlowUpError; yielding None asks for the AdjointState at the point last
-    evaluated. Returns the run's OptimRun; a blow-up of the first forward
-    solve propagates, as there is no earlier iterate to retreat to.
+    evaluated, which the generator reads before it yields again, so its
+    multipliers may live in a reused block. Returns the run's OptimRun; a
+    blow-up of the first forward solve propagates, as there is no earlier
+    iterate to retreat to.
     """
     u = project_u(np.asarray(u_init, dtype=float), spec, grid)
     r = project_r(r_init, spec)
@@ -235,7 +238,6 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     return OptimRun(
         u=u,
         r=r,
-        adjoint=adj,
         j_final=j,
         converged=converged,
         status=status,
@@ -245,24 +247,27 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
 
 
 def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
-    """Run one _descent per start (u_init[k], r_init[k]) in lockstep.
+    """Run one _descent per start (u_init[k], r_init[k]) from a refill queue.
 
-    Each round answers every column's cost request from one forward sweep
-    of an (n_dof, K) block, then every column that accepted a trial point
-    from one transpose sweep of the block of their trajectories. A column
-    leaves the rounds when it stops, and a column that blows up fails only
-    its own trial: the columns share no arithmetic, so each run is bit for
-    bit the one it makes alone. Returns each column's OptimRun, or the
-    BlowUpError of its first forward solve.
+    At most _block_width designs run at once, and when one stops the next
+    pending design joins the following round. Each round answers every
+    running column's cost request from one forward sweep of an (n_dof, K)
+    block, then every column that accepted a trial point from one
+    transpose sweep that writes the multipliers over their trajectories.
+    A column that blows up fails only its own trial: the columns share no
+    arithmetic, so each run is bit for bit the one it makes alone,
+    whenever it joins and whoever runs beside it. Returns each design's
+    OptimRun, or the BlowUpError of its first forward solve.
     """
-    columns = [_descent(disc, cost, spec, config, grid, u0, r0, freeze_r)
-               for u0, r0 in zip(u_init, r_init)]
+    n_designs = len(u_init)
+    width = min(_block_width(disc, grid), n_designs)
+    columns = [None] * n_designs
     asks = {}  # column -> its request: (u, r), or None for an adjoint state
-    runs = [None] * len(columns)
-    # the two arrays a column stores, allocated once: the trajectories of a
-    # round's trial points, and each column's multipliers at its iterate
-    trials = np.empty((len(columns), grid.n_steps + 1, disc.n_dof))
-    lams = np.empty_like(trials)
+    runs = [None] * n_designs
+    pending = iter(range(n_designs))
+    # the one array a column stores, allocated once: its trial trajectory,
+    # which the adjoint sweep overwrites with its multipliers
+    trials = np.empty((width, grid.n_steps + 1, disc.n_dof))
 
     def reply(k, answer):
         try:
@@ -276,6 +281,12 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
         except BlowUpError as exc:
             runs[k] = exc
             asks.pop(k, None)
+
+    def refill():
+        for k in itertools.islice(pending, width - len(asks)):
+            columns[k] = _descent(disc, cost, spec, config, grid, u_init[k],
+                                  r_init[k], freeze_r)
+            reply(k, None)
 
     def sweep_round():
         cols = list(asks)  # each asks for a cost
@@ -296,15 +307,15 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
                 block[front] = block[i]
         states = solve_adjoint(disc, cost, block[:len(reached)], grid,
                                overwrite_traj=True)
+        # each column turns its state into a gradient before it yields
+        # again, so the next round may reuse the block
         for i, state in zip(reached, states):
-            # an accepted point's multipliers replace the column's last ones
-            lams[cols[i]] = state.lam
-            reply(cols[i], AdjointState(lam=lams[cols[i]], grid=grid))
+            reply(cols[i], state)
 
-    for k in range(len(columns)):
-        reply(k, None)
+    refill()
     while asks:
         sweep_round()
+        refill()
     return runs
 
 
@@ -318,8 +329,8 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
     persistent line-search blow-up marks the run failed instead of
     raising, and a blow-up of the first forward solve raises BlowUpError.
     Trial points cost a forward sweep and J; the adjoint sweep runs only
-    at accepted points. This is the one-column case of the lockstep
-    engine that grid_search_r runs on blocks of grid points.
+    at accepted points. This is the one-design case of the lockstep
+    queue that grid_search_r runs over its grid points.
     """
     run, = _lockstep(disc, cost, x0, [u_init], [r_init], spec, config, grid,
                      freeze_r)
@@ -330,7 +341,7 @@ def optimize(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r=False)
 
 def _solve_block(disc, cost, x0, spec, config, grid, r_points):
     """(J, converged, error message) of the u-subproblem from u = 0 at each
-    design of r_points, solved in one lockstep run."""
+    design of r_points, solved in one lockstep queue."""
     u0 = np.zeros((len(r_points), grid.n_steps + 1))
     try:
         runs = _lockstep(disc, cost, x0, u0, r_points, spec, config, grid,
@@ -342,24 +353,26 @@ def _solve_block(disc, cost, x0, spec, config, grid, r_points):
 
 
 def _block_width(disc, grid):
-    """Grid points per lockstep block: as many columns as BLOCK_BYTES holds."""
-    column = 2 * 8 * (grid.n_steps + 1) * disc.n_dof
+    """Designs a lockstep queue runs at once: as many columns as BLOCK_BYTES
+    holds."""
+    column = 8 * (grid.n_steps + 1) * disc.n_dof
     return max(1, BLOCK_BYTES // column)
 
 
 def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     """Dense design-space sweep: solve the u-subproblem on a uniform grid.
 
-    n_grid points per design dimension over r_box (lexicographic order),
-    split into contiguous blocks of at most _block_width points. A block's
-    u-solves run in lockstep, every sweep of its running points as the
-    columns of one block sweep, and each point's result is bit for bit
-    the one optimize(freeze_r=True) reaches alone. Blocks run on the
-    caller's problem: a serial sweep assembles nothing and factorises the
-    step once. A pool of min(threads, CPU count, blocks) workers, when that
-    exceeds one, hands each free worker the next block, which rebuilds the
-    discretization from its pickled recipe. The table is in grid order
-    either way.
+    n_grid points per design dimension over r_box (lexicographic order).
+    The u-solves run as one lockstep queue: at most _block_width points at
+    once, every sweep of the running points as the columns of one block
+    sweep, and a stopped point's place taken by the next in grid order.
+    Each point's result is bit for bit the one optimize(freeze_r=True)
+    reaches alone. A serial sweep is one queue on the caller's problem:
+    it assembles nothing and factorises the step once. A pool of
+    min(threads, CPU count, points) workers, when that exceeds one, gives
+    each worker one contiguous chunk of the grid to run as its own queue,
+    on the discretization rebuilt from its pickled recipe. The table is in
+    grid order either way.
     Points whose forward solve blows up or whose step system is singular
     carry J = nan and converged = False; they and the unconverged points
     are excluded from the argmin. Of the rest, the first in grid order
@@ -380,16 +393,15 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     axes = [np.linspace(lo, hi, n_grid) for lo, hi in spec.r_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
-    blocks = np.array_split(points, -(-len(points) // _block_width(disc, grid)))
 
     solve = functools.partial(_solve_block, disc, cost, x0, spec, config, grid)
-    workers = min(threads, os.cpu_count() or 1, len(blocks))
+    workers = min(threads, os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve, blocks))
+            solved = pool.map(solve, np.array_split(points, workers))
+            results = [res for chunk in solved for res in chunk]
     else:
-        solved = [solve(block) for block in blocks]
-    results = [res for block in solved for res in block]
+        results = solve(points)
 
     table = [tuple(pt) + (j_val, ok) for pt, (j_val, ok, _) in zip(points, results)]
     valid = [i for i, (j_val, ok, _) in enumerate(results)

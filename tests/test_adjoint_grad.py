@@ -3,6 +3,7 @@ import pytest
 from conftest import make_beam, make_wave
 
 import actuopt as ao
+import actuopt.core_system as core_system
 
 
 def test_linearized_equals_solution_difference_when_linear():
@@ -206,3 +207,23 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     over = ao.solve_adjoint(disc, cost, block, grid, overwrite_traj=True)
     assert np.array_equal(block, np.stack([adj.lam for adj in adjs]))
     assert all(adj.lam.base is block for adj in over)
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+def test_chunked_temporaries_leave_cost_and_multipliers_unchanged(maker,
+                                                                  monkeypatch):
+    # cost_eval and the transpose sweep work through the trajectory in
+    # chunks of rows; J and the multipliers must not depend on the chunk
+    _, disc, grid, cost, x0 = maker()
+    rng = np.random.default_rng(3)
+    us = rng.standard_normal((3, grid.n_steps + 1))
+    rs = 0.45 + 0.1 * rng.random((3, disc.r_dim))
+    block = ao.solve_forward(disc, x0, us, rs, grid)
+    results = []
+    for chunk_bytes in (1, 7 * block[0, 0].nbytes, 2**40):
+        monkeypatch.setattr(core_system, "CHUNK_BYTES", chunk_bytes)
+        js = [ao.cost_eval(disc, cost, traj, u, grid) for traj, u in zip(block, us)]
+        lams = [adj.lam for adj in ao.solve_adjoint(disc, cost, block, grid)]
+        lams.append(ao.solve_adjoint(disc, cost, block[0], grid).lam)
+        results.append((js, np.stack(lams).tobytes()))
+    assert results[1:] == results[:1] * 2

@@ -91,8 +91,9 @@ def test_optimize_descends_monotone_and_feasible():
         assert row["u_norm"] <= spec.r_ad + 1e-12
         assert spec.r_box[0, 0] <= row["r1"] <= spec.r_box[0, 1]
     # converged point satisfies the stationarity system to tolerance
-    res = ao.optimality_residual(disc, cost, run.u, run.r, run.adjoint,
-                                 spec=spec)
+    adj = ao.solve_adjoint(disc, cost,
+                           ao.solve_forward(disc, x0, run.u, run.r, grid), grid)
+    res = ao.optimality_residual(disc, cost, run.u, run.r, adj, spec=spec)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     assert res.pg_res_u <= LOOSE.tol_grad * max(1.0, u_norm)
 
@@ -199,11 +200,11 @@ def test_grid_search_process_pool_matches_serial():
 
 def test_grid_search_pool_size_is_bounded(monkeypatch):
     created = []
-    chunks = []
+    tasks = []
 
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records the size, and maps here
-        chunk by chunk, sending fn through pickle once per chunk as the pool
+        task by task, sending fn through pickle once per task as the pool
         does."""
 
         def __init__(self, max_workers):
@@ -215,37 +216,38 @@ def test_grid_search_pool_size_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, blocks, chunksize=1):
-            out = []
-            for i in range(0, len(blocks), chunksize):
-                chunks.append(blocks[i:i + chunksize])
-                out.extend(map(pickle.loads(pickle.dumps(fn)), chunks[-1]))
-            return out
+        def map(self, fn, chunks):
+            for chunk in chunks:
+                tasks.append(chunk)
+                yield pickle.loads(pickle.dumps(fn))(chunk)
 
     monkeypatch.setattr(optimizer_mod, "ProcessPoolExecutor", InProcessPool)
     params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
-    # three columns per block: the 8 points make blocks of 3, 3 and 2
-    column = 2 * 8 * (grid.n_steps + 1) * disc.n_dof
-    monkeypatch.setattr(optimizer_mod, "BLOCK_BYTES", 3 * column + column // 2)
     spec = _spec_1d(lo=0.3, hi=0.7)
     _, serial = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE)
     assert created == []
     assemblies = _count_beam_assemblies(monkeypatch)
-    _, pooled = ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=LOOSE,
-                                 threads=10**6)
-    workers = min(os.cpu_count() or 1, 3)
-    assert created == ([workers] if workers > 1 else [])
-    if workers > 1:
-        # one block per task, so a free worker takes the next block; the
-        # blocks are contiguous in grid order, and each task rebuilds the
-        # problem from its pickle
-        assert [len(c) for c in chunks] == [1, 1, 1]
-        blocks = [c[0][:, 0] for c in chunks]
-        assert [len(b) for b in blocks] == [3, 3, 2]
-        np.testing.assert_array_equal(np.concatenate(blocks),
-                                      np.linspace(0.3, 0.7, 8))
-    assert len(assemblies) == len(chunks)
-    assert pooled == serial
+    # (threads, CPU count, workers): the pool is min(threads, CPU count,
+    # points) wide, and one worker is the serial sweep
+    for threads, cpus, workers in [(10**6, 3, 3), (2, 16, 2), (10**6, 16, 8),
+                                   (1, 16, 1)]:
+        created.clear()
+        tasks.clear()
+        assemblies.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, pooled = ao.grid_search_r(disc, cost, x0, spec, 8, grid,
+                                     config=LOOSE, threads=threads)
+        assert created == ([workers] if workers > 1 else [])
+        if workers > 1:
+            # one task per worker, each a contiguous chunk of the grid that
+            # the worker runs as its own queue, on the problem rebuilt from
+            # its pickle
+            assert [len(c) for c in tasks] == [
+                len(c) for c in np.array_split(np.arange(8), workers)]
+            np.testing.assert_array_equal(
+                np.concatenate([c[:, 0] for c in tasks]), np.linspace(0.3, 0.7, 8))
+        assert len(assemblies) == len(tasks)
+        assert pooled == serial
 
 
 def test_grid_argmin_ignores_roundoff_between_mirror_points(monkeypatch):
@@ -275,7 +277,6 @@ def _same_run(a, b):
     assert a.j_final == b.j_final
     assert (a.n_iters, a.status, a.converged) == (b.n_iters, b.status, b.converged)
     assert a.history == b.history
-    assert np.array_equal(a.adjoint.lam, b.adjoint.lam)
 
 
 def _table_key(table):
@@ -294,15 +295,19 @@ LOCKSTEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
-def test_lockstep_blocks_equal_single_design_solves(case, monkeypatch):
+def _lockstep_problem(case):
     kw, scale, r_ad, config = LOCKSTEP_CASES[case]
     maker = make_wave if case == "wave" else make_beam
     params, disc, grid, cost, x0 = maker(**kw)
-    x0 = scale * x0
     spec = ProjectionSpec(r_ad=r_ad, r_box=np.array([[0.1, 0.9]] * disc.r_dim))
     mesh = np.meshgrid(*[np.linspace(0.1, 0.9, 8)] * disc.r_dim, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
+    return disc, grid, cost, scale * x0, spec, config, points
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+def test_lockstep_blocks_equal_single_design_solves(case, monkeypatch):
+    disc, grid, cost, x0, spec, config, points = _lockstep_problem(case)
     u0 = np.zeros((len(points), grid.n_steps + 1))
 
     patterns = []
@@ -318,14 +323,12 @@ def test_lockstep_blocks_equal_single_design_solves(case, monkeypatch):
                          freeze_r=True) for pt in points]
     searches = []
     for width in (1, 3, len(points)):
+        monkeypatch.setattr(optimizer_mod, "_block_width", lambda d, g: width)
         patterns.clear()
-        runs = [run for i in range(0, len(points), width)
-                for run in optimizer_mod._lockstep(
-                    disc, cost, x0, u0[i:i + width], points[i:i + width], spec,
-                    config, grid, True)]
+        runs = optimizer_mod._lockstep(disc, cost, x0, u0, points, spec,
+                                       config, grid, True)
         for run, ref in zip(runs, alone):
             _same_run(run, ref)
-        monkeypatch.setattr(optimizer_mod, "_block_width", lambda d, g: width)
         best, table = ao.grid_search_r(disc, cost, x0, spec, 8, grid,
                                        config=config)
         searches.append((list(best), _table_key(table)))
@@ -335,3 +338,31 @@ def test_lockstep_blocks_equal_single_design_solves(case, monkeypatch):
         # at the whole-grid width some sweep carried blown and sound columns
         assert any(any(p) and not all(p) for p in patterns)
         assert all(run.converged for run in alone)
+
+
+def test_lockstep_queue_keeps_every_sweep_full(monkeypatch):
+    # 8 designs at width 3: a stopped design's place is taken by the next
+    # pending one, so each forward sweep carries min(3, designs not yet
+    # stopped) columns and only the last few sweeps narrow
+    disc, grid, cost, x0, spec, config, points = _lockstep_problem("beam")
+    stopped = []
+    widths = []
+    descent = optimizer_mod._descent
+    solve_forward = optimizer_mod.solve_forward
+
+    def tracked(*args):
+        try:
+            return (yield from descent(*args))
+        finally:
+            stopped.append(args)
+
+    def recorded(disc, x0, u, *args, **kwargs):
+        widths.append((len(u), min(3, len(points) - len(stopped))))
+        return solve_forward(disc, x0, u, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer_mod, "_descent", tracked)
+    monkeypatch.setattr(optimizer_mod, "solve_forward", recorded)
+    monkeypatch.setattr(optimizer_mod, "_block_width", lambda d, g: 3)
+    ao.grid_search_r(disc, cost, x0, spec, 8, grid, config=config)
+    assert len(stopped) == len(points)
+    assert [width for width, _ in widths] == [full for _, full in widths]
