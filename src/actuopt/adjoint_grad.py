@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import (chunk_rows, cost_eval, energy_norm, forward_costs,
-                          solve_forward)
+from .core_system import (_check_block, chunk_rows, cost_eval, energy_norm,
+                          forward_costs, solve_forward)
 
 # the central-difference steps of gradient_fd_check
 FD_EPS = (1e-2, 1e-3, 1e-4)
@@ -93,86 +93,100 @@ class OptimalityResidual:
     pg_res_r: float = None
 
 
-def _check_traj(disc, x_traj, grid, block=False):
-    """x_traj as a float array; block admits a stack (K, n_steps+1, n_dof)."""
+def _check_traj(disc, x_traj, grid):
+    """x_traj as a float stack (K, n_steps+1, n_dof); one trajectory
+    (n_steps+1, n_dof) becomes a stack of one."""
     x_traj = np.asarray(x_traj, dtype=float)
-    if (x_traj.shape[-2:] != (grid.n_steps + 1, disc.n_dof)
-            or x_traj.ndim not in ((2, 3) if block else (2,))):
-        raise ValueError(
-            f"trajectory shape {x_traj.shape} does not match the grid "
-            f"({grid.n_steps + 1}, {disc.n_dof}): grid mismatch"
-        )
-    return x_traj
+    if x_traj.shape[-2:] != (grid.n_steps + 1, disc.n_dof) or x_traj.ndim not in (2, 3):
+        raise ValueError(f"trajectory shape {x_traj.shape} does not match the grid "
+                         f"({grid.n_steps + 1}, {disc.n_dof}): grid mismatch")
+    return x_traj.reshape((-1,) + x_traj.shape[-2:])
 
 
-def _time_major(a):
-    """a with time first: one trajectory-shaped (n_steps+1, n) array as it
-    is, a stack (K, n_steps+1, n) as the (n_steps+1, n, K) view."""
-    return a if a.ndim == 2 else a.transpose(1, 2, 0)
+def _check_directions(disc, x_traj, u_tilde, r, grid):
+    """(x_traj stack, u_tilde stack (K, n_steps+1), b(r) column, whether
+    u_tilde was one direction) of tangent sweeps from x~_0 = 0 along x_traj."""
+    one = np.ndim(u_tilde) == 1
+    _, u_tilde, b_col = _check_block(disc, np.zeros(disc.n_dof), [u_tilde] if one
+                                     else u_tilde, [np.atleast_1d(r)], grid)
+    base, = _check_traj(disc, x_traj, grid)  # one base trajectory
+    return base[None], u_tilde, b_col, one
+
+
+def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
+    """Yield x~_1, ..., x~_N of the linearized IMEX recursion from x~_0 = 0
+    as (n_dof, K) blocks, column k driven by u_tilde[k] through b_col.
+
+    F'(x) is read a chunk of steps at a time from x_traj, the stack of the
+    one base trajectory that all K columns share.
+    """
+    dt = grid.dt
+    step = disc.step_factors(dt)
+    ms = disc.n_space
+    # the control part of every step's source, one row per step
+    dt_u = ((dt * 0.5) * (u_tilde[:, :-1] + u_tilde[:, 1:])).T
+    xt = np.zeros((disc.n_dof, len(u_tilde)))
+    j_prev = None
+    chunk = chunk_rows(x_traj[:, 0, :ms].nbytes)
+    for lo in range(0, grid.n_steps, chunk):
+        dvecs = disc.fnl_diag(x_traj[:, lo:lo + chunk]).transpose(1, 2, 0)
+        for i, d in zip(range(lo, grid.n_steps), dvecs):
+            j_curr = d * xt[:ms]
+            jx = j_curr if i == 0 else 1.5 * j_curr - 0.5 * j_prev
+            src = dt_u[i] * b_col
+            src[ms:] += dt * jx
+            xt = step.advance(xt, src)
+            yield xt
+            j_prev = j_curr
 
 
 def solve_linearized(disc, x_traj, u_tilde, r, grid):
     """Integrate the exact linearization of the IMEX sweep along x_traj.
 
     Solves x~' = (A + F'(x(t))) x~ + b(r) u~, x~(0) = 0, with the same
-    CN/AB2 structure as solve_forward (F replaced by its Jacobian).
+    CN/AB2 structure as solve_forward (F replaced by its Jacobian), and
+    returns x~ (n_steps+1, n_dof). K directions u_tilde (K, n_steps+1) run
+    as the columns of one sweep and return a (K, n_steps+1, n_dof) array,
+    row k bit for bit the sweep of u_tilde[k] alone.
     """
-    x_traj = _check_traj(disc, x_traj, grid)
-    u_tilde = np.asarray(u_tilde, dtype=float)
-    if u_tilde.shape != (grid.n_steps + 1,):
-        raise ValueError(
-            f"control direction shape {u_tilde.shape}, expected ({grid.n_steps + 1},)"
-        )
-    dt = grid.dt
-    step = disc.step_factors(dt)
-    b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-    ms = disc.n_space
-    n = grid.n_steps
-
-    dvecs = disc.fnl_diag(x_traj)
-    xt = np.zeros((n + 1, disc.n_dof))
-    j_prev = None
-    for i in range(n):
-        j_curr = dvecs[i] * xt[i, :ms]
-        jx = j_curr if i == 0 else 1.5 * j_curr - 0.5 * j_prev
-        src = (dt * 0.5 * (u_tilde[i] + u_tilde[i + 1])) * b_vec
-        src[ms:] += dt * jx
-        xt[i + 1] = step.advance(xt[i], src)
-        j_prev = j_curr
-    return xt
+    x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
+    xt = np.zeros((len(u_tilde), grid.n_steps + 1, disc.n_dof))
+    rows = xt.transpose(1, 2, 0)  # time first, one column per direction
+    for i, x in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
+        rows[i] = x
+    return xt[0] if one else xt
 
 
-def _transpose_sweep(disc, source, x_traj, grid, overwrite=False):
-    """Exact transpose of the linearized sweep along x_traj against
-    Euclidean sources.
+def _transpose_sweep(disc, mat, y, x_traj, grid, lam):
+    """Exact transpose of the linearized sweep along x_traj, for K columns
+    at once, against the Euclidean sources theta_m * mat @ y_m that pair
+    with x~_m, m = n_steps, ..., 1, in K output functionals.
 
-    source(m) is a new array holding the covector paired with x~_m in the
-    output functional, m = n_steps, ..., 1 (x~_0 = 0 pairs with nothing).
-    x_traj is one trajectory (n_steps+1, n_dof), source(m) then (n_dof,),
-    or a stack (K, n_steps+1, n_dof) swept as the columns of one (n_dof, K)
-    block, source(m) then (n_dof, K). Returns lam shaped like x_traj with
-    rows 1..n_steps filled and row 0 zero; overwrite writes it over x_traj,
-    each row m once source(m) has read it. F'(x) is formed a chunk of
-    steps at a time, so no trajectory-sized temporary is made.
+    y is a stack (K, n_steps+1, n_dof); x_traj, for F'(x), a stack of one
+    trajectory that all K columns share, or of K. Both are read a chunk of
+    steps at a time, so no trajectory-sized temporary is made. The
+    multipliers go into the caller's stack lam, shaped like y, row 0 zero;
+    row m is written after its chunk is read, so lam may be y or x_traj.
     """
     dt = grid.dt
     step = disc.step_factors(dt)
     ms = disc.n_space
-    lam = x_traj if overwrite else np.empty_like(x_traj)
-    rows = _time_major(lam)
+    theta = grid.theta
+    rows = lam.transpose(1, 2, 0)  # time first, one column per functional
     nxt = nxt2 = np.zeros(rows.shape[1:])  # lam_{m+1}, lam_{m+2}
-    chunk = chunk_rows(x_traj[..., 0, :ms].nbytes)
-    lo = grid.n_steps + 1  # dvecs holds F'(x_lo), ..., F'(x_m)
-    for m in range(grid.n_steps, 0, -1):
-        if m < lo:
-            lo = max(1, m + 1 - chunk)
-            dvecs = _time_major(disc.fnl_diag(x_traj[..., lo:m + 1, :]))
-        src = source(m)
-        src[:ms] += dt * dvecs[m - lo] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
-        nxt2, nxt = nxt, step.advance_T(nxt, src)
-        rows[m] = nxt
+    chunk = chunk_rows(y[:, 0].nbytes)
+    for hi in range(grid.n_steps, 0, -chunk):
+        lo = max(1, hi + 1 - chunk)
+        dvecs = disc.fnl_diag(x_traj[:, lo:hi + 1]).transpose(1, 2, 0)
+        # one product for the chunk; column k * (hi + 1 - lo) + m - lo is y_m of k
+        srcs = mat @ y[:, lo:hi + 1].reshape(-1, y.shape[2]).T
+        srcs = srcs.reshape(len(srcs), len(y), -1)
+        for m in range(hi, lo - 1, -1):
+            src = theta[m] * srcs[:, :, m - lo]
+            src[:ms] += dt * dvecs[m - lo] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
+            nxt2, nxt = nxt, step.advance_T(nxt, src)
+            rows[m] = nxt
     rows[0] = 0.0
-    return lam
 
 
 def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
@@ -181,23 +195,17 @@ def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
     The sweep is the exact Gram-weighted transpose of the linearized
     forward sweep (all adjoints are G^{-1} M^T G against the energy inner
     product, realized on multipliers without forming G^{-1} M^T G).
-    A stack of K trajectories (K, n_steps+1, n_dof) runs as one sweep of
-    an (n_dof, K) multiplier block and returns a list of K AdjointStates,
-    views of one (K, n_steps+1, n_dof) array, each bit for bit the one its
-    own sweep gives. overwrite_traj writes the multipliers over x_traj,
-    each row once the sweep has read it.
+    One trajectory (n_steps+1, n_dof) returns its AdjointState; a stack of
+    K runs as the columns of one sweep and returns K AdjointStates, views
+    of one (K, n_steps+1, n_dof) array, each bit for bit its own sweep's.
+    overwrite_traj writes the multipliers over x_traj.
     """
-    x_traj = _check_traj(disc, x_traj, grid, block=True)
-    mq = disc.cost_matrix(cost)
-    theta = grid.theta
-    # a stack of one sweeps as one trajectory, at less cost
-    sweep = x_traj[0] if x_traj.ndim == 3 and len(x_traj) == 1 else x_traj
-    states = _time_major(sweep)
-    lam = _transpose_sweep(disc, lambda m: theta[m] * (mq @ states[m]), sweep,
-                           grid, overwrite=overwrite_traj)
-    if x_traj.ndim == 2:
-        return AdjointState(lam=lam, grid=grid)
-    return [AdjointState(lam=rows, grid=grid) for rows in lam.reshape(x_traj.shape)]
+    one = np.ndim(x_traj) == 2
+    x_traj = _check_traj(disc, x_traj, grid)
+    lam = x_traj if overwrite_traj else np.empty_like(x_traj)
+    _transpose_sweep(disc, disc.cost_matrix(cost), x_traj, x_traj, grid, lam)
+    adjs = [AdjointState(lam=rows, grid=grid) for rows in lam]
+    return adjs[0] if one else adjs
 
 
 def adjoint_node_view(disc, adj):
@@ -222,27 +230,36 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     Computes the left side through the linearized forward sweep and the
     right side through the transposed sweep, both against the trapezoid
     pairings. Returns |lhs - rhs| / max(|lhs|, |rhs|) (0 when both vanish).
+    K pairs, u_tilde (K, n_steps+1) and x_hat (K, n_steps+1, n_dof), run as
+    the columns of one tangent sweep, which pairs each step with x_hat and
+    keeps no trajectory, and one transpose sweep; they return the K
+    defects, each bit for bit that of its pair alone. x_hat, when a float
+    array, is overwritten: the transpose sweep writes its multipliers over
+    the rows it has read.
     """
-    x_traj = _check_traj(disc, x_traj, grid)
+    x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
     x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.shape != x_traj.shape:
-        raise ValueError(f"x_hat shape {x_hat.shape} does not match the trajectory")
+    pairs = x_hat[None] if one else x_hat
+    if pairs.shape != (len(u_tilde),) + x_traj.shape[1:]:
+        raise ValueError(f"x_hat shape {x_hat.shape} does not match u_tilde "
+                         f"{u_tilde.shape} and the trajectory")
     theta = grid.theta
-
-    xt = solve_linearized(disc, x_traj, u_tilde, r, grid)
-    gv = disc.gram @ xt.T
-    lhs = float(theta @ np.einsum("ij,ji->i", x_hat, gv))
-
-    lam = _transpose_sweep(disc, lambda m: theta[m] * (disc.gram @ x_hat[m]),
-                           x_traj, grid)
-    adj = AdjointState(lam=lam, grid=grid)
-    b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-    rhs = float(theta @ (adj.bstar_series(b_vec) * np.asarray(u_tilde, dtype=float)))
-
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+    lhs = np.zeros((len(u_tilde), grid.n_steps + 1))  # x~_0 = 0 pairs to 0
+    # G x~_i goes into a strided view: einsum then sums each pairing in
+    # order at any K, as a whole-trajectory pairing does; on a contiguous
+    # (n_dof, 1) operand it would sum in SIMD lanes instead
+    g_xt = np.empty((disc.n_dof, len(u_tilde) + 1))[:, :-1]
+    for i, xt in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
+        g_xt[...] = disc.gram @ xt
+        lhs[:, i] = np.einsum("kj,jk->k", pairs[:, i], g_xt)
+    _transpose_sweep(disc, disc.gram, pairs, x_traj, grid, pairs)
+    defects = []
+    for pairing, lam, u_k in zip(lhs, pairs, u_tilde):
+        left = float(theta @ pairing)
+        right = float(theta @ (AdjointState(lam, grid).bstar_series(b_col[:, 0]) * u_k))
+        scale = max(abs(left), abs(right))
+        defects.append(abs(left - right) / scale if scale else 0.0)
+    return defects[0] if one else np.array(defects)
 
 
 def gradients_from_adjoint(disc, cost, u, r, adj):
@@ -310,7 +327,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     transposed sweep. Returns the (n_steps+1, n_dof) adjoint trajectory
     on the time grid.
     """
-    x_traj = _check_traj(disc, x_traj, grid)
+    x_traj, = _check_traj(disc, x_traj, grid)
     dt = grid.dt
     n = grid.n_steps
     ms = disc.n_space

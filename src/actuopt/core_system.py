@@ -323,101 +323,83 @@ def energy_series(disc, traj):
     return np.einsum("ij,ji->i", traj, gv)
 
 
-def _check_forward_args(disc, x0, u, grid):
+def _check_block(disc, x0, u, r, grid):
+    """(x0, u, b columns) of K solves from one x0 (n_dof,): controls u (K,
+    n_steps+1), and designs r (K, r_dim) or one (1, r_dim) that all share."""
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
+    r = np.asarray(r, dtype=float)
     if x0.shape != (disc.n_dof,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({disc.n_dof},)")
-    if u.shape != (grid.n_steps + 1,):
-        raise ValueError(
-            f"control signal has shape {u.shape}, expected ({grid.n_steps + 1},)"
-        )
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 contains non-finite entries")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("control signal contains non-finite entries")
-    return x0, u
-
-
-def _check_block(disc, x0, u, r, grid):
-    """(x0, u, b columns) of K solves: u (K, n_steps+1), r (K, r_dim)."""
-    u = np.asarray(u, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if u.ndim != 2 or u.shape[0] < 1 or r.shape != (u.shape[0], disc.r_dim):
-        raise ValueError(
-            f"controls {u.shape} and designs {r.shape} must be (K, n_steps+1) "
-            f"and (K, {disc.r_dim}) with K >= 1"
-        )
-    for row in u:
-        x0, _ = _check_forward_args(disc, x0, row, grid)
+    if (u.ndim != 2 or len(u) < 1 or u.shape[1] != grid.n_steps + 1
+            or r.shape not in ((len(u), disc.r_dim), (1, disc.r_dim))):
+        raise ValueError(f"controls {u.shape} and designs {r.shape} must be (K, "
+                         f"{grid.n_steps + 1}) and (K or 1, {disc.r_dim}), K >= 1")
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(u))):
+        raise ValueError("x0 or a control signal contains non-finite entries")
     return x0, u, np.column_stack([disc.b_of_r(rk) for rk in r])
 
 
-def _imex_states(disc, x0, u, b_vec, dt):
-    """Yield x_1, ..., x_N of the IMEX recursion started at x0.
+def _imex_states(disc, x, u, b_cols, dt):
+    """Yield x_1, ..., x_N of the IMEX recursion of K solves as (n_dof, K)
+    blocks, one column per solve.
 
-    x0 is one state (n_dof,) with u (N+1,) and b_vec (n_dof,), or a block
-    of K states (n_dof, K) with u (N+1, K) and b_vec (n_dof, K), one column
-    per state. Every operation of a step acts column by column, so each
-    column's states are bit for bit those of its own sweep. A column whose
-    state exceeds STATE_CEILING in max-norm or goes non-finite is NaN in
-    every entry from that step on; the other columns step on unchanged.
+    x (n_dof, K) is the start block, u (K, N+1) the controls and b_cols
+    their (n_dof, K) or shared (n_dof, 1) influence. Every operation acts
+    column by column, so each column's states are bit for bit those of its
+    own sweep. A column whose state exceeds STATE_CEILING in max-norm or
+    goes non-finite is NaN from that step on, and the others step on; the
+    sweep ends once every column has blown up.
     """
     step = disc.step_factors(dt)
-    x = x0
-    f_curr = disc.fnl(x0)
-    f_prev = None
-    for i in range(u.shape[0] - 1):
+    # the control part dt * u_mid of every step's source, one row per step
+    dt_u = (dt * (0.5 * (u[:, :-1] + u[:, 1:]))).T
+    f_curr, f_prev = disc.fnl(x), None
+    for i, dt_u_mid in enumerate(dt_u):
         f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
-        u_mid = 0.5 * (u[i] + u[i + 1])
-        x_next = step.advance(x, dt * f_ext + (dt * u_mid) * b_vec)
-        if not np.max(np.abs(x_next)) <= STATE_CEILING:
-            cols = x_next.reshape(len(x_next), -1)
-            cols[:, ~(np.abs(cols) <= STATE_CEILING).all(axis=0)] = np.nan
+        x_next = step.advance(x, dt * f_ext + dt_u_mid * b_cols)
+        if not np.abs(x_next).max() <= STATE_CEILING:
+            blown = ~(np.abs(x_next) <= STATE_CEILING).all(axis=0)
+            x_next[:, blown] = np.nan
+            if blown.all():  # no column is left to step: the sweep ends
+                yield x_next
+                return
         yield x_next
-        x = x_next
-        f_prev = f_curr
-        f_curr = disc.fnl(x_next)
+        x, f_prev, f_curr = x_next, f_curr, disc.fnl(x_next)
 
 
 def solve_forward(disc, x0, u, r, grid, out=None):
     """Integrate the semi-linear system over the grid.
-
-    Returns the trajectory as an (n_steps+1, n_dof) array. Raises
-    BlowUpError if any state exceeds STATE_CEILING in max-norm or goes
-    non-finite; its partial holds every completed row.
 
     K controls u (K, n_steps+1) with designs r (K, r_dim) run as one sweep
     of an (n_dof, K) state block, each step one LU solve on K right-hand
     sides, and return a (K, n_steps+1, n_dof) array, out when given: row k
     is column k's trajectory, bit for bit the one its own solve returns. A
     column that blows up raises nothing; its rows are NaN from the failing
-    step on (see blowup_of) and the other columns run to the end.
+    step on (see blowup_of). One control u (n_steps+1,) with its design r
+    (r_dim,) runs as a block of one and returns its (n_steps+1, n_dof)
+    trajectory, out when given, or raises BlowUpError if a state exceeds
+    STATE_CEILING in max-norm or goes non-finite (partial: every completed
+    row).
     """
-    block = np.ndim(u) == 2
-    if block:
-        x0, u, b_vec = _check_block(disc, x0, u, r, grid)
-        shape = (u.shape[0], grid.n_steps + 1, disc.n_dof)
-        traj = np.empty(shape) if out is None else out
-        if traj.shape != shape:
-            raise ValueError(f"out has shape {traj.shape}, expected {shape}")
-        if u.shape[0] == 1:  # one column steps as one state, at less cost
-            rows, start, u, b_vec = traj[0], x0, u[0], b_vec[:, 0]
-        else:
-            rows = traj.transpose(1, 2, 0)  # time first, one column per solve
-            start = np.repeat(x0[:, None], u.shape[0], axis=1)
-            u = u.T
-    else:
-        x0, u = _check_forward_args(disc, x0, u, grid)
-        b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-        traj = rows = np.empty((grid.n_steps + 1, disc.n_dof))
-        start = x0
-    rows[0] = start
-    for i, x in enumerate(_imex_states(disc, start, u, b_vec, grid.dt), 1):
+    one = np.ndim(u) == 1
+    if one:  # a block of one
+        u, r, out = [u], [np.atleast_1d(r)], (None if out is None else out[None])
+    x0, u, b_cols = _check_block(disc, x0, u, r, grid)
+    shape = (len(u), grid.n_steps + 1, disc.n_dof)
+    traj = np.empty(shape) if out is None else out
+    if traj.shape != shape:
+        raise ValueError(f"out has shape {traj.shape}, expected {shape}")
+    rows = traj.transpose(1, 2, 0)  # time first, one column per solve
+    rows[0] = x0[:, None]
+    start = np.repeat(x0[:, None], len(u), axis=1)
+    for i, x in enumerate(_imex_states(disc, start, u, b_cols, grid.dt), 1):
         rows[i] = x
-        if not block and math.isnan(x[0]):
-            raise BlowUpError(i, i * grid.dt, traj[:i].copy())
-    return traj
+    traj[:, i + 1:] = np.nan  # the steps after every column blew up
+    fault = one and blowup_of(traj[0], grid.dt)
+    if fault:
+        raise fault
+    return traj[0] if one else traj
 
 
 def blowup_of(traj, dt):
@@ -446,7 +428,7 @@ def forward_costs(disc, cost, x0, u, r, grid):
     block = np.repeat(x0[:, None], u.shape[0], axis=1)
     quad = np.empty((grid.n_steps + 1, u.shape[0]))
     quad[0] = np.einsum("ij,ij->j", block, mq @ block)
-    for i, x in enumerate(_imex_states(disc, block, u.T, b_cols, grid.dt), 1):
+    for i, x in enumerate(_imex_states(disc, block, u, b_cols, grid.dt), 1):
         blown = np.isnan(x[0])
         if blown.any():
             col = int(np.argmax(blown))
@@ -474,10 +456,10 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     order of magnitude above the stopping threshold: near the threshold
     the distances sit on the linear-solve roundoff floor and may wiggle).
     """
-    x0, u = _check_forward_args(disc, x0, u, grid)
+    x0, (u,), b_cols = _check_block(disc, x0, [u], [np.atleast_1d(r)], grid)
+    b_vec = b_cols[:, 0]
     dt = grid.dt
     step = disc.step_factors(dt)
-    b_vec = disc.b_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
     n = grid.n_steps
     u_mid = 0.5 * (u[:-1] + u[1:])
 

@@ -207,6 +207,43 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     over = ao.solve_adjoint(disc, cost, block, grid, overwrite_traj=True)
     assert np.array_equal(block, np.stack([adj.lam for adj in adjs]))
     assert all(adj.lam.base is block for adj in over)
+    # K directions along one base trajectory: tangent and duality sweeps
+    base, r = singles[0], rs[0]
+    x_hats = rng.standard_normal((k,) + base.shape)
+    lin = ao.solve_linearized(disc, base, us, r, grid)
+    assert lin.shape == (k,) + base.shape
+    for u, z in zip(us, lin):
+        assert np.array_equal(z, ao.solve_linearized(disc, base, u, r, grid))
+    alone = [ao.duality_check(disc, base, r, u, x_hat.copy(), grid)
+             for u, x_hat in zip(us, x_hats)]
+    together = ao.duality_check(disc, base, r, us, x_hats, grid)
+    assert together.shape == (k,)
+    assert all(a == b for a, b in zip(alone, together))
+    assert all(a <= 1e-10 for a in alone)
+
+
+@pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
+def test_batched_duality_keeps_no_trajectory(maker, kw):
+    # the tangent sweep pairs each step as it goes and the transpose sweep
+    # writes its multipliers over x_hat, so 5 pairs take less extra memory
+    # than one trajectory. The per-step (n_dof, 5) blocks and the chunks of
+    # sources and F'(x) (about CHUNK_BYTES) are small next to 400 steps
+    import tracemalloc
+
+    _, disc, grid, _, x0 = maker(n_steps=400, **kw)
+    rng = np.random.default_rng(0)
+    r = np.full(disc.r_dim, 0.5)
+    base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
+    u_tilde = rng.standard_normal((5, grid.n_steps + 1))
+    x_hat = rng.standard_normal((5,) + base.shape)
+    tracemalloc.start()
+    try:
+        defects = ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert defects.shape == (5,)
+    assert peak < x_hat[0].nbytes
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])

@@ -187,20 +187,27 @@ def test_gradcheck_beam_passes(tmp_path):
 
 def test_gradcheck_integrates_its_base_trajectory_once(tmp_path, monkeypatch):
     # the duality pairs and the finite-difference check share one base
-    # trajectory; the perturbed costs come from forward_costs
-    original = actuopt.core_system.solve_forward
-    calls = []
+    # trajectory; the perturbed costs come from forward_costs, and the 5
+    # duality pairs from one batched duality_check
+    calls = {"solve_forward": [], "duality_check": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+        return wrapper
 
+    originals = {"solve_forward": actuopt.core_system.solve_forward,
+                 "duality_check": actuopt.adjoint_grad.duality_check}
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "actuopt" and hasattr(mod, "solve_forward"):
-            monkeypatch.setattr(mod, "solve_forward", counted)
+        for fn, original in originals.items():
+            if name.split(".")[0] == "actuopt" and hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, counted(fn, original))
     code, _ = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls["solve_forward"]) == 1
+    assert len(calls["duality_check"]) == 1
+    assert calls["duality_check"][0][3].shape[0] == 5  # u_tilde: 5 pairs
 
 
 def test_gradcheck_wave_passes(tmp_path):

@@ -153,6 +153,26 @@ def test_solve_forward_validates_shapes(beam_small):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         ao.solve_forward(disc, x0, bad, [0.3], grid)
+    # one design of the wrong length or shape
+    u = np.zeros(grid.n_steps + 1)
+    for r in ([0.3, 0.7], [[0.3]]):
+        with pytest.raises(ValueError):
+            ao.solve_forward(disc, x0, u, r, grid)
+    _, wdisc, wgrid, _, wx0 = make_wave()
+    wu = np.zeros(wgrid.n_steps + 1)
+    for r in ([0.5, 0.5, 0.9], [0.5]):
+        with pytest.raises(ValueError):
+            ao.solve_forward(wdisc, wx0, wu, r, wgrid)
+    traj = ao.solve_forward(wdisc, wx0, wu, [0.5, 0.5], wgrid)
+    with pytest.raises(ValueError):
+        ao.duality_check(wdisc, traj, [0.5], wu, np.zeros_like(traj), wgrid)
+    # one solve writes into out when given
+    out = np.empty((grid.n_steps + 1, disc.n_dof))
+    traj = ao.solve_forward(disc, x0, u, [0.3], grid, out=out)
+    assert np.shares_memory(traj, out)
+    assert np.array_equal(out, ao.solve_forward(disc, x0, u, [0.3], grid))
+    with pytest.raises(ValueError):
+        ao.solve_forward(disc, x0, u, [0.3], grid, out=out[1:])
 
 
 def test_blow_up_carries_partial_trajectory():
@@ -241,6 +261,10 @@ def test_block_solve_forward_leaves_blown_columns_to_themselves():
     for k in (0, 2):
         assert ao.blowup_of(block[k], grid.dt) is None
         assert np.array_equal(block[k], ao.solve_forward(disc, x0, us[k], rs[k], grid))
+    # once every column has blown up the sweep ends; the later rows are NaN
+    pair = ao.solve_forward(disc, x0, us[[1, 1]], rs[[1, 1]], grid)
+    assert np.array_equal(pair[:, :err.step], block[[1, 1], :err.step])
+    assert np.all(np.isnan(pair[:, err.step:]))
 
 
 def test_forward_costs_validates_shapes(beam_small):
