@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import (_check_block, chunk_rows, cost_eval, energy_norm,
-                          forward_costs, solve_forward)
+from .core_system import (_check_block, _pairings, chunk_rows, cost_eval,
+                          energy_norm, forward_costs, solve_forward)
 
 # the central-difference steps of gradient_fd_check
 FD_EPS = (1e-2, 1e-3, 1e-4)
@@ -245,13 +245,8 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
                          f"{u_tilde.shape} and the trajectory")
     theta = grid.theta
     lhs = np.zeros((len(u_tilde), grid.n_steps + 1))  # x~_0 = 0 pairs to 0
-    # G x~_i goes into a strided view: einsum then sums each pairing in
-    # order at any K, as a whole-trajectory pairing does; on a contiguous
-    # (n_dof, 1) operand it would sum in SIMD lanes instead
-    g_xt = np.empty((disc.n_dof, len(u_tilde) + 1))[:, :-1]
     for i, xt in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
-        g_xt[...] = disc.gram @ xt
-        lhs[:, i] = np.einsum("kj,jk->k", pairs[:, i], g_xt)
+        lhs[:, i] = _pairings(pairs[:, i].T, disc.gram, xt)
     _transpose_sweep(disc, disc.gram, pairs, x_traj, grid, pairs)
     defects = []
     for pairing, lam, u_k in zip(lhs, pairs, u_tilde):
@@ -372,9 +367,10 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     gradient is compared against central differences of the evaluated
     discrete J over the FD_EPS sweep; the best (smallest) relative error per
     direction is kept and the worst direction is reported. Every perturbed
-    J comes from one batched forward_costs sweep from x_traj[0].
-    The corrupt flag deliberately biases the predictions (negative-control
-    hook for the CLI contract tests).
+    J comes from one batched forward_costs sweep from x_traj[0]; the first
+    perturbed point that blows up raises its BlowUpError from its own
+    solve_forward. The corrupt flag deliberately biases the predictions
+    (negative-control hook for the CLI contract tests).
     """
     rng = np.random.default_rng(seed)
     u = np.asarray(u, dtype=float)
@@ -400,13 +396,13 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
 
     # the +eps and -eps points of every check and eps, in one batched sweep
     steps = [sign * eps for eps in FD_EPS for sign in (1.0, -1.0)]
-    j = forward_costs(
-        disc, cost, x_traj[0],
-        [u + h * du for _, du, _ in checks for h in steps],
-        [r_arr + h * dr for _, _, dr in checks for h in steps],
-        grid,
-    ).reshape(len(checks), len(FD_EPS), 2)
-    fd = (j[..., 0] - j[..., 1]) / (2.0 * np.asarray(FD_EPS))
+    us = [u + h * du for _, du, _ in checks for h in steps]
+    rs = [r_arr + h * dr for _, _, dr in checks for h in steps]
+    j = forward_costs(disc, cost, x_traj[0], us, rs, grid)
+    blown = np.flatnonzero(np.isnan(j))
+    if blown.size:  # the first blown point's own solve raises its BlowUpError
+        solve_forward(disc, x_traj[0], us[blown[0]], rs[blown[0]], grid)
+    fd = (j[0::2] - j[1::2]).reshape(len(checks), -1) / (2.0 * np.asarray(FD_EPS))
 
     def rel_err(pred, fd):
         denom = max(abs(pred), abs(fd), 1e-14 * max(1.0, abs(j_base)))

@@ -291,20 +291,16 @@ def main(argv=None):
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
 
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
-        env = os.environ.get("ACTUOPT_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"actuopt: ACTUOPT_THREADS must be an integer, "
-                      f"got {env!r}", file=sys.stderr)
-                return 2
-        else:
-            threads = 1
+        source, env = "ACTUOPT_THREADS", os.environ.get("ACTUOPT_THREADS", "").strip()
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            print(f"actuopt: {source} must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     if threads < 1:
-        print("actuopt: --threads must be >= 1", file=sys.stderr)
+        print(f"actuopt: {source} must be >= 1, got {threads}", file=sys.stderr)
         return 2
 
     os.makedirs(cfg.out_dir, exist_ok=True)

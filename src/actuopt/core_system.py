@@ -44,10 +44,8 @@ CHUNK_BYTES = 2**16
 class BlowUpError(RuntimeError):
     """Forward solve exceeded the state ceiling or went non-finite.
 
-    Carries the offending step index, the time, and the partial trajectory:
-    from solve_forward and blowup_of all completed rows, shape (step,
-    n_dof); from forward_costs, which keeps no trajectory, only the
-    offending column's last completed state, shape (1, n_dof).
+    Carries the offending step index, the time, and the partial
+    trajectory: every completed row, shape (step, n_dof).
     """
 
     def __init__(self, step, time, partial):
@@ -418,24 +416,23 @@ def forward_costs(disc, cost, x0, u, r, grid):
     Row k of u (K, n_steps+1) and of r (K, r_dim) drive column k of an
     (n_dof, K) state block, so each step is one LU solve on K right-hand
     sides. The quadratic cost term of each column is taken as the sweep
-    goes and weighted as in cost_eval; no trajectory is kept, only the
-    state block and K numbers per step. Returns the K costs, equal to
-    cost_eval of solve_forward per row up to roundoff. A state leaving
-    STATE_CEILING raises BlowUpError for the first column that blew up.
+    goes; no trajectory is kept, only the state block and K numbers per
+    step. Returns the K costs, each bit for bit cost_eval of its own
+    solve_forward. A column that blows up raises nothing: its J is NaN, as
+    its rows are in a block solve_forward.
     """
     x0, u, b_cols = _check_block(disc, x0, u, r, grid)
     mq = disc.cost_matrix(cost)
-    block = np.repeat(x0[:, None], u.shape[0], axis=1)
-    quad = np.empty((grid.n_steps + 1, u.shape[0]))
-    quad[0] = np.einsum("ij,ij->j", block, mq @ block)
+    block = np.repeat(x0[:, None], len(u), axis=1)
+    # one row per column; the steps after every column blew up stay NaN
+    quad = np.full((len(u), grid.n_steps + 1), np.nan)
+    buf = np.empty((disc.n_dof, len(u) + 1))
+    quad[:, 0] = _pairings(block, mq, block, buf)
     for i, x in enumerate(_imex_states(disc, block, u, b_cols, grid.dt), 1):
-        blown = np.isnan(x[0])
-        if blown.any():
-            col = int(np.argmax(blown))
-            raise BlowUpError(i, i * grid.dt, block[:, col][None, :].copy())
-        quad[i] = np.einsum("ij,ij->j", x, mq @ x)
-        block = x
-    return grid.theta @ (quad + cost.r_weight * u.T * u.T)
+        quad[:, i] = _pairings(x, mq, x, buf)
+    # each column's trapezoid sum is a vector dot, as in cost_eval
+    return np.array([grid.theta @ (q + cost.r_weight * u_k * u_k)
+                     for q, u_k in zip(quad, u)])
 
 
 def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
@@ -497,6 +494,20 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     return y, info
 
 
+def _pairings(a, mat, b, buf=None):
+    """sum_j a[j, k] (mat @ b)[j, k] per column k of (n, K) blocks, in index
+    order whatever K, the layout of a or the chunking of rows: mat @ b goes
+    into K columns of an (n, K+1) buffer, as einsum sums contiguous operands
+    in SIMD lanes. Every cost and duality pairing is summed here. A sweep
+    passes one buf for all its steps: a fresh one per step costs a wide
+    block more in page faults than the pairing."""
+    if buf is None:
+        buf = np.empty((len(b), b.shape[1] + 1))
+    view = buf[:, :b.shape[1]]
+    view[...] = mat @ b
+    return np.einsum("jk,jk->k", a, view)
+
+
 def chunk_rows(row_bytes):
     """Trajectory rows per chunk when a row's temporaries take row_bytes."""
     return max(1, CHUNK_BYTES // row_bytes)
@@ -514,15 +525,10 @@ def cost_eval(disc, cost, traj, u, grid):
     if u.shape != (grid.n_steps + 1,):
         raise ValueError(f"control shape {u.shape}, expected ({grid.n_steps + 1},)")
     mq = disc.cost_matrix(cost)
-    # <Q x_i, x_i> in chunks of rows. einsum sums a row in the same order
-    # in every chunk of two rows or more, and in another order for one row
-    # alone, so a last lone row joins its predecessor and J does not depend
-    # on the chunk size (n_steps >= 2)
-    n_rows = traj.shape[0]
-    step = max(2, chunk_rows(traj[0].nbytes))
-    quad = np.empty(n_rows)
-    for i in range(0, n_rows, step):
-        lo = min(i, n_rows - 2)
-        rows = traj[lo:i + step]
-        quad[lo:i + step] = np.einsum("ij,ji->i", rows, mq @ rows.T)
+    # <Q x_i, x_i> in chunks of rows, each row summed in index order
+    quad = np.empty(len(traj))
+    step = chunk_rows(traj[0].nbytes)
+    for i in range(0, len(traj), step):
+        rows = traj[i:i + step].T
+        quad[i:i + step] = _pairings(rows, mq, rows)
     return float(grid.theta @ (quad + cost.r_weight * u * u))

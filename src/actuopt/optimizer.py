@@ -370,9 +370,9 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     reaches alone. A serial sweep is one queue on the caller's problem:
     it assembles nothing and factorises the step once. A pool of
     min(threads, CPU count, points) workers, when that exceeds one, gives
-    each worker one contiguous chunk of the grid to run as its own queue,
-    on the discretization rebuilt from its pickled recipe. The table is in
-    grid order either way.
+    worker w the interleaved share points[w::workers] to run as its own
+    queue, on the discretization rebuilt from its pickled recipe. The
+    table is in grid order either way.
     Points whose forward solve blows up or whose step system is singular
     carry J = nan and converged = False; they and the unconverged points
     are excluded from the argmin. Of the rest, the first in grid order
@@ -398,8 +398,8 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     workers = min(threads, os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = pool.map(solve, np.array_split(points, workers))
-            results = [res for chunk in solved for res in chunk]
+            shares = list(pool.map(solve, [points[w::workers] for w in range(workers)]))
+        results = [shares[i % workers][i // workers] for i in range(len(points))]
     else:
         results = solve(points)
 

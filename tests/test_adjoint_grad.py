@@ -127,6 +127,28 @@ def test_fd_check_runs_one_batched_sweep(beam_small, monkeypatch):
     assert calls == {"solve_forward": 0, "forward_costs": 1}
 
 
+def test_fd_check_blow_up_raises_from_the_first_blown_point(monkeypatch):
+    # the base point and its +-1e-2 points stay bounded, the +-1e3 points
+    # blow up; the first of them in point order, u + 1e3 du of the first
+    # direction, raises the BlowUpError of its own solve_forward
+    import actuopt.adjoint_grad as adjoint_grad
+
+    monkeypatch.setattr(adjoint_grad, "FD_EPS", (1e-2, 1e3))
+    _, disc, grid, cost, x0 = make_beam(alpha=80.0, t_final=2.0, n_steps=50)
+    u = np.zeros(grid.n_steps + 1)
+    r = np.array([0.4])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    du = np.random.default_rng(0).standard_normal(u.shape)
+    du /= np.sqrt(grid.theta @ du**2)
+    with pytest.raises(ao.BlowUpError) as alone:
+        ao.solve_forward(disc, x0, u + 1e3 * du, r, grid)
+    with pytest.raises(ao.BlowUpError) as exc_info:
+        ao.gradient_fd_check(disc, cost, traj, u, r, grid, n_directions=2, seed=0)
+    err = exc_info.value
+    assert (err.step, err.time) == (alone.value.step, alone.value.time)
+    np.testing.assert_array_equal(err.partial, alone.value.partial)
+
+
 def test_design_gradient_antisymmetric_across_center():
     # symmetric beam + symmetric initial state: J(r) = J(l - r), so the
     # design derivative is odd about the midpoint and flips sign there

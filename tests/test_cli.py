@@ -431,18 +431,22 @@ def test_env_var_thread_fallback(tmp_path, monkeypatch):
     assert read_summary(out)["threads"] == 2
 
 
-@pytest.mark.parametrize("argv_tail,env", [
-    (("--threads", "0"), None),
-    ((), "abc"),
-    ((), "-3"),
-], ids=["zero", "garbage", "negative"])
-def test_bad_thread_counts_are_usage_errors(tmp_path, monkeypatch, argv_tail, env):
+@pytest.mark.parametrize("argv_tail,env,message", [
+    (("--threads", "0"), None, "--threads must be >= 1, got 0"),
+    ((), "0", "ACTUOPT_THREADS must be >= 1, got 0"),
+    ((), "abc", "ACTUOPT_THREADS must be an integer, got 'abc'"),
+    ((), "-3", "ACTUOPT_THREADS must be >= 1, got -3"),
+], ids=["zero", "env-zero", "garbage", "negative"])
+def test_bad_thread_counts_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                            argv_tail, env, message):
+    # the message names where the bad value came from
     if env is not None:
         monkeypatch.setenv("ACTUOPT_THREADS", env)
     cfg = write_cfg(tmp_path, TINY_BEAM)
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  *argv_tail])
     assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

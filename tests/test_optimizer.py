@@ -239,13 +239,13 @@ def test_grid_search_pool_size_is_bounded(monkeypatch):
                                      config=LOOSE, threads=threads)
         assert created == ([workers] if workers > 1 else [])
         if workers > 1:
-            # one task per worker, each a contiguous chunk of the grid that
-            # the worker runs as its own queue, on the problem rebuilt from
-            # its pickle
-            assert [len(c) for c in tasks] == [
-                len(c) for c in np.array_split(np.arange(8), workers)]
-            np.testing.assert_array_equal(
-                np.concatenate([c[:, 0] for c in tasks]), np.linspace(0.3, 0.7, 8))
+            # one task per worker, the interleaved share points[w::workers]
+            # that worker w runs as its own queue, on the problem rebuilt
+            # from its pickle
+            rs = np.linspace(0.3, 0.7, 8)
+            assert len(tasks) == workers
+            for w, share in enumerate(tasks):
+                np.testing.assert_array_equal(share[:, 0], rs[w::workers])
         assert len(assemblies) == len(tasks)
         assert pooled == serial
 
