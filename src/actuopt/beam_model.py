@@ -202,77 +202,6 @@ def _cost_matrix(params, q1, q2):
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def assemble_beam(params, act_width=ACT_WIDTH):
-    """Build the beam Discretization.
-
-    act_width fixes the actuator bump half-width used by b_of_r (the
-    design variable is the center only).
-    """
-    mats = _matrices(params)
-    m = params.n_cells - 1
-    stiff = mats["stiff"]
-    damp = mats["damp"]
-    eye = sp.identity(m, format="csr")
-    inv_rho = 1.0 / params.rho_a
-
-    a_mat = sp.bmat(
-        [[None, eye], [-inv_rho * stiff, -inv_rho * damp]], format="csr"
-    )
-    # Closed-form adjoint w.r.t. the energy Gram: A*(f,g) =
-    # (-g, (EI D4 + k) f / rho_a - (c_d D4 + mu) g / rho_a).
-    astar = sp.bmat(
-        [[None, -eye], [inv_rho * stiff, -inv_rho * damp]], format="csr"
-    )
-    gram = _cost_matrix(params, np.ones(m), np.ones(m))
-
-    nodes = params.nodes
-    alpha = params.alpha
-
-    def fnl(x):
-        out = np.zeros_like(x)
-        if alpha != 0.0:
-            out[m:] = (-alpha * inv_rho) * x[:m] ** 3
-        return out
-
-    def fnl_diag(x):
-        return (-3.0 * alpha * inv_rho) * x[..., :m] ** 2
-
-    def b_of_r(r_arr):
-        act = BeamActuator(float(r_arr[0]), act_width)
-        vec = np.zeros(2 * m)
-        vec[m:] = inv_rho * beam_b(params, act)
-        return vec
-
-    def b_jac_of_r(r_arr):
-        act = BeamActuator(float(r_arr[0]), act_width)
-        jac = np.zeros((2 * m, 1))
-        jac[m:, 0] = inv_rho * beam_b_r(params, act)
-        return jac
-
-    def fstar_h(w_field, g):
-        return beam_adjoint_h(params, w_field, g)
-
-    def cost_matrix_fn(cost):
-        return _cost_matrix(params, cost.q1, cost.q2)
-
-    return Discretization(
-        model="beam",
-        params=params,
-        n_space=m,
-        a_mat=a_mat,
-        gram=gram,
-        astar_mat=astar,
-        b_of_r=b_of_r,
-        b_jac_of_r=b_jac_of_r,
-        fnl=fnl,
-        fnl_diag=fnl_diag,
-        fstar_h=fstar_h,
-        cost_matrix_fn=cost_matrix_fn,
-        r_dim=1,
-        meta={"dx": params.dx, "nodes": nodes, "act_width": act_width},
-    )
-
-
 def _greens_gap(params, n_cells):
     """Max gap between Green's quadrature and the direct 4th-order solve."""
     p = replace(params, n_cells=n_cells)
@@ -281,43 +210,96 @@ def _greens_gap(params, n_cells):
     return float(np.max(np.abs(greens_apply(p, f) - stiffness_solve(p, f))))
 
 
-class BeamModel:
-    """The beam as the config, the CLI and a pickled Discretization see it.
+class BeamDiscretization(Discretization):
+    """The beam: one design dimension along (0, length); q1/q2 and the
+    position dofs both sit at the interior nodes, the attribute nodes."""
 
-    One design dimension along (0, length); q1/q2 and the position dofs
-    both sit at the interior nodes.
-    """
-
-    name = "beam"
+    model = "beam"
     params_cls = BeamParams
-    act_width = ACT_WIDTH
+    default_act_width = ACT_WIDTH
+    r_dim = 1
 
-    def domain(self, params):
+    def __init__(self, params, act_width):
+        mats = _matrices(params)
+        m = params.n_cells - 1
+        stiff = mats["stiff"]
+        damp = mats["damp"]
+        eye = sp.identity(m, format="csr")
+        inv_rho = 1.0 / params.rho_a
+        a_mat = sp.bmat(
+            [[None, eye], [-inv_rho * stiff, -inv_rho * damp]], format="csr"
+        )
+        # Closed-form adjoint w.r.t. the energy Gram: A*(f,g) =
+        # (-g, (EI D4 + k) f / rho_a - (c_d D4 + mu) g / rho_a).
+        astar = sp.bmat(
+            [[None, -eye], [inv_rho * stiff, -inv_rho * damp]], format="csr"
+        )
+        gram = _cost_matrix(params, np.ones(m), np.ones(m))
+        super().__init__(m, a_mat, gram, astar)
+        self.params = params
+        self.act_width = act_width
+        self.nodes = params.nodes
+        self._inv_rho = inv_rho
+
+    @staticmethod
+    def assemble(params, act_width):
+        return assemble_beam(params, act_width)
+
+    @staticmethod
+    def domain(params):
         return (params.length,)
 
-    def spacing(self, params):
+    @staticmethod
+    def spacing(params):
         return (params.dx,)
 
-    def assemble(self, params, act_width):
-        return assemble_beam(params, act_width=act_width)
+    def fnl(self, x):
+        m = self.n_space
+        out = np.zeros_like(x)
+        if self.params.alpha != 0.0:
+            out[m:] = (-self.params.alpha * self._inv_rho) * x[:m] ** 3
+        return out
 
-    def cost_coords(self, disc):
-        return (disc.meta["nodes"],)
+    def fnl_diag(self, x):
+        return (-3.0 * self.params.alpha * self._inv_rho) * x[..., :self.n_space] ** 2
+
+    def b_of_r(self, r_arr):
+        m = self.n_space
+        act = BeamActuator(float(r_arr[0]), self.act_width)
+        vec = np.zeros(2 * m)
+        vec[m:] = self._inv_rho * beam_b(self.params, act)
+        return vec
+
+    def b_jac_of_r(self, r_arr):
+        m = self.n_space
+        act = BeamActuator(float(r_arr[0]), self.act_width)
+        jac = np.zeros((2 * m, 1))
+        jac[m:, 0] = self._inv_rho * beam_b_r(self.params, act)
+        return jac
+
+    def fstar_h(self, w_field, g):
+        return beam_adjoint_h(self.params, w_field, g)
+
+    def cost_matrix_fn(self, cost):
+        return _cost_matrix(self.params, cost.q1, cost.q2)
+
+    def cost_coords(self):
+        return (self.nodes,)
 
     dof_coords = cost_coords
 
-    def probe_columns(self, disc, points, traj):
+    def probe_columns(self, points, traj):
         """Deflection at each point, linear between nodes, zero at the ends."""
-        p = disc.params
-        xp = np.concatenate(([0.0], p.nodes, [p.length]))
-        w = traj[:, :disc.n_space]
+        xp = np.concatenate(([0.0], self.nodes, [self.params.length]))
+        w = traj[:, :self.n_space]
         return [
             np.array([np.interp(px, xp, np.concatenate(([0.0], row, [0.0])))
                       for row in w])
             for (px,) in points
         ]
 
-    def greens_check(self, params):
+    @staticmethod
+    def greens_check(params):
         """Green's quadrature vs the direct solve at h and h/2 (EI = 1, k = 0)."""
         if not (params.ei == 1.0 and params.k == 0.0):
             return None
@@ -331,4 +313,10 @@ class BeamModel:
         }
 
 
-BEAM = BeamModel()
+def assemble_beam(params, act_width=ACT_WIDTH):
+    """Build the beam Discretization.
+
+    act_width fixes the actuator bump half-width used by b_of_r (the
+    design variable is the center only).
+    """
+    return BeamDiscretization(params, act_width)

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .adjoint_grad import adjoint_compare, duality_check, gradient_fd_check
+from .adjoint_grad import FD_EPS, adjoint_compare, duality_check, gradient_fd_check
 from .config import (
     ConfigError,
     build_problem,
@@ -29,7 +29,6 @@ from .config import (
     load_config,
 )
 from .core_system import BlowUpError, TimeGrid, energy_series, solve_forward
-from .models import MODELS
 from .optimizer import grid_search_r, optimize
 
 DUALITY_TOL = 1e-10
@@ -76,7 +75,7 @@ def _probe_columns(cfg, prob, traj):
     """Resolve probe points to (header names, displacement column arrays)."""
     pts = prob["probe_pts"]
     names = ["w_at_" + "_".join("%g" % c for c in pt) for pt in pts]
-    return names, MODELS[cfg.model].probe_columns(prob["disc"], pts, traj)
+    return names, prob["disc"].probe_columns(pts, traj)
 
 
 # Each command takes (cfg, prob, out_dir, threads), writes its own files and
@@ -115,6 +114,15 @@ def cmd_simulate(cfg, prob, out_dir, threads):
 def cmd_gradcheck(cfg, prob, out_dir, threads):
     disc, grid, cost = prob["disc"], prob["grid"], prob["cost"]
     r, u = prob["r_init"], prob["u0"]
+    # the design differences move each component of r by up to max(FD_EPS);
+    # the actuator support must stay in the domain at every such point
+    eps, width = max(FD_EPS), cfg.act_width
+    for c, (rc, length) in enumerate(zip(r, cfg.domain)):
+        if not (rc - eps - width >= 0.0 and rc + eps + width <= length):
+            print(f"actuopt gradcheck: [actuator] r_init component {c + 1} must "
+                  f"lie at least {eps:g} inside [{width:g}, {length - width:g}] "
+                  "for the finite differences", file=sys.stderr)
+            return 2, "config_error", None, [], {}
     if not np.any(u):
         # a zero control would make J independent of r; exercise the design
         # gradient with a deterministic unit sine instead
@@ -224,7 +232,7 @@ def cmd_oracle_compare(cfg, prob, out_dir, threads):
     u2 = control_series(cfg, grid2.times)
     x_traj = solve_forward(disc, prob["x0"], u2, prob["r_init"], grid2)
     rel = adjoint_compare(disc, cost, x_traj, grid2)
-    greens = MODELS[cfg.model].greens_check(cfg.params)
+    greens = disc.greens_check(cfg.params)
     ok = bool(rel <= ORACLE_TOL) and (greens is None or greens["pass"])
 
     report = {

@@ -124,8 +124,8 @@ _KEYS = [f for f in dataclasses.fields(ExperimentConfig) if "key" in f.metadata]
 _SCHEMA = {"optimizer": _fields_schema(OptimizerConfig)}
 for _meta in (f.metadata for f in _KEYS):
     _SCHEMA.setdefault(_meta["section"], {})[_meta["key"]] = _meta["parser"]
-for _model in MODELS.values():
-    _SCHEMA[_model.name] = _fields_schema(_model.params_cls)
+for _name, _model in MODELS.items():
+    _SCHEMA[_name] = _fields_schema(_model.params_cls)
 
 
 def _floats(spec, what, count=None):
@@ -203,7 +203,7 @@ def parse_config_text(text, source="<config>"):
     r_dim = len(domain)
 
     if values["act_width"] is None:
-        values["act_width"] = model.act_width
+        values["act_width"] = model.default_act_width
     act_width = values["act_width"]
     if not (act_width > 0.0):
         raise ConfigError(f"{source}: actuator width must be positive")
@@ -383,12 +383,12 @@ def build_problem(cfg):
     model = MODELS[cfg.model]
     domain = cfg.domain
     disc = model.assemble(cfg.params, cfg.act_width)
-    coords = model.cost_coords(disc)
+    coords = disc.cost_coords()
     q1 = _eval_preset(cfg.q1, coords)
     q2 = _eval_preset(cfg.q2, coords)
 
     m = disc.n_space
-    dofs = model.dof_coords(disc)
+    dofs = disc.dof_coords()
     x0 = np.zeros(disc.n_dof)
     if cfg.init_kind == "sine":
         x0[:m] = cfg.init_amplitude * math.prod(

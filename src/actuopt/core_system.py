@@ -210,12 +210,13 @@ class CostSpec:
 
 
 class Discretization:
-    """Bundle of spatial operators produced by a model's assemble_* call.
+    """The spatial operators of one model, and the interface of a model.
 
-    Fields
-    ------
-    model:      the model's name in actuopt.models.MODELS ("beam", "wave")
-    params:     the model parameter dataclass
+    A model is one subclass, registered in actuopt.models.MODELS under its
+    name. Its __init__(params, act_width) keeps params (the parameter
+    dataclass) and act_width (the actuator half-width) as attributes and
+    hands the operators it assembles to this constructor:
+
     n_space:    number of position dofs m (state dimension is 2m)
     a_mat:      sparse (2m, 2m) system operator A, second order in time:
                 A = [[0, I], [B, C]] in m x m blocks
@@ -223,54 +224,63 @@ class Discretization:
     astar_mat:  sparse (2m, 2m) adjoint operator A* w.r.t. G, assembled
                 from the model's closed-form adjoint (not a transpose),
                 of the form [[0, -I], [B*, C*]]
-    b_of_r:     r-array -> (2m,) control influence vector
-    b_jac_of_r: r-array -> (2m, r_dim) derivative of the influence in r
-    fnl:        x -> (2m,) nonlinearity F(x)
-    fnl_diag:   x -> (..., m) diagonal d of the Jacobian coupling, i.e.
+
+    The config, the CLI, the sweeps and pickling reach a model only through
+    what the subclass defines here, so none of them branches on its name.
+
+    Class attributes
+    ----------------
+    model:      the model's name in MODELS ("beam", "wave"), also the
+                config section of its parameters
+    params_cls: the parameter dataclass; its fields and defaults are the
+                [<model>] config section
+    default_act_width: the actuator half-width when the config sets none
+    r_dim:      dimension of the actuator design vector
+
+    Static methods
+    --------------
+    assemble(params, act_width): the model's instance, built by its
+                module-level assemble_* function
+    domain(params): side lengths, one per design dimension
+    spacing(params): grid spacing, one per design dimension
+    greens_check(params): the oracle's Green's-function report, or None
+
+    Methods
+    -------
+    b_of_r(r):  (2m,) control influence vector of the design r
+    b_jac_of_r(r): (2m, r_dim) derivative of the influence in r
+    fnl(x):     (2m,) nonlinearity F(x)
+    fnl_diag(x): (..., m) diagonal d of the Jacobian coupling, i.e.
                 F'(x)(x~) = [0; d * x~_w], over the last axis: a whole
                 (n_steps+1, 2m) trajectory gives one row per state
-    fstar_h:    (w_field, g) -> (m,) position part h of F'(x)* (f, g),
-                via the model's elliptic/4th-order adjoint solve
-    cost_matrix_fn: CostSpec -> sparse symmetric PSD M_Q with
+    fstar_h(w_field, g): (m,) position part h of F'(x)* (f, g), via the
+                model's elliptic/4th-order adjoint solve
+    cost_matrix_fn(cost): sparse symmetric PSD M_Q of a CostSpec, with
                 <Q x, y>_G = x^T M_Q y
-    r_dim:      dimension of the actuator design vector
-    meta:       model-specific extras (grids, widths, ...)
+    cost_coords(): coordinate arrays where q1/q2 are sampled
+    dof_coords(): coordinate arrays of the position dofs
+    probe_columns(points, traj): one displacement series per point
 
     step_factors(dt, operator) gives the cached CNStep that every sweep uses:
     advance(x, src) = (I - dt/2 M)^{-1}((I + dt/2 M) x + src) for M = A or
     A*, and its transpose advance_T, through one m x m factor; it unpacks
     as (lu, B), that factor and the CSR coupling block. An operator not of
     the second-order form raises ValueError there.
-    A Discretization pickles as its recipe, the model's assemble call on
-    (params, meta["act_width"]): unpickling reassembles it, caches empty.
+    A model's instance pickles as its recipe, assemble(params, act_width):
+    unpickling reassembles it, caches empty.
     """
 
-    def __init__(self, *, model, params, n_space, a_mat, gram, astar_mat,
-                 b_of_r, b_jac_of_r, fnl, fnl_diag, fstar_h, cost_matrix_fn,
-                 r_dim, meta=None):
-        self.model = model
-        self.params = params
+    def __init__(self, n_space, a_mat, gram, astar_mat):
         self.n_space = int(n_space)
         self.a_mat = a_mat.tocsr()
         self.gram = gram.tocsr()
         self.astar_mat = astar_mat.tocsr()
-        self.b_of_r = b_of_r
-        self.b_jac_of_r = b_jac_of_r
-        self.fnl = fnl
-        self.fnl_diag = fnl_diag
-        self.fstar_h = fstar_h
-        self.cost_matrix_fn = cost_matrix_fn
-        self.r_dim = int(r_dim)
-        self.meta = dict(meta or {})
         self._step_cache = {}
         self._mq_cache = {}
         self._gram_lu = None
 
     def __reduce__(self):
-        # imported here because actuopt.models imports this module
-        from .models import MODELS
-
-        return MODELS[self.model].assemble, (self.params, self.meta["act_width"])
+        return self.assemble, (self.params, self.act_width)
 
     @property
     def n_dof(self):

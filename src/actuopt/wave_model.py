@@ -200,12 +200,10 @@ def _assembly(params: WaveParams):
         "n_nodes": n_nodes,
         "xcoord": xcoord,
         "ycoord": ycoord,
-        "dirichlet": dirichlet,
         "free_idx": free_idx,
         "stiffness": stiffness,
         "l_mat": l_mat,
         "l_lu": spla.splu(l_mat.tocsc()),
-        "mv_full": mv_full,
         "mv_free": mv_full[free_idx],
     }
 
@@ -277,120 +275,106 @@ def wave_adjoint_h(params, w_o, g):
     return asm["l_lu"].solve(rhs)
 
 
-def assemble_wave(params, act_width=ACT_WIDTH):
-    """Build the wave Discretization (act_width fixes the bump radius)."""
-    asm = _assembly(params)
-    m = asm["free_idx"].size
-    l_mat = asm["l_mat"]
-    mv = asm["mv_free"]
-    eye = sp.identity(m, format="csr")
-    lap = (sp.diags(-1.0 / mv) @ l_mat).tocsr()
+class WaveDiscretization(Discretization):
+    """The wave: two design dimensions over (0, lx) x (0, ly); q1/q2 are
+    sampled at all n_nodes grid nodes (coordinates xcoord, ycoord), the
+    position dofs sit at the free (non-Dirichlet) nodes free_idx."""
 
-    a_mat = sp.bmat([[None, eye], [lap, None]], format="csr")
-    astar = (-a_mat).tocsr()
-    gram = sp.block_diag((l_mat, sp.diags(mv)), format="csr")
+    model = "wave"
+    params_cls = WaveParams
+    default_act_width = ACT_WIDTH
+    r_dim = 2
 
-    fam = _family(params)
-    n_nodes = asm["n_nodes"]
+    def __init__(self, params, act_width):
+        asm = _assembly(params)
+        m = asm["free_idx"].size
+        l_mat = asm["l_mat"]
+        mv = asm["mv_free"]
+        eye = sp.identity(m, format="csr")
+        lap = (sp.diags(-1.0 / mv) @ l_mat).tocsr()
+        a_mat = sp.bmat([[None, eye], [lap, None]], format="csr")
+        astar = (-a_mat).tocsr()
+        gram = sp.block_diag((l_mat, sp.diags(mv)), format="csr")
+        super().__init__(m, a_mat, gram, astar)
+        self.params = params
+        self.act_width = act_width
+        self.free_idx = asm["free_idx"]
+        self.xcoord = asm["xcoord"]
+        self.ycoord = asm["ycoord"]
+        self.n_nodes = asm["n_nodes"]
+        self._stiffness = asm["stiffness"]
+        self._mv = mv
+        self._fam = _family(params)
 
-    def fnl(x):
+    @staticmethod
+    def assemble(params, act_width):
+        return assemble_wave(params, act_width)
+
+    @staticmethod
+    def domain(params):
+        return (params.lx, params.ly)
+
+    @staticmethod
+    def spacing(params):
+        return (params.hx, params.hy)
+
+    def fnl(self, x):
+        m = self.n_space
         out = np.zeros_like(x)
-        if fam.name != "none":
-            out[m:] = fam.f(x[:m])
+        if self._fam.name != "none":
+            out[m:] = self._fam.f(x[:m])
         return out
 
-    def fnl_diag(x):
-        return fam.fprime(x[..., :m])
+    def fnl_diag(self, x):
+        return self._fam.fprime(x[..., :self.n_space])
 
-    def b_of_r(c_arr):
-        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), act_width)
+    def b_of_r(self, c_arr):
+        m = self.n_space
+        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), self.act_width)
         vec = np.zeros(2 * m)
-        vec[m:] = wave_actuator(params, act)
+        vec[m:] = wave_actuator(self.params, act)
         return vec
 
-    def b_jac_of_r(c_arr):
-        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), act_width)
-        g1, g2 = wave_actuator_grad(params, act)
+    def b_jac_of_r(self, c_arr):
+        m = self.n_space
+        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), self.act_width)
+        g1, g2 = wave_actuator_grad(self.params, act)
         jac = np.zeros((2 * m, 2))
         jac[m:, 0] = g1
         jac[m:, 1] = g2
         return jac
 
-    def fstar_h(w_field, g):
-        return wave_adjoint_h(params, w_field, g)
+    def fstar_h(self, w_field, g):
+        return wave_adjoint_h(self.params, w_field, g)
 
-    def cost_matrix_fn(cost):
+    def cost_matrix_fn(self, cost):
+        n_nodes = self.n_nodes
         if cost.q1.shape != (n_nodes,) or cost.q2.shape != (n_nodes,):
             raise ValueError(
                 f"wave cost fields must have shape ({n_nodes},) (all grid "
                 f"nodes); got q1 {cost.q1.shape}, q2 {cost.q2.shape}"
             )
-        mw = asm["stiffness"](cost.q1)
-        mv_block = sp.diags(mv * cost.q2[asm["free_idx"]])
+        mw = self._stiffness(cost.q1)
+        mv_block = sp.diags(self._mv * cost.q2[self.free_idx])
         return sp.block_diag((mw, mv_block), format="csr")
 
-    return Discretization(
-        model="wave",
-        params=params,
-        n_space=m,
-        a_mat=a_mat,
-        gram=gram,
-        astar_mat=astar,
-        b_of_r=b_of_r,
-        b_jac_of_r=b_jac_of_r,
-        fnl=fnl,
-        fnl_diag=fnl_diag,
-        fstar_h=fstar_h,
-        cost_matrix_fn=cost_matrix_fn,
-        r_dim=2,
-        meta={
-            "hx": params.hx,
-            "hy": params.hy,
-            "act_width": act_width,
-            "free_idx": asm["free_idx"],
-            "xcoord": asm["xcoord"],
-            "ycoord": asm["ycoord"],
-            "mv_full": asm["mv_full"],
-            "n_nodes": n_nodes,
-        },
-    )
+    def cost_coords(self):
+        return (self.xcoord, self.ycoord)
 
+    def dof_coords(self):
+        return (self.xcoord[self.free_idx], self.ycoord[self.free_idx])
 
-class WaveModel:
-    """The wave as the config, the CLI and a pickled Discretization see it.
-
-    Two design dimensions over (0, lx) x (0, ly); q1/q2 are sampled at all
-    grid nodes, the position dofs sit at the free (non-Dirichlet) nodes.
-    """
-
-    name = "wave"
-    params_cls = WaveParams
-    act_width = ACT_WIDTH
-
-    def domain(self, params):
-        return (params.lx, params.ly)
-
-    def spacing(self, params):
-        return (params.hx, params.hy)
-
-    def assemble(self, params, act_width):
-        return assemble_wave(params, act_width=act_width)
-
-    def cost_coords(self, disc):
-        return (disc.meta["xcoord"], disc.meta["ycoord"])
-
-    def dof_coords(self, disc):
-        idx = disc.meta["free_idx"]
-        return (disc.meta["xcoord"][idx], disc.meta["ycoord"][idx])
-
-    def probe_columns(self, disc, points, traj):
+    def probe_columns(self, points, traj):
         """Displacement at the free node nearest to each point."""
-        xc, yc = self.dof_coords(disc)
+        xc, yc = self.dof_coords()
         return [traj[:, int(np.argmin((xc - px) ** 2 + (yc - py) ** 2))].copy()
                 for px, py in points]
 
-    def greens_check(self, params):
+    @staticmethod
+    def greens_check(params):
         return None
 
 
-WAVE = WaveModel()
+def assemble_wave(params, act_width=ACT_WIDTH):
+    """Build the wave Discretization (act_width fixes the bump radius)."""
+    return WaveDiscretization(params, act_width)

@@ -39,11 +39,11 @@ def make_wave(nx=10, ny=10, t_final=0.4, n_steps=40, act_width=0.1, **kw):
     params = ao.WaveParams(nx=nx, ny=ny, **kw)
     disc = ao.assemble_wave(params, act_width=act_width)
     grid = ao.TimeGrid(t_final, n_steps)
-    nn = disc.meta["n_nodes"]
+    nn = disc.n_nodes
     cost = ao.CostSpec(q1=np.ones(nn), q2=np.ones(nn))
-    idx = disc.meta["free_idx"]
-    xf = disc.meta["xcoord"][idx]
-    yf = disc.meta["ycoord"][idx]
+    idx = disc.free_idx
+    xf = disc.xcoord[idx]
+    yf = disc.ycoord[idx]
     x0 = np.zeros(disc.n_dof)
     x0[: disc.n_space] = np.sin(np.pi * xf / params.lx) * np.sin(
         np.pi * yf / params.ly

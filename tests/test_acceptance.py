@@ -54,11 +54,11 @@ def _wave_bundle(nx=12, t_final=0.4, n_steps=40, **kw):
     disc = ao.assemble_wave(params)
     grid = TimeGrid(t_final, n_steps)
     m = disc.n_space
-    idx = disc.meta["free_idx"]
+    idx = disc.free_idx
     x0 = np.zeros(disc.n_dof)
-    x0[:m] = (np.sin(np.pi * disc.meta["xcoord"][idx] / params.lx)
-              * np.sin(np.pi * disc.meta["ycoord"][idx] / params.ly))
-    nn = disc.meta["n_nodes"]
+    x0[:m] = (np.sin(np.pi * disc.xcoord[idx] / params.lx)
+              * np.sin(np.pi * disc.ycoord[idx] / params.ly))
+    nn = disc.n_nodes
     cost = ao.CostSpec(q1=np.ones(nn), q2=np.ones(nn))
     return params, disc, grid, cost, x0
 

@@ -176,7 +176,7 @@ def test_influence_wiring_into_state_space(beam_small):
     vec = disc.b_of_r(r)
     assert np.all(vec[:m] == 0.0)
     np.testing.assert_allclose(
-        vec[m:], beam_b(params, ao.BeamActuator(r=0.4, width=disc.meta["act_width"]))
+        vec[m:], beam_b(params, ao.BeamActuator(r=0.4, width=disc.act_width))
         / params.rho_a, rtol=1e-14,
     )
 

@@ -236,6 +236,31 @@ def test_gradcheck_blowup_reports_failure(tmp_path, capsys):
     assert summary["files"] == ["summary.json"]
 
 
+def test_gradcheck_rejects_an_actuator_within_fd_step_of_the_edge(tmp_path, capsys):
+    # r_init = 0.1 is a valid centre for the wave's 0.1 width, but the design
+    # difference at r - 0.01 would push the actuator out of the domain
+    text = """\
+[run]
+model = wave
+[time]
+t_final = 0.2
+n_steps = 20
+[wave]
+nx = 8
+ny = 8
+[actuator]
+r_init = 0.1, 0.5
+"""
+    code, out = run_cli(tmp_path, text, "gradcheck")
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "component 1" in err[0] and "0.01" in err[0]
+    assert not os.path.exists(os.path.join(out, "gradcheck.json"))
+    summary = read_summary(out)
+    assert summary["status"] == "config_error"
+    assert summary["files"] == ["summary.json"]
+
+
 def test_gradcheck_corrupt_mode_fails(tmp_path, capsys):
     text = """\
 [run]

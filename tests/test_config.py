@@ -396,7 +396,7 @@ def test_build_problem_beam_defaults():
     # auto box keeps the bump plus one cell inside the domain; center init
     box = prob["pspec"].r_box
     np.testing.assert_allclose(prob["r_init"], box.mean(axis=1))
-    assert box[0, 0] >= disc.meta["act_width"]
+    assert box[0, 0] >= disc.act_width
     assert tuple(prob["probe_pts"]) == ((0.5,),)
 
 
@@ -404,12 +404,12 @@ def test_build_problem_wave_gaussian_cost():
     text = MINIMAL_WAVE + "[cost]\nq1 = gaussian(0.5, 0.5, 0.25)\nq2 = zero\n"
     prob = build_problem(parse_config_text(text))
     cost = prob["cost"]
-    nn = prob["disc"].meta["n_nodes"]
+    nn = prob["disc"].n_nodes
     assert cost.q1.shape == (nn,) and cost.q2.shape == (nn,)
     assert np.all(cost.q2 == 0.0)
     assert cost.q1.max() <= 1.0 + 1e-12 and cost.q1.min() >= 0.0
-    xc = prob["disc"].meta["xcoord"]
-    yc = prob["disc"].meta["ycoord"]
+    xc = prob["disc"].xcoord
+    yc = prob["disc"].ycoord
     k_center = int(np.argmin((xc - 0.5) ** 2 + (yc - 0.5) ** 2))
     assert cost.q1[k_center] == cost.q1.max()
 

@@ -335,22 +335,7 @@ def test_cost_eval_zero_and_manual(beam_small):
 
 def _toy_disc(a):
     # a one-position-dof toy Discretization around the 2x2 operator a
-    return Discretization(
-        model="toy",
-        params=None,
-        n_space=1,
-        a_mat=a,
-        gram=sp.identity(2, format="csr"),
-        astar_mat=a,
-        b_of_r=lambda r: np.zeros(2),
-        b_jac_of_r=lambda r: np.zeros((2, 1)),
-        fnl=lambda x: np.zeros(2),
-        fnl_diag=lambda x: np.zeros(1),
-        fstar_h=lambda w, g: np.zeros(1),
-        cost_matrix_fn=lambda cost: sp.identity(2, format="csr"),
-        r_dim=1,
-        meta={},
-    )
+    return Discretization(1, a, sp.identity(2, format="csr"), a)
 
 
 def test_step_solver_error_on_singular_system():

@@ -1,8 +1,10 @@
 """Contract tests run over every registered model, and a guard that keeps
 model-name branches out of the model-agnostic layers."""
 import ast
+import inspect
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +12,63 @@ import pytest
 import actuopt
 from actuopt.cli import main
 from actuopt.config import build_problem, canonical_text, parse_config_text
+from actuopt.core_system import Discretization
 from actuopt.models import MODELS
 
 NAMES = sorted(MODELS)
+
+
+def _interface():
+    """The names that the Discretization docstring lists under each of its
+    model-interface headings."""
+    doc = inspect.getdoc(Discretization).splitlines()
+    listed = {}
+    for heading in ("Class attributes", "Static methods", "Methods"):
+        at = doc.index(heading) + 2  # past the heading's underline
+        names = []
+        for line in doc[at:]:
+            if not line.strip():
+                break
+            entry = re.match(r"(\w+)[(:]", line)
+            if entry:
+                names.append(entry[1])
+        listed[heading] = names
+    return listed
+
+
+INTERFACE = _interface()
+
+
+def test_interface_docstring_lists_the_model_interface():
+    assert {"model", "params_cls", "default_act_width", "r_dim"} <= set(
+        INTERFACE["Class attributes"])
+    assert {"assemble", "domain", "spacing", "greens_check"} <= set(
+        INTERFACE["Static methods"])
+    assert {"fnl", "fnl_diag", "b_of_r", "b_jac_of_r", "fstar_h",
+            "cost_matrix_fn", "cost_coords", "dof_coords",
+            "probe_columns"} <= set(INTERFACE["Methods"])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_model_class_defines_the_interface(name):
+    cls = MODELS[name]
+    assert issubclass(cls, Discretization) and cls.model == name
+    own = cls.__mro__[:cls.__mro__.index(Discretization)]
+    for heading, names in INTERFACE.items():
+        for attr in names:
+            assert any(attr in vars(k) for k in own), f"{name} lacks {attr}"
+            value = inspect.getattr_static(cls, attr)
+            if heading == "Class attributes":
+                assert not isinstance(value, (staticmethod, classmethod))
+                assert not inspect.isfunction(value), attr
+            elif heading == "Static methods":
+                assert isinstance(value, staticmethod), attr
+            else:
+                assert inspect.isfunction(value), attr
+    disc = cls.assemble(cls.params_cls(), cls.default_act_width)
+    assert type(disc) is cls
+    assert disc.params == cls.params_cls()
+    assert disc.act_width == cls.default_act_width
 
 
 def minimal(name):
@@ -102,7 +158,8 @@ def test_fnl_diag_of_trajectory_equals_row_stack(case):
 def test_no_model_name_comparisons_outside_the_models():
     pkg = os.path.dirname(os.path.abspath(actuopt.__file__))
     found = []
-    for module in ("config.py", "cli.py", "optimizer.py"):
+    for module in ("config.py", "cli.py", "optimizer.py", "core_system.py",
+                   "adjoint_grad.py"):
         with open(os.path.join(pkg, module), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):

@@ -204,6 +204,6 @@ def test_state_nonlinearity_wiring(wave_small):
 def test_uniform_cost_matrix_is_the_gram_matrix():
     params = ao.WaveParams(nx=10, ny=10)
     disc = ao.assemble_wave(params)
-    nn = disc.meta["n_nodes"]
+    nn = disc.n_nodes
     mq = disc.cost_matrix(ao.CostSpec(q1=np.ones(nn), q2=np.ones(nn)))
     assert (mq != disc.gram).nnz == 0
