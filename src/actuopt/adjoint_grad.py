@@ -34,31 +34,18 @@ from .core_system import (_check_block, _pairings, chunk_rows, cost_eval,
 FD_EPS = (1e-2, 1e-3, 1e-4)
 
 
-@dataclass
-class AdjointState:
-    """Backward sweep result: the step multipliers.
+def _bstar_series(lam, vec, grid):
+    """Riesz representative (w.r.t. the trapezoid L^2 inner product) of
+    u -> sum_n lam_{n+1} . (dt * u_mid(n) * vec), for the multipliers lam
+    of one sweep.
 
-    lam:  (n_steps+1, n_dof) step multipliers; lam[0] is unused (zero),
-          lam[j] pairs with the equation defining x_j
-    grid: the time grid of the originating trajectory
+    For vec = b(r) this is the discrete realization of t -> B*(r) p(t).
     """
-
-    lam: np.ndarray
-    grid: object
-
-    def bstar_series(self, vec):
-        """Riesz representative (w.r.t. the trapezoid L^2 inner product) of
-        u -> sum_n lam_{n+1} . (dt * u_mid(n) * vec).
-
-        For vec = b(r) this is the discrete realization of t -> B*(r) p(t).
-        """
-        dt = self.grid.dt
-        theta = self.grid.theta
-        z = self.lam @ np.asarray(vec, dtype=float)
-        z_next = np.empty_like(z)
-        z_next[:-1] = z[1:]
-        z_next[-1] = 0.0
-        return (z + z_next) * (dt / (2.0 * theta))
+    z = lam @ np.asarray(vec, dtype=float)
+    z_next = np.empty_like(z)
+    z_next[:-1] = z[1:]
+    z_next[-1] = 0.0
+    return (z + z_next) * (grid.dt / (2.0 * grid.theta))
 
 
 @dataclass
@@ -73,24 +60,6 @@ class GradientReport:
     grad_u: np.ndarray
     grad_r: np.ndarray
     j: float
-
-
-@dataclass
-class OptimalityResidual:
-    """First-order residuals at (u, r).
-
-    res_u  = || u + R^{-1} B*(r) p ||_{L^2(0,tau)}
-    res_r  = | integral (B'_r u)* p dt |  componentwise
-    grad_r = the signed value of 2 * that integral (descent direction info)
-    pg_res_u / pg_res_r: projected-gradient residuals, filled when an
-    admissible-set spec is supplied (boundary-of-set iterates).
-    """
-
-    res_u: float
-    res_r: np.ndarray
-    grad_r: np.ndarray
-    pg_res_u: float = None
-    pg_res_r: float = None
 
 
 def _check_traj(disc, x_traj, grid):
@@ -195,27 +164,28 @@ def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
     The sweep is the exact Gram-weighted transpose of the linearized
     forward sweep (all adjoints are G^{-1} M^T G against the energy inner
     product, realized on multipliers without forming G^{-1} M^T G).
-    One trajectory (n_steps+1, n_dof) returns its AdjointState; a stack of
-    K runs as the columns of one sweep and returns K AdjointStates, views
-    of one (K, n_steps+1, n_dof) array, each bit for bit its own sweep's.
-    overwrite_traj writes the multipliers over x_traj.
+    Returns the multipliers lam, shaped like x_traj: lam[j] pairs with the
+    equation defining x_j, and lam[0] is zero. One trajectory
+    (n_steps+1, n_dof) gives one such array; a stack of K runs as the
+    columns of one sweep and gives a (K, n_steps+1, n_dof) stack, row k bit
+    for bit its own sweep's. overwrite_traj writes the multipliers over
+    x_traj and returns them in its memory.
     """
     one = np.ndim(x_traj) == 2
     x_traj = _check_traj(disc, x_traj, grid)
     lam = x_traj if overwrite_traj else np.empty_like(x_traj)
     _transpose_sweep(disc, disc.cost_matrix(cost), x_traj, x_traj, grid, lam)
-    adjs = [AdjointState(lam=rows, grid=grid) for rows in lam]
-    return adjs[0] if one else adjs
+    return lam[0] if one else lam
 
 
-def adjoint_node_view(disc, adj):
-    """(n_steps+1, n_dof) adjoint trajectory p at the time nodes.
+def adjoint_node_view(disc, lam, grid):
+    """(n_steps+1, n_dof) adjoint trajectory p at the time nodes, from the
+    multipliers lam of one sweep.
 
     Averages neighboring multipliers and solves with the Gram matrix;
     p[-1] stays exactly zero, the final condition of the backward problem.
     """
-    lam = adj.lam
-    n = adj.grid.n_steps
+    n = grid.n_steps
     rhs = np.empty((disc.n_dof, n))
     rhs[:, 0] = 1.5 * lam[1] - 0.5 * lam[2]
     rhs[:, 1:] = 0.5 * (lam[1:n] + lam[2 : n + 1]).T
@@ -251,60 +221,32 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     defects = []
     for pairing, lam, u_k in zip(lhs, pairs, u_tilde):
         left = float(theta @ pairing)
-        right = float(theta @ (AdjointState(lam, grid).bstar_series(b_col[:, 0]) * u_k))
+        right = float(theta @ (_bstar_series(lam, b_col[:, 0], grid) * u_k))
         scale = max(abs(left), abs(right))
         defects.append(abs(left - right) / scale if scale else 0.0)
     return defects[0] if one else np.array(defects)
 
 
-def gradients_from_adjoint(disc, cost, u, r, adj):
-    """grad_u and grad_r from an adjoint sweep (multiplier-exact pairings)."""
-    grid = adj.grid
+def gradients_from_adjoint(disc, cost, u, r, lam, grid):
+    """grad_u and grad_r from the multipliers lam of an adjoint sweep
+    (multiplier-exact pairings)."""
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     b_vec = disc.b_of_r(r_arr)
-    grad_u = 2.0 * (cost.r_weight * u + adj.bstar_series(b_vec))
+    grad_u = 2.0 * (cost.r_weight * u + _bstar_series(lam, b_vec, grid))
     b_jac = disc.b_jac_of_r(r_arr)
     u_mid = 0.5 * (u[:-1] + u[1:])
-    grad_r = 2.0 * grid.dt * (u_mid @ (adj.lam[1:] @ b_jac))
+    grad_r = 2.0 * grid.dt * (u_mid @ (lam[1:] @ b_jac))
     return grad_u, grad_r
 
 
 def gradient(disc, cost, x0, u, r, grid):
     """GradientReport of the discrete J at (u, r) from x0 (BlowUpError propagates)."""
     x_traj = solve_forward(disc, x0, u, r, grid)
-    adj = solve_adjoint(disc, cost, x_traj, grid)
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r, adj)
+    lam = solve_adjoint(disc, cost, x_traj, grid)
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r, lam, grid)
     j = cost_eval(disc, cost, x_traj, u, grid)
     return GradientReport(grad_u=grad_u, grad_r=grad_r, j=j)
-
-
-def optimality_residual(disc, cost, u, r, adj, spec=None):
-    """First-order residuals of the optimality system at (u, r).
-
-    adj is the AdjointState of the run (carries the grid). When an
-    admissible-set spec is given, the projected-gradient residuals
-    ||z - Proj(z - grad)|| realizing the variational inequalities on the
-    set boundary are filled in as well.
-    """
-    grid = adj.grid
-    u = np.asarray(u, dtype=float)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    theta = grid.theta
-    bstar = adj.bstar_series(disc.b_of_r(r_arr))
-    viol = u + bstar / cost.r_weight
-    res_u = math.sqrt(float(theta @ viol**2))
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, adj)
-    res_r = np.abs(0.5 * grad_r)
-
-    pg_u = pg_r = None
-    if spec is not None:
-        from .optimizer import _pg_residuals
-
-        pg_u, pg_r = _pg_residuals(u, r_arr, grad_u, grad_r, spec, grid)
-    return OptimalityResidual(
-        res_u=res_u, res_r=res_r, grad_r=grad_r, pg_res_u=pg_u, pg_res_r=pg_r
-    )
 
 
 def continuous_adjoint_oracle(disc, cost, x_traj, grid):
@@ -349,7 +291,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
 def adjoint_compare(disc, cost, x_traj, grid):
     """Relative L-infinity (in time, energy norm in space) distance between
     the discrete-adjoint node view and the continuous-adjoint oracle."""
-    p = adjoint_node_view(disc, solve_adjoint(disc, cost, x_traj, grid))
+    p = adjoint_node_view(disc, solve_adjoint(disc, cost, x_traj, grid), grid)
     p_oracle = continuous_adjoint_oracle(disc, cost, x_traj, grid)
     num = max(energy_norm(disc, d) for d in (p - p_oracle))
     den = max(energy_norm(disc, row) for row in p_oracle)
@@ -376,8 +318,8 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     theta = grid.theta
-    adj = solve_adjoint(disc, cost, x_traj, grid)
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, adj)
+    lam = solve_adjoint(disc, cost, x_traj, grid)
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)
     j_base = cost_eval(disc, cost, x_traj, u, grid)
     bias = 1.001 if corrupt else 1.0
 

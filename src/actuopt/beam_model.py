@@ -14,8 +14,10 @@ Laplacian. The energy form
 is assembled with trapezoid weights from the same difference operators, so
 the undamped system operator is exactly skew-adjoint in the Gram matrix.
 
-The control influence b(xi; r) is a raised-cosine bump of unit mass,
-centered at the design point r, C^1 in r with a closed-form derivative.
+BeamDiscretization is the model: its methods sample the control influence
+b(xi; r), a raised-cosine bump of unit mass centered at the design point r,
+and its closed-form derivative in r, apply the cubic nonlinearity, and
+solve the fourth-order adjoint problem of F'(x)*.
 """
 from __future__ import annotations
 
@@ -66,20 +68,6 @@ class BeamParams:
         return self.dx * np.arange(1, self.n_cells)
 
 
-@dataclass(frozen=True)
-class BeamActuator:
-    """Actuator design: bump center r and fixed half-width."""
-
-    r: float
-    width: float = ACT_WIDTH
-
-    def __post_init__(self):
-        if not (self.width > 0.0 and math.isfinite(self.width)):
-            raise ValueError(f"actuator width must be positive, got {self.width}")
-        if not math.isfinite(self.r):
-            raise ValueError("actuator center must be finite")
-
-
 @functools.lru_cache(maxsize=32)
 def _matrices(params: BeamParams):
     """Cached difference operators and factorizations for one parameter set."""
@@ -103,46 +91,6 @@ def _matrices(params: BeamParams):
     }
 
 
-def _bump(params, act, xi):
-    z = (np.asarray(xi, dtype=float) - act.r) / act.width
-    out = np.zeros_like(z, dtype=float)
-    mask = np.abs(z) < 1.0
-    out[mask] = (1.0 + np.cos(np.pi * z[mask])) / (2.0 * act.width)
-    return out
-
-
-def beam_b(params, act):
-    """Influence shape b(xi; r) sampled at the interior nodes.
-
-    Nonnegative, supported in [r - width, r + width], unit mass up to
-    quadrature error.
-    """
-    return _bump(params, act, params.nodes)
-
-
-def beam_b_r(params, act):
-    """d b / d r at the interior nodes (closed form)."""
-    xi = params.nodes
-    z = (xi - act.r) / act.width
-    out = np.zeros_like(z)
-    mask = np.abs(z) < 1.0
-    out[mask] = (np.pi / (2.0 * act.width**2)) * np.sin(np.pi * z[mask])
-    return out
-
-
-def beam_adjoint_h(params, w_o, g):
-    """Position part h of F'(x)*(f, g) from the 4th-order adjoint solve.
-
-    Solves (EI D4 + k I) h = -3 alpha w_o^2 g with simply supported
-    boundary conditions; realizes F'(x)*(f, g) = (h, 0) in the energy
-    inner product.
-    """
-    w_o = np.asarray(w_o, dtype=float)
-    g = np.asarray(g, dtype=float)
-    rhs = (-3.0 * params.alpha) * w_o**2 * g
-    return _matrices(params)["stiff_lu"].solve(rhs)
-
-
 def greens_eval(params, xi, eta):
     """Closed-form simply supported Green's function (requires k = 0).
 
@@ -154,7 +102,7 @@ def greens_eval(params, xi, eta):
     if params.k != 0.0:
         raise ValueError(
             "closed-form Green's function requires k = 0 "
-            f"(got k = {params.k}); use beam_adjoint_h instead"
+            f"(got k = {params.k}); use stiffness_solve instead"
         )
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -220,6 +168,8 @@ class BeamDiscretization(Discretization):
     r_dim = 1
 
     def __init__(self, params, act_width):
+        if not (act_width > 0.0 and math.isfinite(act_width)):
+            raise ValueError(f"actuator width must be positive, got {act_width}")
         mats = _matrices(params)
         m = params.n_cells - 1
         stiff = mats["stiff"]
@@ -264,21 +214,34 @@ class BeamDiscretization(Discretization):
         return (-3.0 * self.params.alpha * self._inv_rho) * x[..., :self.n_space] ** 2
 
     def b_of_r(self, r_arr):
+        """The bump b(xi; r) / rho_a in the velocity rows: nonnegative,
+        supported in [r - width, r + width], unit mass up to quadrature."""
+        r = float(r_arr[0])
+        if not math.isfinite(r):
+            raise ValueError("actuator center must be finite")
         m = self.n_space
-        act = BeamActuator(float(r_arr[0]), self.act_width)
+        width = self.act_width
+        z = (self.nodes - r) / width
+        mask = np.abs(z) < 1.0
         vec = np.zeros(2 * m)
-        vec[m:] = self._inv_rho * beam_b(self.params, act)
+        vec[m:][mask] = self._inv_rho * ((1.0 + np.cos(np.pi * z[mask])) / (2.0 * width))
         return vec
 
     def b_jac_of_r(self, r_arr):
         m = self.n_space
-        act = BeamActuator(float(r_arr[0]), self.act_width)
+        width = self.act_width
+        z = (self.nodes - float(r_arr[0])) / width
+        mask = np.abs(z) < 1.0
         jac = np.zeros((2 * m, 1))
-        jac[m:, 0] = self._inv_rho * beam_b_r(self.params, act)
+        jac[m:, 0][mask] = self._inv_rho * (
+            (np.pi / (2.0 * width**2)) * np.sin(np.pi * z[mask]))
         return jac
 
     def fstar_h(self, w_field, g):
-        return beam_adjoint_h(self.params, w_field, g)
+        """Solves (EI D4 + k I) h = -3 alpha w^2 g, simply supported."""
+        w_o = np.asarray(w_field, dtype=float)
+        g = np.asarray(g, dtype=float)
+        return stiffness_solve(self.params, (-3.0 * self.params.alpha) * w_o**2 * g)
 
     def cost_matrix_fn(self, cost):
         return _cost_matrix(self.params, cost.q1, cost.q2)

@@ -71,13 +71,6 @@ def _finite_or_none(x):
     return x if np.isfinite(x) else None
 
 
-def _probe_columns(cfg, prob, traj):
-    """Resolve probe points to (header names, displacement column arrays)."""
-    pts = prob["probe_pts"]
-    names = ["w_at_" + "_".join("%g" % c for c in pt) for pt in pts]
-    return names, prob["disc"].probe_columns(pts, traj)
-
-
 # Each command takes (cfg, prob, out_dir, threads), writes its own files and
 # returns (exit code, status, converged, files written, extra summary keys);
 # main times it together with build_problem and writes summary.json, where
@@ -102,7 +95,9 @@ def cmd_simulate(cfg, prob, out_dir, threads):
         print(f"actuopt simulate: {exc}", file=sys.stderr)
 
     energy = energy_series(disc, traj)
-    names, cols = _probe_columns(cfg, prob, traj)
+    pts = prob["probe_pts"]
+    names = ["w_at_" + "_".join("%g" % c for c in pt) for pt in pts]
+    cols = disc.probe_columns(pts, traj)
     rows = list(zip(times, energy, *cols))
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t", "energy"] + names, rows, trailer)

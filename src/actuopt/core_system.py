@@ -213,9 +213,10 @@ class Discretization:
     """The spatial operators of one model, and the interface of a model.
 
     A model is one subclass, registered in actuopt.models.MODELS under its
-    name. Its __init__(params, act_width) keeps params (the parameter
-    dataclass) and act_width (the actuator half-width) as attributes and
-    hands the operators it assembles to this constructor:
+    name. Its __init__(params, act_width) rejects a width that is not
+    positive and finite, keeps params (the parameter dataclass) and
+    act_width (the actuator half-width) as attributes and hands the
+    operators it assembles to this constructor:
 
     n_space:    number of position dofs m (state dimension is 2m)
     a_mat:      sparse (2m, 2m) system operator A, second order in time:

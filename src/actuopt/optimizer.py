@@ -1,4 +1,5 @@
-"""Projected gradient descent over (u, r) and the actuator grid-search oracle.
+"""Projected gradient descent over (u, r), its first-order optimality
+residuals, and the actuator grid-search oracle.
 
 The joint iteration takes simultaneous projected steps in the control u
 (L^2 ball of radius R_ad, radial projection) and the design r (box clamp),
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint_grad import gradients_from_adjoint, solve_adjoint
+from .adjoint_grad import _bstar_series, gradients_from_adjoint, solve_adjoint
 from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
                           solve_forward)
 
@@ -82,6 +83,24 @@ class OptimizerConfig:
 
 
 @dataclass
+class OptimalityResidual:
+    """First-order residuals at (u, r).
+
+    res_u  = || u + R^{-1} B*(r) p ||_{L^2(0,tau)}
+    res_r  = | integral (B'_r u)* p dt |  componentwise
+    grad_r = the signed value of 2 * that integral (descent direction info)
+    pg_res_u / pg_res_r: projected-gradient residuals, filled when an
+    admissible-set spec is supplied (boundary-of-set iterates).
+    """
+
+    res_u: float
+    res_r: np.ndarray
+    grad_r: np.ndarray
+    pg_res_u: float = None
+    pg_res_r: float = None
+
+
+@dataclass
 class OptimRun:
     u: np.ndarray
     r: np.ndarray
@@ -135,13 +154,37 @@ def _pg_residuals(u, r, gu, gr, spec, grid):
     return pg_u, pg_r
 
 
+def optimality_residual(disc, cost, u, r, lam, grid, spec=None):
+    """First-order residuals of the optimality system at (u, r), from the
+    multipliers lam of the adjoint sweep there.
+
+    When an admissible-set spec is given, the projected-gradient residuals
+    ||z - Proj(z - grad)|| realizing the variational inequalities on the
+    set boundary are filled in as well.
+    """
+    u = np.asarray(u, dtype=float)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    bstar = _bstar_series(lam, disc.b_of_r(r_arr), grid)
+    viol = u + bstar / cost.r_weight
+    res_u = math.sqrt(float(grid.theta @ viol**2))
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)
+    res_r = np.abs(0.5 * grad_r)
+
+    pg_u = pg_r = None
+    if spec is not None:
+        pg_u, pg_r = _pg_residuals(u, r_arr, grad_u, grad_r, spec, grid)
+    return OptimalityResidual(
+        res_u=res_u, res_r=res_r, grad_r=grad_r, pg_res_u=pg_u, pg_res_r=pg_r
+    )
+
+
 def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     """One projected-gradient run as a generator that yields its sweeps.
 
     Yielding (u, r) asks for J at (u, r), answered with J or a thrown
-    BlowUpError; yielding None asks for the AdjointState at the point last
-    evaluated, which the generator reads before it yields again, so its
-    multipliers may live in a reused block. Returns the run's OptimRun; a
+    BlowUpError; yielding None asks for the adjoint multipliers at the
+    point last evaluated, which the generator reads before it yields again,
+    so they may live in a reused block. Returns the run's OptimRun; a
     blow-up of the first forward solve propagates, as there is no earlier
     iterate to retreat to.
     """
@@ -149,8 +192,8 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     r = project_r(r_init, spec)
 
     j = yield u, r
-    adj = yield None
-    gu, gr = gradients_from_adjoint(disc, cost, u, r, adj)
+    lam = yield None
+    gu, gr = gradients_from_adjoint(disc, cost, u, r, lam, grid)
     pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
     alpha_u = 1.0
     alpha_r = 1.0
@@ -214,8 +257,8 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
             status = "blow_up" if saw_blowup else "line_search_failure"
             it -= 1
             break
-        adj = yield None
-        gu_new, gr_new = gradients_from_adjoint(disc, cost, u_new, r_new, adj)
+        lam = yield None
+        gu_new, gr_new = gradients_from_adjoint(disc, cost, u_new, r_new, lam, grid)
 
         # Barzilai-Borwein step proposals for the next iteration (per block)
         if active_u:
@@ -262,7 +305,7 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
     n_designs = len(u_init)
     width = min(_block_width(disc, grid), n_designs)
     columns = [None] * n_designs
-    asks = {}  # column -> its request: (u, r), or None for an adjoint state
+    asks = {}  # column -> its request: (u, r), or None for its multipliers
     runs = [None] * n_designs
     pending = iter(range(n_designs))
     # the one array a column stores, allocated once: its trial trajectory,
@@ -305,12 +348,12 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
         for front, i in enumerate(reached):
             if front != i:
                 block[front] = block[i]
-        states = solve_adjoint(disc, cost, block[:len(reached)], grid,
-                               overwrite_traj=True)
-        # each column turns its state into a gradient before it yields
-        # again, so the next round may reuse the block
-        for i, state in zip(reached, states):
-            reply(cols[i], state)
+        lams = solve_adjoint(disc, cost, block[:len(reached)], grid,
+                             overwrite_traj=True)
+        # each column turns its multipliers into a gradient before it
+        # yields again, so the next round may reuse the block
+        for i, lam in zip(reached, lams):
+            reply(cols[i], lam)
 
     refill()
     while asks:

@@ -19,16 +19,17 @@ system A(w, v) = (v, Lap_h w) is exactly skew-adjoint in the energy Gram
 blockdiag(L, Mv) -- the H^1_{Gamma0} x L^2 form (seminorm plus the Gamma0
 trace constraint).
 
-Nonlinearity families: none, sine_gordon (F = sin), klein_gordon
-(F = |w|^k w). The actuator is a radial raised-cosine bump of unit mass
-with analytic center derivatives.
+WaveDiscretization is the model: its methods apply the nonlinearity family
+of the parameters, none, sine_gordon (F = sin) or klein_gordon
+(F = |w|^k w), and its derivative; sample the actuator, a radial
+raised-cosine bump of unit mass, and its analytic center derivatives; and
+solve the elliptic adjoint problem of F'(x)*.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,48 +86,6 @@ class WaveParams:
     @property
     def hy(self):
         return self.ly / self.ny
-
-
-@dataclass(frozen=True)
-class WaveActuator:
-    """Actuator design: bump center c = (c1, c2) and fixed radial half-width."""
-
-    c1: float
-    c2: float
-    width: float = ACT_WIDTH
-
-    def __post_init__(self):
-        if not (self.width > 0.0 and math.isfinite(self.width)):
-            raise ValueError(f"actuator width must be positive, got {self.width}")
-
-
-@dataclass(frozen=True)
-class NonlinearityF:
-    """Scalar family F with derivative F'; applied pointwise to w."""
-
-    name: str
-    f: Callable
-    fprime: Callable
-
-
-def nonlinearity_f(name, kg_exponent=2):
-    if name == "none":
-        return NonlinearityF("none", lambda z: np.zeros_like(z), lambda z: np.zeros_like(z))
-    if name == "sine_gordon":
-        return NonlinearityF("sine_gordon", np.sin, np.cos)
-    if name == "klein_gordon":
-        k = int(kg_exponent)
-        if k < 2:
-            raise ValueError(f"klein_gordon exponent must be >= 2, got {k}")
-
-        def f(z):
-            return np.abs(z) ** k * z
-
-        def fprime(z):
-            return (k + 1.0) * np.abs(z) ** k
-
-        return NonlinearityF("klein_gordon", f, fprime)
-    raise ValueError(f"unknown nonlinearity {name!r}; use one of {_FAMILIES}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -208,73 +167,6 @@ def _assembly(params: WaveParams):
     }
 
 
-def _family(params):
-    return nonlinearity_f(params.nonlinearity, params.kg_exponent)
-
-
-def _bump_on(params, act, xp, yp):
-    rho = np.hypot(xp - act.c1, yp - act.c2)
-    cnorm = np.pi / (act.width**2 * (np.pi**2 - 4.0))
-    out = np.zeros_like(rho)
-    mask = rho < act.width
-    out[mask] = cnorm * (1.0 + np.cos(np.pi * rho[mask] / act.width))
-    return out
-
-
-def wave_actuator(params, act):
-    """Radial raised-cosine bump r(xi) sampled at the free nodes.
-
-    Normalized so the continuous integral of r over the plane equals 1.
-    """
-    if not (
-        act.c1 - act.width >= 0.0
-        and act.c1 + act.width <= params.lx
-        and act.c2 - act.width >= 0.0
-        and act.c2 + act.width <= params.ly
-    ):
-        raise ValueError(
-            f"actuator support disk (center ({act.c1}, {act.c2}), width "
-            f"{act.width}) leaves the domain; project the center into the "
-            "admissible box"
-        )
-    asm = _assembly(params)
-    idx = asm["free_idx"]
-    return _bump_on(params, act, asm["xcoord"][idx], asm["ycoord"][idx])
-
-
-def wave_actuator_grad(params, act):
-    """Analytic (dr/dc1, dr/dc2) at the free nodes."""
-    asm = _assembly(params)
-    idx = asm["free_idx"]
-    xp = asm["xcoord"][idx]
-    yp = asm["ycoord"][idx]
-    d1 = xp - act.c1
-    d2 = yp - act.c2
-    rho = np.hypot(d1, d2)
-    cnorm = np.pi / (act.width**2 * (np.pi**2 - 4.0))
-    g1 = np.zeros_like(rho)
-    g2 = np.zeros_like(rho)
-    mask = (rho < act.width) & (rho > 0.0)
-    coef = cnorm * (np.pi / act.width) * np.sin(np.pi * rho[mask] / act.width) / rho[mask]
-    g1[mask] = coef * d1[mask]
-    g2[mask] = coef * d2[mask]
-    return g1, g2
-
-
-def wave_adjoint_h(params, w_o, g):
-    """Position part h of F'(x)*(f, g) from the elliptic adjoint solve.
-
-    Solves Lap h = -F'(w_o) g with h = 0 on Gamma0 and dh/dnu = 0 on
-    Gamma1 (discretely: L h = Mv F'(w_o) g on the free nodes); realizes
-    F'(x)*(f, g) = (h, 0) in the energy inner product.
-    """
-    asm = _assembly(params)
-    w_o = np.asarray(w_o, dtype=float)
-    g = np.asarray(g, dtype=float)
-    rhs = asm["mv_free"] * (_family(params).fprime(w_o) * g)
-    return asm["l_lu"].solve(rhs)
-
-
 class WaveDiscretization(Discretization):
     """The wave: two design dimensions over (0, lx) x (0, ly); q1/q2 are
     sampled at all n_nodes grid nodes (coordinates xcoord, ycoord), the
@@ -286,6 +178,8 @@ class WaveDiscretization(Discretization):
     r_dim = 2
 
     def __init__(self, params, act_width):
+        if not (act_width > 0.0 and math.isfinite(act_width)):
+            raise ValueError(f"actuator width must be positive, got {act_width}")
         asm = _assembly(params)
         m = asm["free_idx"].size
         l_mat = asm["l_mat"]
@@ -304,7 +198,8 @@ class WaveDiscretization(Discretization):
         self.n_nodes = asm["n_nodes"]
         self._stiffness = asm["stiffness"]
         self._mv = mv
-        self._fam = _family(params)
+        self._l_lu = asm["l_lu"]
+        self._kg = int(params.kg_exponent)
 
     @staticmethod
     def assemble(params, act_width):
@@ -321,31 +216,67 @@ class WaveDiscretization(Discretization):
     def fnl(self, x):
         m = self.n_space
         out = np.zeros_like(x)
-        if self._fam.name != "none":
-            out[m:] = self._fam.f(x[:m])
+        w = x[:m]
+        if self.params.nonlinearity == "sine_gordon":
+            out[m:] = np.sin(w)
+        elif self.params.nonlinearity == "klein_gordon":
+            out[m:] = np.abs(w) ** self._kg * w
         return out
 
     def fnl_diag(self, x):
-        return self._fam.fprime(x[..., :self.n_space])
+        w = x[..., :self.n_space]
+        if self.params.nonlinearity == "sine_gordon":
+            return np.cos(w)
+        if self.params.nonlinearity == "klein_gordon":
+            return (self._kg + 1.0) * np.abs(w) ** self._kg
+        return np.zeros_like(w)
 
     def b_of_r(self, c_arr):
+        """The radial bump r(xi) at the free nodes, in the velocity rows;
+        its continuous integral over the plane is 1."""
+        c1, c2 = float(c_arr[0]), float(c_arr[1])
+        width = self.act_width
+        if not (
+            c1 - width >= 0.0
+            and c1 + width <= self.params.lx
+            and c2 - width >= 0.0
+            and c2 + width <= self.params.ly
+        ):
+            raise ValueError(
+                f"actuator support disk (center ({c1}, {c2}), width "
+                f"{width}) leaves the domain; project the center into the "
+                "admissible box"
+            )
         m = self.n_space
-        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), self.act_width)
+        xp, yp = self.dof_coords()
+        rho = np.hypot(xp - c1, yp - c2)
+        cnorm = np.pi / (width**2 * (np.pi**2 - 4.0))
+        mask = rho < width
         vec = np.zeros(2 * m)
-        vec[m:] = wave_actuator(self.params, act)
+        vec[m:][mask] = cnorm * (1.0 + np.cos(np.pi * rho[mask] / width))
         return vec
 
     def b_jac_of_r(self, c_arr):
         m = self.n_space
-        act = WaveActuator(float(c_arr[0]), float(c_arr[1]), self.act_width)
-        g1, g2 = wave_actuator_grad(self.params, act)
+        width = self.act_width
+        xp, yp = self.dof_coords()
+        d1 = xp - float(c_arr[0])
+        d2 = yp - float(c_arr[1])
+        rho = np.hypot(d1, d2)
+        cnorm = np.pi / (width**2 * (np.pi**2 - 4.0))
+        mask = (rho < width) & (rho > 0.0)
+        coef = cnorm * (np.pi / width) * np.sin(np.pi * rho[mask] / width) / rho[mask]
         jac = np.zeros((2 * m, 2))
-        jac[m:, 0] = g1
-        jac[m:, 1] = g2
+        jac[m:, 0][mask] = coef * d1[mask]
+        jac[m:, 1][mask] = coef * d2[mask]
         return jac
 
     def fstar_h(self, w_field, g):
-        return wave_adjoint_h(self.params, w_field, g)
+        """Solves Lap h = -F'(w) g with h = 0 on Gamma0 and dh/dnu = 0 on
+        Gamma1, discretely L h = Mv F'(w) g on the free nodes."""
+        w_o = np.asarray(w_field, dtype=float)
+        g = np.asarray(g, dtype=float)
+        return self._l_lu.solve(self._mv * (self.fnl_diag(w_o) * g))
 
     def cost_matrix_fn(self, cost):
         n_nodes = self.n_nodes

@@ -15,7 +15,6 @@ from actuopt.adjoint_grad import (
     duality_check,
     gradient,
     gradient_fd_check,
-    optimality_residual,
     solve_adjoint,
 )
 from actuopt.config import build_problem, parse_config_text
@@ -30,6 +29,7 @@ from actuopt.optimizer import (
     OptimizerConfig,
     ProjectionSpec,
     grid_search_r,
+    optimality_residual,
     optimize,
     project_r,
     project_u,
@@ -285,9 +285,9 @@ def test_criterion_09_optimality_system():
     run = optimize(disc, cost, prob["x0"], prob["u0"], prob["r_init"], spec,
                    OptimizerConfig(), grid)
 
-    adj = solve_adjoint(disc, cost,
+    lam = solve_adjoint(disc, cost,
                         solve_forward(disc, prob["x0"], run.u, run.r, grid), grid)
-    res = optimality_residual(disc, cost, run.u, run.r, adj)
+    res = optimality_residual(disc, cost, run.u, run.r, lam, grid)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     js = [row["j"] for row in run.history]
     monotone = all(b <= a + 1e-14 for a, b in zip(js, js[1:]))

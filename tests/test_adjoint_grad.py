@@ -58,13 +58,14 @@ def test_adjoint_terminal_condition_and_zero_cost(beam_small):
     u = np.sin(grid.times)
     r = np.array([0.5])
     traj = ao.solve_forward(disc, x0, u, r, grid)
-    adj = ao.solve_adjoint(disc, cost, traj, grid)
-    assert np.all(ao.adjoint_node_view(disc, adj)[-1] == 0.0)
+    lam = ao.solve_adjoint(disc, cost, traj, grid)
+    assert lam.shape == traj.shape
+    assert np.all(ao.adjoint_node_view(disc, lam, grid)[-1] == 0.0)
     m = disc.n_space
     zero_cost = ao.CostSpec(q1=np.zeros(m), q2=np.zeros(m))
-    adj0 = ao.solve_adjoint(disc, zero_cost, traj, grid)
-    assert np.all(ao.adjoint_node_view(disc, adj0) == 0.0)
-    assert np.all(adj0.lam == 0.0)
+    lam0 = ao.solve_adjoint(disc, zero_cost, traj, grid)
+    assert np.all(ao.adjoint_node_view(disc, lam0, grid) == 0.0)
+    assert np.all(lam0 == 0.0)
 
 
 def test_gradient_matches_fd_beam():
@@ -165,9 +166,9 @@ def test_residual_definitions_agree_with_gradient(beam_small):
     u = 0.2 * np.sin(grid.times)
     r = np.array([0.42])
     traj = ao.solve_forward(disc, x0, u, r, grid)
-    adj = ao.solve_adjoint(disc, cost, traj, grid)
-    rep = ao.gradients_from_adjoint(disc, cost, u, r, adj)
-    res = ao.optimality_residual(disc, cost, u, r, adj)
+    lam = ao.solve_adjoint(disc, cost, traj, grid)
+    rep = ao.gradients_from_adjoint(disc, cost, u, r, lam, grid)
+    res = ao.optimality_residual(disc, cost, u, r, lam, grid)
     grad_u, grad_r = rep
     expect_u = np.sqrt(grid.theta @ (grad_u / (2.0 * cost.r_weight)) ** 2)
     assert abs(res.res_u - expect_u) < 1e-12 * max(1.0, expect_u)
@@ -194,9 +195,9 @@ def test_gradient_equals_its_sweeps_composed(beam_small):
     u = 0.1 * np.cos(grid.times)
     r = np.array([0.55])
     traj = ao.solve_forward(disc, x0, u, r, grid)
-    adj = ao.solve_adjoint(disc, cost, traj, grid)
+    lam = ao.solve_adjoint(disc, cost, traj, grid)
     a = ao.gradient(disc, cost, x0, u, r, grid)
-    grad_u, grad_r = ao.gradients_from_adjoint(disc, cost, u, r, adj)
+    grad_u, grad_r = ao.gradients_from_adjoint(disc, cost, u, r, lam, grid)
     np.testing.assert_array_equal(a.grad_u, grad_u)
     np.testing.assert_array_equal(a.grad_r, grad_r)
     assert a.j == ao.cost_eval(disc, cost, traj, u, grid)
@@ -221,14 +222,14 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     block = ao.solve_forward(disc, x0, us, rs, grid)
     singles = [ao.solve_forward(disc, x0, u, r, grid) for u, r in zip(us, rs)]
     assert np.array_equal(block, np.stack(singles))
-    adjs = ao.solve_adjoint(disc, cost, block, grid)
-    assert len(adjs) == k
-    for adj, traj in zip(adjs, singles):
-        assert np.array_equal(adj.lam, ao.solve_adjoint(disc, cost, traj, grid).lam)
+    lams = ao.solve_adjoint(disc, cost, block, grid)
+    assert lams.shape == block.shape
+    for lam, traj in zip(lams, singles):
+        assert np.array_equal(lam, ao.solve_adjoint(disc, cost, traj, grid))
     # written over the trajectories, the multipliers come out the same
     over = ao.solve_adjoint(disc, cost, block, grid, overwrite_traj=True)
-    assert np.array_equal(block, np.stack([adj.lam for adj in adjs]))
-    assert all(adj.lam.base is block for adj in over)
+    assert np.array_equal(block, lams)
+    assert over.shape == block.shape and over.base is block
     # K directions along one base trajectory: tangent and duality sweeps
     base, r = singles[0], rs[0]
     x_hats = rng.standard_normal((k,) + base.shape)
@@ -282,7 +283,7 @@ def test_chunked_temporaries_leave_cost_and_multipliers_unchanged(maker,
     for chunk_bytes in (1, 7 * block[0, 0].nbytes, 2**40):
         monkeypatch.setattr(core_system, "CHUNK_BYTES", chunk_bytes)
         js = [ao.cost_eval(disc, cost, traj, u, grid) for traj, u in zip(block, us)]
-        lams = [adj.lam for adj in ao.solve_adjoint(disc, cost, block, grid)]
-        lams.append(ao.solve_adjoint(disc, cost, block[0], grid).lam)
+        lams = list(ao.solve_adjoint(disc, cost, block, grid))
+        lams.append(ao.solve_adjoint(disc, cost, block[0], grid))
         results.append((js, np.stack(lams).tobytes()))
     assert results[1:] == results[:1] * 2

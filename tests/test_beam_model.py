@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import actuopt as ao
-from actuopt.beam_model import (
-    _matrices,
-    beam_adjoint_h,
-    beam_b,
-    beam_b_r,
-)
+from actuopt.beam_model import _matrices
 
 
 @pytest.mark.parametrize("kw", [
@@ -44,23 +39,24 @@ def test_fourth_difference_equals_reflected_pentadiagonal():
 
 def test_influence_shape_support_and_mass():
     params = ao.BeamParams(n_cells=128)
-    act = ao.BeamActuator(r=0.37, width=0.05)
-    b = beam_b(params, act)
+    r, width = 0.37, 0.05
+    disc = ao.assemble_beam(params, width)
+    b = params.rho_a * disc.b_of_r(np.array([r]))[disc.n_space:]
     nodes = params.nodes
     assert np.all(b >= 0.0)
-    assert np.all(b[np.abs(nodes - act.r) >= act.width] == 0.0)
+    assert np.all(b[np.abs(nodes - r) >= width] == 0.0)
     # unit mass up to quadrature error
     assert abs(np.sum(b) * params.dx - 1.0) < 5e-3
 
 
 def test_influence_derivative_matches_fd():
-    params = ao.BeamParams(n_cells=64)
+    disc = ao.assemble_beam(ao.BeamParams(n_cells=64))
     r0 = 0.31  # support edges off the grid nodes, keeps J(r) smooth here
     eps = 1e-7
-    bp = beam_b(params, ao.BeamActuator(r=r0 + eps))
-    bm = beam_b(params, ao.BeamActuator(r=r0 - eps))
+    bp = disc.b_of_r(np.array([r0 + eps]))
+    bm = disc.b_of_r(np.array([r0 - eps]))
     fd = (bp - bm) / (2.0 * eps)
-    der = beam_b_r(params, ao.BeamActuator(r=r0))
+    der = disc.b_jac_of_r(np.array([r0]))[:, 0]
     np.testing.assert_allclose(der, fd, atol=1e-5 * np.max(np.abs(der)))
 
 
@@ -175,10 +171,11 @@ def test_influence_wiring_into_state_space(beam_small):
     r = np.array([0.4])
     vec = disc.b_of_r(r)
     assert np.all(vec[:m] == 0.0)
-    np.testing.assert_allclose(
-        vec[m:], beam_b(params, ao.BeamActuator(r=0.4, width=disc.act_width))
-        / params.rho_a, rtol=1e-14,
-    )
+    # the raised cosine (1 + cos(pi z)) / (2 width), z = (xi - r) / width
+    z = (params.nodes - 0.4) / disc.act_width
+    bump = np.where(np.abs(z) < 1.0, (1.0 + np.cos(np.pi * z)) / (2.0 * disc.act_width),
+                    0.0)
+    np.testing.assert_allclose(vec[m:], bump / params.rho_a, rtol=1e-14)
 
 
 def test_adjoint_solve_helper_identity():
@@ -188,7 +185,7 @@ def test_adjoint_solve_helper_identity():
     m = params.n_cells - 1
     w_o = rng.standard_normal(m)
     g = rng.standard_normal(m)
-    h = beam_adjoint_h(params, w_o, g)
+    h = ao.assemble_beam(params).fstar_h(w_o, g)
     lhs = mats["stiff"] @ h
     rhs = -3.0 * params.alpha * w_o**2 * g
     np.testing.assert_allclose(lhs, rhs, atol=1e-8 * max(1.0, np.max(np.abs(rhs))))

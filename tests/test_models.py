@@ -135,6 +135,33 @@ def test_discretization_pickles_as_its_recipe(name):
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf")])
+def test_actuator_width_is_checked_at_construction(name, width):
+    cls = MODELS[name]
+    with pytest.raises(ValueError, match="actuator width must be positive"):
+        cls.assemble(cls.params_cls(), width)
+
+
+def test_beam_actuator_center_must_be_finite():
+    disc = actuopt.assemble_beam(actuopt.BeamParams(n_cells=8))
+    with pytest.raises(ValueError, match="center must be finite"):
+        disc.b_of_r(np.array([float("nan")]))
+
+
+def test_package_exports_exactly_what_it_imports():
+    with open(actuopt.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(actuopt.__all__) == sorted(imported)
+    assert len(set(actuopt.__all__)) == len(actuopt.__all__)
+    namespace = {}
+    exec("from actuopt import *", namespace)
+    for name in actuopt.__all__:
+        assert namespace[name] is getattr(actuopt, name)
+
+
 FNL_CASES = {name: minimal(name) for name in NAMES}
 FNL_CASES.update({
     f"wave-{fam}": minimal("wave") + f"[wave]\nnonlinearity = {fam}\n"

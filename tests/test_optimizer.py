@@ -91,9 +91,9 @@ def test_optimize_descends_monotone_and_feasible():
         assert row["u_norm"] <= spec.r_ad + 1e-12
         assert spec.r_box[0, 0] <= row["r1"] <= spec.r_box[0, 1]
     # converged point satisfies the stationarity system to tolerance
-    adj = ao.solve_adjoint(disc, cost,
+    lam = ao.solve_adjoint(disc, cost,
                            ao.solve_forward(disc, x0, run.u, run.r, grid), grid)
-    res = ao.optimality_residual(disc, cost, run.u, run.r, adj, spec=spec)
+    res = ao.optimality_residual(disc, cost, run.u, run.r, lam, grid, spec=spec)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     assert res.pg_res_u <= LOOSE.tol_grad * max(1.0, u_norm)
 

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 import actuopt as ao
-from actuopt.wave_model import (
-    _assembly,
-    wave_actuator_grad,
-    wave_adjoint_h,
-)
+from actuopt.wave_model import _assembly
 
 
 @pytest.mark.parametrize("kw", [
@@ -22,22 +18,34 @@ def test_params_validation(kw):
         ao.WaveParams(**kw)
 
 
+def _f_and_fprime(nonlinearity, kg_exponent=2):
+    """F(z) and F'(z) of a wave model at the position values z."""
+    disc = ao.assemble_wave(ao.WaveParams(nx=8, ny=8, nonlinearity=nonlinearity,
+                                          kg_exponent=kg_exponent))
+    m = disc.n_space
+    z = np.resize([-1.3, -0.2, 0.0, 0.7, 2.1], m)
+    x = np.concatenate([z, np.full(m, 5.0)])  # F reads only the positions
+    f = disc.fnl(x)
+    assert np.all(f[:m] == 0.0)
+    return z, f[m:], disc.fnl_diag(x)
+
+
 def test_nonlinearity_families_pointwise():
-    z = np.array([-1.3, -0.2, 0.0, 0.7, 2.1])
-    none = ao.nonlinearity_f("none")
-    assert np.all(none.f(z) == 0.0) and np.all(none.fprime(z) == 0.0)
-    sg = ao.nonlinearity_f("sine_gordon")
-    np.testing.assert_allclose(sg.f(z), np.sin(z))
-    np.testing.assert_allclose(sg.fprime(z), np.cos(z))
-    kg = ao.nonlinearity_f("klein_gordon", 2)
-    np.testing.assert_allclose(kg.f(z), z**3)
-    np.testing.assert_allclose(kg.fprime(z), 3.0 * z**2)
-    kg3 = ao.nonlinearity_f("klein_gordon", 3)
-    np.testing.assert_allclose(kg3.f(z), np.abs(z) ** 3 * z)
+    z, f, fprime = _f_and_fprime("none")
+    assert np.all(f == 0.0) and np.all(fprime == 0.0)
+    z, f, fprime = _f_and_fprime("sine_gordon")
+    np.testing.assert_allclose(f, np.sin(z))
+    np.testing.assert_allclose(fprime, np.cos(z))
+    z, f, fprime = _f_and_fprime("klein_gordon", 2)
+    np.testing.assert_allclose(f, z**3)
+    np.testing.assert_allclose(fprime, 3.0 * z**2)
+    z, f, fprime = _f_and_fprime("klein_gordon", 3)
+    np.testing.assert_allclose(f, np.abs(z) ** 3 * z)
+    np.testing.assert_allclose(fprime, 4.0 * np.abs(z) ** 3)
     with pytest.raises(ValueError):
-        ao.nonlinearity_f("klein_gordon", 0)
+        ao.WaveParams(nonlinearity="klein_gordon", kg_exponent=0)
     with pytest.raises(ValueError):
-        ao.nonlinearity_f("quartic")
+        ao.WaveParams(nonlinearity="quartic")
 
 
 def _laplacian_residual(params, exact, lam):
@@ -113,8 +121,8 @@ def test_actuator_mass_near_one_and_refining():
     def mass(n):
         params = ao.WaveParams(nx=n, ny=n, nonlinearity="none")
         asm = _assembly(params)
-        act = ao.WaveActuator(0.5, 0.5, width=0.2)
-        r_free = ao.wave_actuator(params, act)
+        disc = ao.assemble_wave(params, 0.2)
+        r_free = disc.b_of_r(np.array([0.5, 0.5]))[disc.n_space:]
         return abs(np.sum(r_free * asm["mv_free"]) - 1.0)
 
     e1, e2 = mass(32), mass(64)
@@ -125,34 +133,33 @@ def test_actuator_mass_near_one_and_refining():
 def test_actuator_support_and_sign():
     params = ao.WaveParams(nx=20, ny=20)
     asm = _assembly(params)
-    act = ao.WaveActuator(0.45, 0.6, width=0.15)
-    r_free = ao.wave_actuator(params, act)
+    c1, c2, width = 0.45, 0.6, 0.15
+    disc = ao.assemble_wave(params, width)
+    vec = disc.b_of_r(np.array([c1, c2]))
+    assert np.all(vec[:disc.n_space] == 0.0)
+    r_free = vec[disc.n_space:]
     idx = asm["free_idx"]
-    rho = np.hypot(asm["xcoord"][idx] - act.c1, asm["ycoord"][idx] - act.c2)
+    rho = np.hypot(asm["xcoord"][idx] - c1, asm["ycoord"][idx] - c2)
     assert np.all(r_free >= 0.0)
-    assert np.all(r_free[rho >= act.width] == 0.0)
+    assert np.all(r_free[rho >= width] == 0.0)
     assert r_free.max() > 0.0
 
 
 def test_actuator_outside_domain_raises():
-    params = ao.WaveParams(nx=12, ny=12)
+    disc = ao.assemble_wave(ao.WaveParams(nx=12, ny=12), 0.1)
     with pytest.raises(ValueError, match="project the center"):
-        ao.wave_actuator(params, ao.WaveActuator(0.05, 0.5, width=0.1))
+        disc.b_of_r(np.array([0.05, 0.5]))
 
 
 def test_actuator_center_gradient_matches_fd():
-    params = ao.WaveParams(nx=24, ny=24)
-    act = ao.WaveActuator(0.416, 0.53, width=0.18)
-    g1, g2 = wave_actuator_grad(params, act)
+    disc = ao.assemble_wave(ao.WaveParams(nx=24, ny=24), 0.18)
+    c1, c2 = 0.416, 0.53
+    g1, g2 = disc.b_jac_of_r(np.array([c1, c2])).T
     eps = 1e-6
-    fd1 = (
-        ao.wave_actuator(params, ao.WaveActuator(act.c1 + eps, act.c2, act.width))
-        - ao.wave_actuator(params, ao.WaveActuator(act.c1 - eps, act.c2, act.width))
-    ) / (2.0 * eps)
-    fd2 = (
-        ao.wave_actuator(params, ao.WaveActuator(act.c1, act.c2 + eps, act.width))
-        - ao.wave_actuator(params, ao.WaveActuator(act.c1, act.c2 - eps, act.width))
-    ) / (2.0 * eps)
+    fd1 = (disc.b_of_r(np.array([c1 + eps, c2]))
+           - disc.b_of_r(np.array([c1 - eps, c2]))) / (2.0 * eps)
+    fd2 = (disc.b_of_r(np.array([c1, c2 + eps]))
+           - disc.b_of_r(np.array([c1, c2 - eps]))) / (2.0 * eps)
     scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)), 1.0)
     assert np.max(np.abs(g1 - fd1)) < 1e-4 * scale
     assert np.max(np.abs(g2 - fd2)) < 1e-4 * scale
@@ -184,7 +191,7 @@ def test_adjoint_solve_helper_identity():
     rng = np.random.default_rng(13)
     w_o = rng.standard_normal(m)
     g = rng.standard_normal(m)
-    h = wave_adjoint_h(params, w_o, g)
+    h = ao.assemble_wave(params).fstar_h(w_o, g)
     lhs = asm["l_mat"] @ h
     rhs = asm["mv_free"] * (np.cos(w_o) * g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.max(np.abs(rhs))))
