@@ -22,6 +22,7 @@ exists only for the comparison with the continuous-adjoint oracle.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -34,14 +35,13 @@ from .core_system import (_check_block, _pairings, chunk_rows, cost_eval,
 FD_EPS = (1e-2, 1e-3, 1e-4)
 
 
-def _bstar_series(lam, vec, grid):
+def _bstar_series(z, grid):
     """Riesz representative (w.r.t. the trapezoid L^2 inner product) of
-    u -> sum_n lam_{n+1} . (dt * u_mid(n) * vec), for the multipliers lam
-    of one sweep.
+    u -> sum_n z_{n+1} * dt * u_mid(n), for the pairings z_m = lam_m . vec
+    of the multipliers of one sweep with a vector vec (z_0 = 0).
 
     For vec = b(r) this is the discrete realization of t -> B*(r) p(t).
     """
-    z = lam @ np.asarray(vec, dtype=float)
     z_next = np.empty_like(z)
     z_next[:-1] = z[1:]
     z_next[-1] = 0.0
@@ -126,36 +126,44 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     return xt[0] if one else xt
 
 
-def _transpose_sweep(disc, mat, y, x_traj, grid, lam):
+def _row_chunks(grid, n_cols, n_dof):
+    """(lo, hi) ranges that cover steps 1..n_steps in time order, in
+    chunks of the rows of a stack of n_cols float trajectories that
+    chunk_rows allows (the last chunk shorter)."""
+    chunk = chunk_rows(n_cols * n_dof * 8)
+    return [(lo, min(lo + chunk, grid.n_steps + 1))
+            for lo in range(1, grid.n_steps + 1, chunk)]
+
+
+def _transpose_sweep(disc, mat, y, x_traj, grid):
     """Exact transpose of the linearized sweep along x_traj, for K columns
     at once, against the Euclidean sources theta_m * mat @ y_m that pair
     with x~_m, m = n_steps, ..., 1, in K output functionals.
 
-    y is a stack (K, n_steps+1, n_dof); x_traj, for F'(x), a stack of one
-    trajectory that all K columns share, or of K. Both are read a chunk of
-    steps at a time, so no trajectory-sized temporary is made. The
-    multipliers go into the caller's stack lam, shaped like y, row 0 zero;
-    row m is written after its chunk is read, so lam may be y or x_traj.
+    Yields the multipliers lam_m as (n_dof, K) blocks, m = n_steps, ...,
+    1 (lam_0 is zero). The caller must not modify a yielded block. y is a
+    stack (K, n_steps+1, n_dof), read only as y[:, lo:hi] over the ranges
+    of _row_chunks; x_traj, for F'(x), a stack of one trajectory that all
+    K columns share, or of K. Each chunk of rows is read before the first
+    multiplier of the chunk is yielded, so the caller may write lam_m over
+    row m of y or x_traj.
     """
     dt = grid.dt
     step = disc.step_factors(dt)
     ms = disc.n_space
     theta = grid.theta
-    rows = lam.transpose(1, 2, 0)  # time first, one column per functional
-    nxt = nxt2 = np.zeros(rows.shape[1:])  # lam_{m+1}, lam_{m+2}
-    chunk = chunk_rows(y[:, 0].nbytes)
-    for hi in range(grid.n_steps, 0, -chunk):
-        lo = max(1, hi + 1 - chunk)
-        dvecs = disc.fnl_diag(x_traj[:, lo:hi + 1]).transpose(1, 2, 0)
-        # one product for the chunk; column k * (hi + 1 - lo) + m - lo is y_m of k
-        srcs = mat @ y[:, lo:hi + 1].reshape(-1, y.shape[2]).T
-        srcs = srcs.reshape(len(srcs), len(y), -1)
-        for m in range(hi, lo - 1, -1):
+    n_func, _, n_dof = y.shape
+    nxt = nxt2 = np.zeros((n_dof, n_func))  # lam_{m+1}, lam_{m+2}
+    for lo, hi in reversed(_row_chunks(grid, n_func, n_dof)):
+        dvecs = disc.fnl_diag(x_traj[:, lo:hi]).transpose(1, 2, 0)
+        # one product for the chunk; column k * (hi - lo) + m - lo is y_m of k
+        srcs = mat @ y[:, lo:hi].reshape(-1, n_dof).T
+        srcs = srcs.reshape(n_dof, n_func, -1)
+        for m in range(hi - 1, lo - 1, -1):
             src = theta[m] * srcs[:, :, m - lo]
             src[:ms] += dt * dvecs[m - lo] * (1.5 * nxt[ms:] - 0.5 * nxt2[ms:])
             nxt2, nxt = nxt, step.advance_T(nxt, src)
-            rows[m] = nxt
-    rows[0] = 0.0
+            yield nxt
 
 
 def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
@@ -168,13 +176,19 @@ def solve_adjoint(disc, cost, x_traj, grid, overwrite_traj=False):
     equation defining x_j, and lam[0] is zero. One trajectory
     (n_steps+1, n_dof) gives one such array; a stack of K runs as the
     columns of one sweep and gives a (K, n_steps+1, n_dof) stack, row k bit
-    for bit its own sweep's. overwrite_traj writes the multipliers over
-    x_traj and returns them in its memory.
+    for bit its own sweep's. The sweep yields the multipliers step by step
+    and each is stored as it comes; overwrite_traj stores them over
+    x_traj, row m once the sweep has read it, and returns them in its
+    memory.
     """
     one = np.ndim(x_traj) == 2
     x_traj = _check_traj(disc, x_traj, grid)
     lam = x_traj if overwrite_traj else np.empty_like(x_traj)
-    _transpose_sweep(disc, disc.cost_matrix(cost), x_traj, x_traj, grid, lam)
+    rows = lam.transpose(1, 2, 0)  # time first, one column per functional
+    sweep = _transpose_sweep(disc, disc.cost_matrix(cost), x_traj, x_traj, grid)
+    for m, lam_m in zip(range(grid.n_steps, 0, -1), sweep):
+        rows[m] = lam_m
+    rows[0] = 0.0
     return lam[0] if one else lam
 
 
@@ -194,36 +208,118 @@ def adjoint_node_view(disc, lam, grid):
     return p
 
 
+class ReplayedNormals:
+    """A (K, rows, cols) stack of standard normals that holds generator
+    states instead of numbers.
+
+    The rows of each element k split into segments; states[k][s] is the
+    generator state at the start of segment s, which begins at row
+    starts[s] (starts[0] = 0). A read x[:, lo:hi] redraws the segments
+    that meet rows lo..hi-1 of every k, each from its saved state, and
+    returns them as a new (K, hi - lo, cols) array: the numbers of drawing
+    each element whole from the same states, bit for bit. A read that
+    matches one segment draws nothing else. duality_probes builds one.
+    """
+
+    def __init__(self, states, starts, shape, bit_generator):
+        self.shape = tuple(shape)
+        self._states = states
+        self._starts = starts
+        self._ends = starts[1:] + [self.shape[1]]
+        self._rng = np.random.Generator(bit_generator)
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(part, slice) for part in key)
+                and key[0] == slice(None) and key[1].step in (None, 1)):
+            raise IndexError("a ReplayedNormals reads only x[:, lo:hi]")
+        lo, hi, _ = key[1].indices(self.shape[1])
+        out = np.empty((self.shape[0], max(hi - lo, 0), self.shape[2]))
+        for probe, states in zip(out, self._states):
+            seg, row = bisect.bisect_right(self._starts, lo) - 1, lo
+            while row < hi:
+                start, end = self._starts[seg], min(self._ends[seg], hi)
+                self._rng.bit_generator.state = states[seg]
+                if start == row:
+                    self._rng.standard_normal(out=probe[row - lo:end - lo])
+                else:  # a read from inside the segment draws its head too
+                    drawn = self._rng.standard_normal((end - start, self.shape[2]))
+                    probe[row - lo:end - lo] = drawn[row - start:]
+                seg, row = seg + 1, end
+        return out
+
+
+def duality_probes(rng, n_pairs, disc, grid):
+    """n_pairs random pairs (u~, x_hat) for duality_check, drawn from rng
+    pair by pair: u~_k, n_steps+1 standard normals, then x_hat_k,
+    (n_steps+1, n_dof) of them.
+
+    Returns u~ as a (K, n_steps+1) array and x_hat as a ReplayedNormals,
+    whose segments are the row chunks duality_check reads: no x_hat is
+    kept, each sweep redraws the rows it reads. Both hold the numbers of
+    drawing every pair into arrays, and rng ends where that would leave it.
+    """
+    n_rows = grid.n_steps + 1
+    starts = [0] + [lo for lo, _ in _row_chunks(grid, n_pairs, disc.n_dof)]
+    sizes = np.diff(starts + [n_rows])
+    buf = np.empty((sizes.max(), disc.n_dof))
+    u_tilde = np.empty((n_pairs, n_rows))
+    states = []
+    for u_k in u_tilde:
+        rng.standard_normal(out=u_k)
+        states.append([])
+        for size in sizes:  # draw x_hat_k only to step rng over it
+            states[-1].append(rng.bit_generator.state)
+            rng.standard_normal(out=buf[:size])
+    x_hat = ReplayedNormals(states, starts, (n_pairs, n_rows, disc.n_dof),
+                            type(rng.bit_generator)())
+    return u_tilde, x_hat
+
+
 def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     """Relative defect of <x_hat, S'_u u~>_{L^2(0,tau;X)} = <S'*_u x_hat, u~>.
 
     Computes the left side through the linearized forward sweep and the
     right side through the transposed sweep, both against the trapezoid
-    pairings. Returns |lhs - rhs| / max(|lhs|, |rhs|) (0 when both vanish).
-    K pairs, u_tilde (K, n_steps+1) and x_hat (K, n_steps+1, n_dof), run as
-    the columns of one tangent sweep, which pairs each step with x_hat and
-    keeps no trajectory, and one transpose sweep; they return the K
-    defects, each bit for bit that of its pair alone. x_hat, when a float
-    array, is overwritten: the transpose sweep writes its multipliers over
-    the rows it has read.
+    pairings. Returns |lhs - rhs| / max(|lhs|, |rhs|) (0 when both vanish,
+    NaN when either is NaN). K pairs, u_tilde (K, n_steps+1) and x_hat
+    (K, n_steps+1, n_dof), run as the columns of one tangent sweep and one
+    transpose sweep and return the K defects, each bit for bit that of its
+    pair alone. Neither sweep keeps a trajectory: the tangent sweep pairs
+    each state with x_hat, and each multiplier of the transpose sweep is
+    paired with b(r) as it comes, so K numbers per step are kept. x_hat is
+    read only as x_hat[:, lo:hi], a chunk of rows at a time, and is left
+    unchanged; it may be an array or the ReplayedNormals of
+    duality_probes.
     """
     x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
-    x_hat = np.asarray(x_hat, dtype=float)
+    if not isinstance(x_hat, ReplayedNormals):
+        x_hat = np.asarray(x_hat, dtype=float)
     pairs = x_hat[None] if one else x_hat
-    if pairs.shape != (len(u_tilde),) + x_traj.shape[1:]:
+    n_pairs, n_dof = len(u_tilde), disc.n_dof
+    if pairs.shape != (n_pairs,) + x_traj.shape[1:]:
         raise ValueError(f"x_hat shape {x_hat.shape} does not match u_tilde "
                          f"{u_tilde.shape} and the trajectory")
     theta = grid.theta
-    lhs = np.zeros((len(u_tilde), grid.n_steps + 1))  # x~_0 = 0 pairs to 0
-    for i, xt in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
-        lhs[:, i] = _pairings(pairs[:, i].T, disc.gram, xt)
-    _transpose_sweep(disc, disc.gram, pairs, x_traj, grid, pairs)
+    buf = np.empty((n_dof, n_pairs + 1))
+    lhs = np.zeros((n_pairs, grid.n_steps + 1))  # x~_0 = 0 pairs to 0
+    states = _linearized_states(disc, x_traj, u_tilde, b_col, grid)
+    for lo, hi in _row_chunks(grid, n_pairs, n_dof):
+        rows = pairs[:, lo:hi]
+        for i, xt in zip(range(lo, hi), states):
+            lhs[:, i] = _pairings(rows[:, i - lo].T, disc.gram, xt, buf)
+    b_cols = np.broadcast_to(b_col, (n_dof, n_pairs))
+    z = np.zeros((n_pairs, grid.n_steps + 1))  # lam_m . b(r); lam_0 = 0
+    sweep = _transpose_sweep(disc, disc.gram, pairs, x_traj, grid)
+    for m, lam_m in zip(range(grid.n_steps, 0, -1), sweep):
+        z[:, m] = _pairings(lam_m, None, b_cols, buf)
     defects = []
-    for pairing, lam, u_k in zip(lhs, pairs, u_tilde):
+    for pairing, z_k, u_k in zip(lhs, z, u_tilde):
         left = float(theta @ pairing)
-        right = float(theta @ (_bstar_series(lam, b_col[:, 0], grid) * u_k))
-        scale = max(abs(left), abs(right))
-        defects.append(abs(left - right) / scale if scale else 0.0)
+        right = float(theta @ (_bstar_series(z_k, grid) * u_k))
+        diff = abs(left - right)
+        scale = max(abs(left), abs(right))  # may drop a NaN; diff keeps it
+        defects.append(diff / scale if scale else diff)
     return defects[0] if one else np.array(defects)
 
 
@@ -233,7 +329,7 @@ def gradients_from_adjoint(disc, cost, u, r, lam, grid):
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     b_vec = disc.b_of_r(r_arr)
-    grad_u = 2.0 * (cost.r_weight * u + _bstar_series(lam, b_vec, grid))
+    grad_u = 2.0 * (cost.r_weight * u + _bstar_series(lam @ b_vec, grid))
     b_jac = disc.b_jac_of_r(r_arr)
     u_mid = 0.5 * (u[:-1] + u[1:])
     grad_r = 2.0 * grid.dt * (u_mid @ (lam[1:] @ b_jac))
@@ -318,8 +414,9 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     theta = grid.theta
-    lam = solve_adjoint(disc, cost, x_traj, grid)
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)
+    # the multipliers are freed before the batched sweep below
+    grad_u, grad_r = gradients_from_adjoint(
+        disc, cost, u, r_arr, solve_adjoint(disc, cost, x_traj, grid), grid)
     j_base = cost_eval(disc, cost, x_traj, u, grid)
     bias = 1.001 if corrupt else 1.0
 

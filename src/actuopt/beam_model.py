@@ -70,7 +70,7 @@ class BeamParams:
 
 @functools.lru_cache(maxsize=32)
 def _matrices(params: BeamParams):
-    """Cached difference operators and factorizations for one parameter set."""
+    """Cached difference operators for one parameter set."""
     m = params.n_cells - 1
     dx = params.dx
     d2 = sp.diags(
@@ -87,8 +87,14 @@ def _matrices(params: BeamParams):
         "d4": d4,
         "stiff": stiff,
         "damp": damp,
-        "stiff_lu": spla.splu(stiff.tocsc()),
     }
+
+
+@functools.lru_cache(maxsize=32)
+def _stiffness_lu(params: BeamParams):
+    # only the oracle's adjoint solve and the Green's check solve with the
+    # stiffness, so it is factorised on first use, not with every assembly
+    return spla.splu(_matrices(params)["stiff"].tocsc())
 
 
 def greens_eval(params, xi, eta):
@@ -129,7 +135,7 @@ def greens_apply(params, f):
 
 def stiffness_solve(params, f):
     """Solve (EI D4 + k I) w = f on the interior nodes (simply supported)."""
-    return _matrices(params)["stiff_lu"].solve(np.asarray(f, dtype=float))
+    return _stiffness_lu(params).solve(np.asarray(f, dtype=float))
 
 
 def _cost_matrix(params, q1, q2):

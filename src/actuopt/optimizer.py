@@ -164,7 +164,7 @@ def optimality_residual(disc, cost, u, r, lam, grid, spec=None):
     """
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    bstar = _bstar_series(lam, disc.b_of_r(r_arr), grid)
+    bstar = _bstar_series(lam @ disc.b_of_r(r_arr), grid)
     viol = u + bstar / cost.r_weight
     res_u = math.sqrt(float(grid.theta @ viol**2))
     grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)

@@ -162,9 +162,15 @@ def _assembly(params: WaveParams):
         "free_idx": free_idx,
         "stiffness": stiffness,
         "l_mat": l_mat,
-        "l_lu": spla.splu(l_mat.tocsc()),
         "mv_free": mv_full[free_idx],
     }
+
+
+@functools.lru_cache(maxsize=16)
+def _laplacian_lu(params: WaveParams):
+    # only fstar_h (the continuous-adjoint oracle) solves with L, so it is
+    # factorised on first use, not with every assembly
+    return spla.splu(_assembly(params)["l_mat"].tocsc())
 
 
 class WaveDiscretization(Discretization):
@@ -198,7 +204,6 @@ class WaveDiscretization(Discretization):
         self.n_nodes = asm["n_nodes"]
         self._stiffness = asm["stiffness"]
         self._mv = mv
-        self._l_lu = asm["l_lu"]
         self._kg = int(params.kg_exponent)
 
     @staticmethod
@@ -276,7 +281,7 @@ class WaveDiscretization(Discretization):
         Gamma1, discretely L h = Mv F'(w) g on the free nodes."""
         w_o = np.asarray(w_field, dtype=float)
         g = np.asarray(g, dtype=float)
-        return self._l_lu.solve(self._mv * (self.fnl_diag(w_o) * g))
+        return _laplacian_lu(self.params).solve(self._mv * (self.fnl_diag(w_o) * g))
 
     def cost_matrix_fn(self, cost):
         n_nodes = self.n_nodes

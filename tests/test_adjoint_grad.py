@@ -232,33 +232,73 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     assert over.shape == block.shape and over.base is block
     # K directions along one base trajectory: tangent and duality sweeps
     base, r = singles[0], rs[0]
-    x_hats = rng.standard_normal((k,) + base.shape)
     lin = ao.solve_linearized(disc, base, us, r, grid)
     assert lin.shape == (k,) + base.shape
     for u, z in zip(us, lin):
         assert np.array_equal(z, ao.solve_linearized(disc, base, u, r, grid))
-    alone = [ao.duality_check(disc, base, r, u, x_hat.copy(), grid)
-             for u, x_hat in zip(us, x_hats)]
-    together = ao.duality_check(disc, base, r, us, x_hats, grid)
-    assert together.shape == (k,)
-    assert all(a == b for a, b in zip(alone, together))
+    # K duality pairs drawn pair by pair (u~, then x_hat) into arrays, and
+    # the same pairs replayed from generator states by duality_probes
+    draw = np.random.default_rng(k)
+    pairs = [(draw.standard_normal(grid.n_steps + 1), draw.standard_normal(base.shape))
+             for _ in range(k)]
+    u_tildes, replayed = ao.duality_probes(np.random.default_rng(k), k, disc, grid)
+    assert np.array_equal(u_tildes, [u for u, _ in pairs])
+    x_hats = np.stack([x_hat for _, x_hat in pairs])
+    alone = [ao.duality_check(disc, base, r, u, x_hat, grid) for u, x_hat in pairs]
+    together = ao.duality_check(disc, base, r, u_tildes, x_hats, grid)
+    from_replay = ao.duality_check(disc, base, r, u_tildes, replayed, grid)
+    assert together.shape == from_replay.shape == (k,)
+    assert all(a == b == c for a, b, c in zip(alone, together, from_replay))
     assert all(a <= 1e-10 for a in alone)
 
 
-@pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
-def test_batched_duality_keeps_no_trajectory(maker, kw):
-    # the tangent sweep pairs each step as it goes and the transpose sweep
-    # writes its multipliers over x_hat, so 5 pairs take less extra memory
-    # than one trajectory. The per-step (n_dof, 5) blocks and the chunks of
-    # sources and F'(x) (about CHUNK_BYTES) are small next to 400 steps
+def test_replayed_normals_read_any_rows_as_one_draw():
+    # the probes hold the numbers of drawing each pair whole, whichever
+    # row ranges are read, and leave the generator where the draws would
+    _, disc, grid, _, _ = make_beam(n_cells=64, n_steps=60)
+    rng = np.random.default_rng(7)
+    u_tilde, x_hat = ao.duality_probes(rng, 3, disc, grid)
+    draw = np.random.default_rng(7)
+    whole = []
+    for u in u_tilde:
+        assert np.array_equal(u, draw.standard_normal(grid.n_steps + 1))
+        whole.append(draw.standard_normal((grid.n_steps + 1, disc.n_dof)))
+    assert rng.bit_generator.state == draw.bit_generator.state
+    assert x_hat.shape == (3, grid.n_steps + 1, disc.n_dof)
+    for rows in (slice(None), slice(0, 1), slice(1, 14), slice(5, 40),
+                 slice(13, 61), slice(60, 61), slice(7, 7)):
+        assert np.array_equal(x_hat[:, rows], np.stack(whole)[:, rows])
+    with pytest.raises(IndexError):
+        x_hat[0]
+
+
+def test_duality_check_leaves_x_hat_unchanged(beam_small):
+    _, disc, grid, _, x0 = beam_small
+    rng = np.random.default_rng(5)
+    r = np.array([0.5])
+    base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
+    u_tilde = rng.standard_normal((3, grid.n_steps + 1))
+    x_hat = rng.standard_normal((3,) + base.shape)
+    before = x_hat.copy()
+    ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
+    ao.duality_check(disc, base, r, u_tilde[0], x_hat[0], grid)
+    assert np.array_equal(x_hat, before)
+
+
+def _duality_peak(maker, kw, replay, n_steps=400):
+    """(tracemalloc peak of a 5-pair duality_check, bytes of one
+    trajectory), the pairs as arrays or replayed by duality_probes."""
     import tracemalloc
 
-    _, disc, grid, _, x0 = maker(n_steps=400, **kw)
+    _, disc, grid, _, x0 = maker(n_steps=n_steps, **kw)
     rng = np.random.default_rng(0)
     r = np.full(disc.r_dim, 0.5)
     base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
-    u_tilde = rng.standard_normal((5, grid.n_steps + 1))
-    x_hat = rng.standard_normal((5,) + base.shape)
+    if replay:
+        u_tilde, x_hat = ao.duality_probes(rng, 5, disc, grid)
+    else:
+        u_tilde = rng.standard_normal((5, grid.n_steps + 1))
+        x_hat = rng.standard_normal((5,) + base.shape)
     tracemalloc.start()
     try:
         defects = ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
@@ -266,7 +306,30 @@ def test_batched_duality_keeps_no_trajectory(maker, kw):
     finally:
         tracemalloc.stop()
     assert defects.shape == (5,)
-    assert peak < x_hat[0].nbytes
+    return peak, base.nbytes
+
+
+@pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
+def test_batched_duality_keeps_no_trajectory(maker, kw):
+    # the tangent sweep pairs each step as it goes and each multiplier of
+    # the transpose sweep is paired with b(r) as it comes, so 5 pairs take
+    # less extra memory than one trajectory. The per-step (n_dof, 5) blocks
+    # and the chunks of sources and F'(x) (about CHUNK_BYTES) are small
+    # next to 400 steps
+    peak, traj_bytes = _duality_peak(maker, kw, replay=False)
+    assert peak < traj_bytes
+
+
+@pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
+def test_replayed_duality_keeps_no_probe(maker, kw):
+    # replayed probes add the chunk of x_hat rows a sweep reads. Beyond K
+    # numbers per step the extra memory is a fixed few CHUNK_BYTES: at 800
+    # steps it is well below one trajectory, and from 400 to 800 steps it
+    # grows by far less than a trajectory does
+    peak, traj_bytes = _duality_peak(maker, kw, replay=True, n_steps=800)
+    assert peak < traj_bytes
+    peak_400, traj_400 = _duality_peak(maker, kw, replay=True)
+    assert peak - peak_400 < (traj_bytes - traj_400) / 4
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])

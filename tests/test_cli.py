@@ -210,17 +210,60 @@ def test_gradcheck_integrates_its_base_trajectory_once(tmp_path, monkeypatch):
     assert calls["duality_check"][0][3].shape[0] == 5  # u_tilde: 5 pairs
 
 
+# off-center actuator: at the symmetric center the design gradient
+# vanishes and a relative FD comparison would be pure noise
+GRADCHECK_WAVE = (TINY_WAVE
+                  + "[actuator]\nwidth = 0.25\nr_init = 0.45, 0.55\n"
+                  + "[gradcheck]\nn_directions = 3\n")
+
+
 def test_gradcheck_wave_passes(tmp_path):
-    # off-center actuator: at the symmetric center the design gradient
-    # vanishes and a relative FD comparison would be pure noise
-    text = (TINY_WAVE
-            + "[actuator]\nwidth = 0.25\nr_init = 0.45, 0.55\n"
-            + "[gradcheck]\nn_directions = 3\n")
-    code, out = run_cli(tmp_path, text, "gradcheck")
+    code, out = run_cli(tmp_path, GRADCHECK_WAVE, "gradcheck")
     assert code == 0
     with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     assert report["pass"] is True
+
+
+@pytest.mark.parametrize("text", [GRADCHECK_BEAM, GRADCHECK_WAVE],
+                         ids=["beam", "wave"])
+def test_gradcheck_duality_rel_is_the_check_of_its_pairs(tmp_path, text):
+    # the 5 pairs drawn into arrays pair by pair from the seed, u~ then
+    # x_hat, give the duality_rel that gradcheck reports from its replay
+    code, out = run_cli(tmp_path, text, "gradcheck")
+    assert code == 0
+    with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    cfg = parse_config_text(text)
+    prob = actuopt.build_problem(cfg)
+    disc, grid, r = prob["disc"], prob["grid"], prob["r_init"]
+    u = np.sin(2.0 * np.pi * grid.times / grid.t_final)  # u0 is zero
+    assert not np.any(prob["u0"])
+    x_traj = actuopt.solve_forward(disc, prob["x0"], u, r, grid)
+    rng = np.random.default_rng(cfg.seed)
+    u_tilde, x_hat = np.empty((5, u.size)), np.empty((5,) + x_traj.shape)
+    for k in range(5):
+        rng.standard_normal(out=u_tilde[k])
+        rng.standard_normal(out=x_hat[k])
+    defects = actuopt.duality_check(disc, x_traj, r, u_tilde, x_hat, grid)
+    assert report["duality_rel"] == max(defects)
+
+
+def test_gradcheck_nan_duality_defect_fails(tmp_path, monkeypatch, capsys):
+    # a NaN defect among the 5 fails the duality check and is written as
+    # null, whatever the other defects are
+    import actuopt.cli as cli
+
+    monkeypatch.setattr(cli, "duality_check",
+                        lambda *args: np.array([np.nan, 1e-16, 0.0, 0.0, 0.0]))
+    code, out = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
+    assert code == 1
+    assert "duality" in capsys.readouterr().err
+    with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["duality_rel"] is None
+    assert report["failed_checks"] == ["duality"]
+    assert report["pass"] is False
 
 
 def test_gradcheck_blowup_reports_failure(tmp_path, capsys):
