@@ -22,7 +22,6 @@ exists only for the comparison with the continuous-adjoint oracle.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -210,42 +209,32 @@ def adjoint_node_view(disc, lam, grid):
 
 class ReplayedNormals:
     """A (K, rows, cols) stack of standard normals that holds generator
-    states instead of numbers.
+    states instead of numbers; duality_probes builds one.
 
-    The rows of each element k split into segments; states[k][s] is the
-    generator state at the start of segment s, which begins at row
-    starts[s] (starts[0] = 0). A read x[:, lo:hi] redraws the segments
-    that meet rows lo..hi-1 of every k, each from its saved state, and
-    returns them as a new (K, hi - lo, cols) array: the numbers of drawing
-    each element whole from the same states, bit for bit. A read that
-    matches one segment draws nothing else. duality_probes builds one.
+    states[(lo, hi)][k] is the generator state at the start of rows
+    lo..hi-1 of element k. A read x[:, lo:hi] of one of those row ranges
+    redraws them for every k from the saved states and returns a new
+    (K, hi - lo, cols) array, bit for bit the numbers of drawing each
+    element whole. Any other read raises IndexError.
     """
 
-    def __init__(self, states, starts, shape, bit_generator):
+    def __init__(self, states, shape, bit_generator):
         self.shape = tuple(shape)
         self._states = states
-        self._starts = starts
-        self._ends = starts[1:] + [self.shape[1]]
         self._rng = np.random.Generator(bit_generator)
 
     def __getitem__(self, key):
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(part, slice) for part in key)
-                and key[0] == slice(None) and key[1].step in (None, 1)):
-            raise IndexError("a ReplayedNormals reads only x[:, lo:hi]")
-        lo, hi, _ = key[1].indices(self.shape[1])
-        out = np.empty((self.shape[0], max(hi - lo, 0), self.shape[2]))
-        for probe, states in zip(out, self._states):
-            seg, row = bisect.bisect_right(self._starts, lo) - 1, lo
-            while row < hi:
-                start, end = self._starts[seg], min(self._ends[seg], hi)
-                self._rng.bit_generator.state = states[seg]
-                if start == row:
-                    self._rng.standard_normal(out=probe[row - lo:end - lo])
-                else:  # a read from inside the segment draws its head too
-                    drawn = self._rng.standard_normal((end - start, self.shape[2]))
-                    probe[row - lo:end - lo] = drawn[row - start:]
-                seg, row = seg + 1, end
+        whole, rows = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
+        plain = (isinstance(whole, slice) and whole == slice(None)
+                 and isinstance(rows, slice) and rows.step is None)
+        span = (rows.start, rows.stop) if plain else None
+        if span not in self._states:
+            raise IndexError("a ReplayedNormals reads only x[:, lo:hi] over "
+                             "the row ranges it was drawn in")
+        out = np.empty((self.shape[0], span[1] - span[0], self.shape[2]))
+        for probe, state in zip(out, self._states[span]):
+            self._rng.bit_generator.state = state
+            self._rng.standard_normal(out=probe)
         return out
 
 
@@ -254,24 +243,24 @@ def duality_probes(rng, n_pairs, disc, grid):
     pair by pair: u~_k, n_steps+1 standard normals, then x_hat_k,
     (n_steps+1, n_dof) of them.
 
-    Returns u~ as a (K, n_steps+1) array and x_hat as a ReplayedNormals,
-    whose segments are the row chunks duality_check reads: no x_hat is
-    kept, each sweep redraws the rows it reads. Both hold the numbers of
-    drawing every pair into arrays, and rng ends where that would leave it.
+    Returns u~ as a (K, n_steps+1) array and x_hat as a ReplayedNormals
+    over the row chunks duality_check reads: no x_hat is kept, each sweep
+    redraws the rows it reads. Both hold the numbers of drawing every pair
+    into arrays, and rng ends where that would leave it.
     """
     n_rows = grid.n_steps + 1
-    starts = [0] + [lo for lo, _ in _row_chunks(grid, n_pairs, disc.n_dof)]
-    sizes = np.diff(starts + [n_rows])
-    buf = np.empty((sizes.max(), disc.n_dof))
+    chunks = _row_chunks(grid, n_pairs, disc.n_dof)
+    buf = np.empty((max(hi - lo for lo, hi in chunks), disc.n_dof))
     u_tilde = np.empty((n_pairs, n_rows))
-    states = []
+    states = {span: [] for span in chunks}
     for u_k in u_tilde:
         rng.standard_normal(out=u_k)
-        states.append([])
-        for size in sizes:  # draw x_hat_k only to step rng over it
-            states[-1].append(rng.bit_generator.state)
-            rng.standard_normal(out=buf[:size])
-    x_hat = ReplayedNormals(states, starts, (n_pairs, n_rows, disc.n_dof),
+        # draw x_hat_k only to step rng over it; row 0 is never read
+        rng.standard_normal(out=buf[:1])
+        for (lo, hi), saved in states.items():
+            saved.append(rng.bit_generator.state)
+            rng.standard_normal(out=buf[:hi - lo])
+    x_hat = ReplayedNormals(states, (n_pairs, n_rows, disc.n_dof),
                             type(rng.bit_generator)())
     return u_tilde, x_hat
 
@@ -295,7 +284,12 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
     if not isinstance(x_hat, ReplayedNormals):
         x_hat = np.asarray(x_hat, dtype=float)
-    pairs = x_hat[None] if one else x_hat
+        pairs = x_hat[None] if one else x_hat
+    elif one:
+        raise ValueError("replayed x_hat needs u_tilde as a (K, n_steps+1) "
+                         "stack, one row per pair")
+    else:
+        pairs = x_hat
     n_pairs, n_dof = len(u_tilde), disc.n_dof
     if pairs.shape != (n_pairs,) + x_traj.shape[1:]:
         raise ValueError(f"x_hat shape {x_hat.shape} does not match u_tilde "
@@ -308,11 +302,13 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
         rows = pairs[:, lo:hi]
         for i, xt in zip(range(lo, hi), states):
             lhs[:, i] = _pairings(rows[:, i - lo].T, disc.gram, xt, buf)
-    b_cols = np.broadcast_to(b_col, (n_dof, n_pairs))
-    z = np.zeros((n_pairs, grid.n_steps + 1))  # lam_m . b(r); lam_0 = 0
+    # lam_m . b(r) summed as _pairings sums: b(r) in K columns of buf
+    b_cols = buf[:, :n_pairs]
+    b_cols[...] = b_col
+    z = np.zeros((n_pairs, grid.n_steps + 1))  # lam_0 = 0
     sweep = _transpose_sweep(disc, disc.gram, pairs, x_traj, grid)
     for m, lam_m in zip(range(grid.n_steps, 0, -1), sweep):
-        z[:, m] = _pairings(lam_m, None, b_cols, buf)
+        z[:, m] = np.einsum("jk,jk->k", lam_m, b_cols)
     defects = []
     for pairing, z_k, u_k in zip(lhs, z, u_tilde):
         left = float(theta @ pairing)

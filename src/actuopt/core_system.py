@@ -509,14 +509,13 @@ def _pairings(a, mat, b, buf=None):
     """sum_j a[j, k] (mat @ b)[j, k] per column k of (n, K) blocks, in index
     order whatever K, the layout of a or the chunking of rows: mat @ b goes
     into K columns of an (n, K+1) buffer, as einsum sums contiguous operands
-    in SIMD lanes. mat None stands for the identity. Every cost and duality
-    pairing is summed here. A sweep passes one buf for all its steps: a
-    fresh one per step costs a wide block more in page faults than the
-    pairing."""
+    in SIMD lanes. Every cost and duality pairing is summed here. A sweep
+    passes one buf for all its steps: a fresh one per step costs a wide
+    block more in page faults than the pairing."""
     if buf is None:
         buf = np.empty((len(b), b.shape[1] + 1))
     view = buf[:, :b.shape[1]]
-    view[...] = b if mat is None else mat @ b
+    view[...] = mat @ b
     return np.einsum("jk,jk->k", a, view)
 
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import make_beam, make_wave
 
 import actuopt as ao
+import actuopt.adjoint_grad as adjoint_grad
 import actuopt.core_system as core_system
 
 
@@ -241,7 +242,7 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     draw = np.random.default_rng(k)
     pairs = [(draw.standard_normal(grid.n_steps + 1), draw.standard_normal(base.shape))
              for _ in range(k)]
-    u_tildes, replayed = ao.duality_probes(np.random.default_rng(k), k, disc, grid)
+    u_tildes, replayed = adjoint_grad.duality_probes(np.random.default_rng(k), k, disc, grid)
     assert np.array_equal(u_tildes, [u for u, _ in pairs])
     x_hats = np.stack([x_hat for _, x_hat in pairs])
     alone = [ao.duality_check(disc, base, r, u, x_hat, grid) for u, x_hat in pairs]
@@ -252,12 +253,13 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     assert all(a <= 1e-10 for a in alone)
 
 
-def test_replayed_normals_read_any_rows_as_one_draw():
-    # the probes hold the numbers of drawing each pair whole, whichever
-    # row ranges are read, and leave the generator where the draws would
+def test_replayed_normals_redraw_their_row_chunks():
+    # the probes hold the numbers of drawing each pair whole, chunk by
+    # chunk, and leave the generator where the draws would; they read only
+    # the row chunks duality_check sweeps
     _, disc, grid, _, _ = make_beam(n_cells=64, n_steps=60)
     rng = np.random.default_rng(7)
-    u_tilde, x_hat = ao.duality_probes(rng, 3, disc, grid)
+    u_tilde, x_hat = adjoint_grad.duality_probes(rng, 3, disc, grid)
     draw = np.random.default_rng(7)
     whole = []
     for u in u_tilde:
@@ -265,11 +267,19 @@ def test_replayed_normals_read_any_rows_as_one_draw():
         whole.append(draw.standard_normal((grid.n_steps + 1, disc.n_dof)))
     assert rng.bit_generator.state == draw.bit_generator.state
     assert x_hat.shape == (3, grid.n_steps + 1, disc.n_dof)
-    for rows in (slice(None), slice(0, 1), slice(1, 14), slice(5, 40),
-                 slice(13, 61), slice(60, 61), slice(7, 7)):
-        assert np.array_equal(x_hat[:, rows], np.stack(whole)[:, rows])
-    with pytest.raises(IndexError):
-        x_hat[0]
+    chunks = adjoint_grad._row_chunks(grid, 3, disc.n_dof)
+    assert len(chunks) > 1 and chunks[0][0] == 1 and chunks[-1][1] == grid.n_steps + 1
+    for lo, hi in chunks:
+        assert np.array_equal(x_hat[:, lo:hi], np.stack(whole)[:, lo:hi])
+    lo, hi = chunks[1]
+    for key in (np.s_[:, :], np.s_[:, 0:1], np.s_[:, lo + 1:hi], np.s_[:, lo:hi:1],
+                np.s_[0:1, lo:hi], np.s_[0]):
+        with pytest.raises(IndexError):
+            x_hat[key]
+    # a single pair is a 1-D u~; its replayed x_hat would have to be a stack
+    base = ao.solve_forward(disc, np.zeros(disc.n_dof), u_tilde[0], np.array([0.5]), grid)
+    with pytest.raises(ValueError, match="replayed x_hat"):
+        ao.duality_check(disc, base, np.array([0.5]), u_tilde[0], x_hat, grid)
 
 
 def test_duality_check_leaves_x_hat_unchanged(beam_small):
@@ -295,7 +305,7 @@ def _duality_peak(maker, kw, replay, n_steps=400):
     r = np.full(disc.r_dim, 0.5)
     base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
     if replay:
-        u_tilde, x_hat = ao.duality_probes(rng, 5, disc, grid)
+        u_tilde, x_hat = adjoint_grad.duality_probes(rng, 5, disc, grid)
     else:
         u_tilde = rng.standard_normal((5, grid.n_steps + 1))
         x_hat = rng.standard_normal((5,) + base.shape)

@@ -266,6 +266,28 @@ def test_gradcheck_nan_duality_defect_fails(tmp_path, monkeypatch, capsys):
     assert report["pass"] is False
 
 
+def test_gradcheck_writes_non_finite_fd_results_as_null(tmp_path, monkeypatch, capsys):
+    # a NaN finite-difference error fails its check; it and a non-finite
+    # cost are written as null, so gradcheck.json stays valid JSON
+    import actuopt.cli as cli
+
+    monkeypatch.setattr(cli, "gradient_fd_check", lambda *args, **kwargs: {
+        "fd_u_rel": 1e-9, "fd_r_rel": np.nan, "j": np.inf})
+    code, out = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
+    assert code == 1
+    assert "fd_r" in capsys.readouterr().err
+
+    def reject(name):
+        raise AssertionError(f"{name} in gradcheck.json")
+
+    with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
+        report = json.loads(fh.read(), parse_constant=reject)
+    assert report["fd_r_rel"] is None and report["j"] is None
+    assert report["fd_u_rel"] == 1e-9
+    assert report["failed_checks"] == ["fd_r"]
+    assert report["pass"] is False
+
+
 def test_gradcheck_blowup_reports_failure(tmp_path, capsys):
     code, out = run_cli(tmp_path, BLOWUP_BEAM, "gradcheck")
     assert code == 1
