@@ -75,10 +75,10 @@ def _check_directions(disc, x_traj, u_tilde, r, grid):
     """(x_traj stack, u_tilde stack (K, n_steps+1), b(r) column, whether
     u_tilde was one direction) of tangent sweeps from x~_0 = 0 along x_traj."""
     one = np.ndim(u_tilde) == 1
-    _, u_tilde, b_col = _check_block(disc, np.zeros(disc.n_dof), [u_tilde] if one
-                                     else u_tilde, [np.atleast_1d(r)], grid)
+    _, u_tilde, (r,) = _check_block(disc, np.zeros(disc.n_dof), [u_tilde] if one
+                                    else u_tilde, [np.atleast_1d(r)], grid)
     base, = _check_traj(disc, x_traj, grid)  # one base trajectory
-    return base[None], u_tilde, b_col, one
+    return base[None], u_tilde, disc.b_of_r(r)[:, None], one
 
 
 def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
@@ -211,17 +211,20 @@ class ReplayedNormals:
     """A (K, rows, cols) stack of standard normals that holds generator
     states instead of numbers; duality_probes builds one.
 
-    states[(lo, hi)][k] is the generator state at the start of rows
-    lo..hi-1 of element k. A read x[:, lo:hi] of one of those row ranges
-    redraws them for every k from the saved states and returns a new
-    (K, hi - lo, cols) array, bit for bit the numbers of drawing each
-    element whole. Any other read raises IndexError.
+    states[(lo, hi)][k] is the 128-bit state of a PCG64 generator at the
+    start of rows lo..hi-1 of element k; start is that generator's state
+    dict, whose increment and buffered 32-bit half every saved state
+    shares. A read x[:, lo:hi] of one of those row ranges redraws them for
+    every k from the saved states and returns a new (K, hi - lo, cols)
+    array, bit for bit the numbers of drawing each element whole. Any
+    other read raises IndexError.
     """
 
-    def __init__(self, states, shape, bit_generator):
+    def __init__(self, states, shape, start):
         self.shape = tuple(shape)
         self._states = states
-        self._rng = np.random.Generator(bit_generator)
+        self._start = start
+        self._rng = np.random.Generator(np.random.PCG64())
 
     def __getitem__(self, key):
         whole, rows = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
@@ -233,7 +236,8 @@ class ReplayedNormals:
                              "the row ranges it was drawn in")
         out = np.empty((self.shape[0], span[1] - span[0], self.shape[2]))
         for probe, state in zip(out, self._states[span]):
-            self._rng.bit_generator.state = state
+            self._start["state"]["state"] = state
+            self._rng.bit_generator.state = self._start
             self._rng.standard_normal(out=probe)
         return out
 
@@ -244,10 +248,18 @@ def duality_probes(rng, n_pairs, disc, grid):
     (n_steps+1, n_dof) of them.
 
     Returns u~ as a (K, n_steps+1) array and x_hat as a ReplayedNormals
-    over the row chunks duality_check reads: no x_hat is kept, each sweep
+    over the row chunks duality_check reads: no x_hat is kept, only the
+    128-bit generator state at the start of each chunk, and each sweep
     redraws the rows it reads. Both hold the numbers of drawing every pair
-    into arrays, and rng ends where that would leave it.
+    into arrays, and rng ends where that would leave it. rng must run on
+    PCG64, the bit generator of np.random.default_rng.
     """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError("duality_probes replays PCG64 states; rng runs on "
+                        f"{type(rng.bit_generator).__name__}")
+    # normal draws take whole 64-bit outputs: the increment and the
+    # buffered 32-bit half of the start state hold for every saved state
+    start = rng.bit_generator.state
     n_rows = grid.n_steps + 1
     chunks = _row_chunks(grid, n_pairs, disc.n_dof)
     buf = np.empty((max(hi - lo for lo, hi in chunks), disc.n_dof))
@@ -258,11 +270,9 @@ def duality_probes(rng, n_pairs, disc, grid):
         # draw x_hat_k only to step rng over it; row 0 is never read
         rng.standard_normal(out=buf[:1])
         for (lo, hi), saved in states.items():
-            saved.append(rng.bit_generator.state)
+            saved.append(rng.bit_generator.state["state"]["state"])
             rng.standard_normal(out=buf[:hi - lo])
-    x_hat = ReplayedNormals(states, (n_pairs, n_rows, disc.n_dof),
-                            type(rng.bit_generator)())
-    return u_tilde, x_hat
+    return u_tilde, ReplayedNormals(states, (n_pairs, n_rows, disc.n_dof), start)
 
 
 def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
@@ -393,7 +403,7 @@ def adjoint_compare(disc, cost, x_traj, grid):
 
 
 def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
-                      corrupt=False):
+                      corrupt=False, overwrite_traj=False):
     """Central-difference verification of grad_u and grad_r.
 
     x_traj is the forward trajectory of (u, r), the base point. For each
@@ -401,19 +411,23 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     gradient is compared against central differences of the evaluated
     discrete J over the FD_EPS sweep; the best (smallest) relative error per
     direction is kept and the worst direction is reported. Every perturbed
-    J comes from one batched forward_costs sweep from x_traj[0]; the first
-    perturbed point that blows up raises its BlowUpError from its own
-    solve_forward. The corrupt flag deliberately biases the predictions
+    J comes from one forward_costs call from x_traj[0], which sweeps the
+    points in column blocks; the first perturbed point that blows up raises
+    its BlowUpError from its own solve_forward. overwrite_traj stores the
+    multipliers over x_traj, as solve_adjoint does, once the base J and
+    x_traj[0] are taken from it: then no array the size of a trajectory is
+    made. The corrupt flag deliberately biases the predictions
     (negative-control hook for the CLI contract tests).
     """
     rng = np.random.default_rng(seed)
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     theta = grid.theta
-    # the multipliers are freed before the batched sweep below
-    grad_u, grad_r = gradients_from_adjoint(
-        disc, cost, u, r_arr, solve_adjoint(disc, cost, x_traj, grid), grid)
     j_base = cost_eval(disc, cost, x_traj, u, grid)
+    x0 = np.array(x_traj[0], dtype=float)
+    # the multipliers are freed (or left in x_traj) before the sweeps below
+    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, solve_adjoint(
+        disc, cost, x_traj, grid, overwrite_traj=overwrite_traj), grid)
     bias = 1.001 if corrupt else 1.0
 
     # (predicted derivative, direction in u, direction in r): the random
@@ -429,14 +443,14 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
         e_c[c] = 1.0
         checks.append((bias * float(grad_r[c]), np.zeros_like(u), e_c))
 
-    # the +eps and -eps points of every check and eps, in one batched sweep
+    # the +eps and -eps points of every check and eps, in one forward_costs
     steps = [sign * eps for eps in FD_EPS for sign in (1.0, -1.0)]
-    us = [u + h * du for _, du, _ in checks for h in steps]
+    us = np.array([u + h * du for _, du, _ in checks for h in steps])
     rs = [r_arr + h * dr for _, _, dr in checks for h in steps]
-    j = forward_costs(disc, cost, x_traj[0], us, rs, grid)
+    j = forward_costs(disc, cost, x0, us, rs, grid)
     blown = np.flatnonzero(np.isnan(j))
     if blown.size:  # the first blown point's own solve raises its BlowUpError
-        solve_forward(disc, x_traj[0], us[blown[0]], rs[blown[0]], grid)
+        solve_forward(disc, x0, us[blown[0]], rs[blown[0]], grid)
     fd = (j[0::2] - j[1::2]).reshape(len(checks), -1) / (2.0 * np.asarray(FD_EPS))
 
     def rel_err(pred, fd):

@@ -126,16 +126,18 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
 
     x_traj = solve_forward(disc, prob["x0"], u, r, grid)
     # 5 duality pairs, drawn pair by pair (u~ then x_hat), in one batched
-    # check; x_hat is replayed from generator states, never stored, and
-    # the pairs are freed before the finite-difference check
+    # check; x_hat is replayed from one 128-bit generator state per row
+    # chunk, never stored. The finite-difference check then writes its
+    # multipliers over x_traj, which is not read again, so the base
+    # trajectory is the one trajectory-sized array of the command
     pairs = duality_probes(np.random.default_rng(cfg.seed), 5, disc, grid)
     defects = duality_check(disc, x_traj, r, *pairs, grid)
     del pairs
     # np.max, unlike max, keeps a NaN defect, which then fails the check
     duality_max = float(np.max(defects))
     fd = gradient_fd_check(
-        disc, cost, x_traj, u, r, grid,
-        n_directions=cfg.n_directions, seed=cfg.seed, corrupt=cfg.corrupt,
+        disc, cost, x_traj, u, r, grid, n_directions=cfg.n_directions,
+        seed=cfg.seed, corrupt=cfg.corrupt, overwrite_traj=True,
     )
 
     failed = []

@@ -35,9 +35,10 @@ import scipy.sparse.linalg as spla
 # max-norm bound on a forward state; beyond it a sweep counts as blown up
 STATE_CEILING = 1e12
 # bytes the temporaries of one chunk of trajectory rows may take, in
-# cost_eval and in the transpose sweep. Large temporaries, made and freed
-# on every call, cost as much in page faults as the work on them; glibc
-# serves requests under 128 KiB from heap memory that it reuses
+# cost_eval and in the transpose sweep; a forward_costs state block stays
+# under twice this. Large temporaries, made and freed on every call, cost
+# as much in page faults as the work on them; glibc serves requests under
+# 128 KiB from heap memory that it reuses
 CHUNK_BYTES = 2**16
 
 
@@ -333,7 +334,7 @@ def energy_series(disc, traj):
 
 
 def _check_block(disc, x0, u, r, grid):
-    """(x0, u, b columns) of K solves from one x0 (n_dof,): controls u (K,
+    """(x0, u, r) of K solves from one x0 (n_dof,): controls u (K,
     n_steps+1), and designs r (K, r_dim) or one (1, r_dim) that all share."""
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -346,21 +347,22 @@ def _check_block(disc, x0, u, r, grid):
                          f"{grid.n_steps + 1}) and (K or 1, {disc.r_dim}), K >= 1")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(u))):
         raise ValueError("x0 or a control signal contains non-finite entries")
-    return x0, u, np.column_stack([disc.b_of_r(rk) for rk in r])
+    return x0, u, r
 
 
-def _imex_states(disc, x, u, b_cols, dt):
+def _imex_states(disc, x, u, r, dt):
     """Yield x_1, ..., x_N of the IMEX recursion of K solves as (n_dof, K)
     blocks, one column per solve.
 
-    x (n_dof, K) is the start block, u (K, N+1) the controls and b_cols
-    their (n_dof, K) or shared (n_dof, 1) influence. Every operation acts
+    x (n_dof, K) is the start block, u (K, N+1) the controls and r their
+    designs (K, r_dim), or one (1, r_dim) that all share. Every operation acts
     column by column, so each column's states are bit for bit those of its
     own sweep. A column whose state exceeds STATE_CEILING in max-norm or
     goes non-finite is NaN from that step on, and the others step on; the
     sweep ends once every column has blown up.
     """
     step = disc.step_factors(dt)
+    b_cols = np.column_stack([disc.b_of_r(rk) for rk in r])
     # the control part dt * u_mid of every step's source, one row per step
     dt_u = (dt * (0.5 * (u[:, :-1] + u[:, 1:]))).T
     f_curr, f_prev = disc.fnl(x), None
@@ -394,7 +396,7 @@ def solve_forward(disc, x0, u, r, grid, out=None):
     one = np.ndim(u) == 1
     if one:  # a block of one
         u, r, out = [u], [np.atleast_1d(r)], (None if out is None else out[None])
-    x0, u, b_cols = _check_block(disc, x0, u, r, grid)
+    x0, u, r = _check_block(disc, x0, u, r, grid)
     shape = (len(u), grid.n_steps + 1, disc.n_dof)
     traj = np.empty(shape) if out is None else out
     if traj.shape != shape:
@@ -402,7 +404,7 @@ def solve_forward(disc, x0, u, r, grid, out=None):
     rows = traj.transpose(1, 2, 0)  # time first, one column per solve
     rows[0] = x0[:, None]
     start = np.repeat(x0[:, None], len(u), axis=1)
-    for i, x in enumerate(_imex_states(disc, start, u, b_cols, grid.dt), 1):
+    for i, x in enumerate(_imex_states(disc, start, u, r, grid.dt), 1):
         rows[i] = x
     traj[:, i + 1:] = np.nan  # the steps after every column blew up
     fault = one and blowup_of(traj[0], grid.dt)
@@ -422,28 +424,38 @@ def blowup_of(traj, dt):
 
 
 def forward_costs(disc, cost, x0, u, r, grid):
-    """J of K forward solves from x0, in one batched sweep.
+    """J of K forward solves from x0, in batched sweeps of column blocks.
 
     Row k of u (K, n_steps+1) and of r (K, r_dim) drive column k of an
-    (n_dof, K) state block, so each step is one LU solve on K right-hand
-    sides. The quadratic cost term of each column is taken as the sweep
-    goes; no trajectory is kept, only the state block and K numbers per
-    step. Returns the K costs, each bit for bit cost_eval of its own
-    solve_forward. A column that blows up raises nothing: its J is NaN, as
-    its rows are in a block solve_forward.
+    (n_dof, w) state block, so each step is one LU solve on w right-hand
+    sides. The block width w is the most columns whose (n_dof, w) block
+    stays under 2 * CHUNK_BYTES, the size below which glibc reuses heap
+    memory; the K columns run as consecutive blocks of w. The quadratic
+    cost term of each column is taken as the sweep goes; no trajectory is
+    kept, only one block's states and w numbers per step. Returns the K
+    costs, each bit for bit cost_eval of its own solve_forward, whatever
+    the width. A column that blows up raises nothing: its J is NaN, as its
+    rows are in a block solve_forward.
     """
-    x0, u, b_cols = _check_block(disc, x0, u, r, grid)
+    x0, u, r = _check_block(disc, x0, u, r, grid)
     mq = disc.cost_matrix(cost)
-    block = np.repeat(x0[:, None], len(u), axis=1)
-    # one row per column; the steps after every column blew up stay NaN
-    quad = np.full((len(u), grid.n_steps + 1), np.nan)
-    buf = np.empty((disc.n_dof, len(u) + 1))
-    quad[:, 0] = _pairings(block, mq, block, buf)
-    for i, x in enumerate(_imex_states(disc, block, u, b_cols, grid.dt), 1):
-        quad[:, i] = _pairings(x, mq, x, buf)
-    # each column's trapezoid sum is a vector dot, as in cost_eval
-    return np.array([grid.theta @ (q + cost.r_weight * u_k * u_k)
-                     for q, u_k in zip(quad, u)])
+    width = max(1, 2 * CHUNK_BYTES // (8 * disc.n_dof))
+    buf = np.empty((disc.n_dof, min(width, len(u)) + 1))
+    j = np.empty(len(u))
+    for lo in range(0, len(u), width):
+        u_blk = u[lo:lo + width]
+        block = np.repeat(x0[:, None], len(u_blk), axis=1)
+        # one row per column; the steps after every column blew up stay NaN
+        quad = np.full((len(u_blk), grid.n_steps + 1), np.nan)
+        quad[:, 0] = _pairings(block, mq, block, buf)
+        states = _imex_states(disc, block, u_blk, r if len(r) == 1 else
+                              r[lo:lo + width], grid.dt)
+        for i, x in enumerate(states, 1):
+            quad[:, i] = _pairings(x, mq, x, buf)
+        # each column's trapezoid sum is a vector dot, as in cost_eval
+        j[lo:lo + width] = [grid.theta @ (q + cost.r_weight * u_k * u_k)
+                            for q, u_k in zip(quad, u_blk)]
+    return j
 
 
 def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
@@ -464,8 +476,8 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     order of magnitude above the stopping threshold: near the threshold
     the distances sit on the linear-solve roundoff floor and may wiggle).
     """
-    x0, (u,), b_cols = _check_block(disc, x0, [u], [np.atleast_1d(r)], grid)
-    b_vec = b_cols[:, 0]
+    x0, (u,), (r,) = _check_block(disc, x0, [u], [np.atleast_1d(r)], grid)
+    b_vec = disc.b_of_r(r)
     dt = grid.dt
     step = disc.step_factors(dt)
     n = grid.n_steps

@@ -295,11 +295,22 @@ def test_duality_check_leaves_x_hat_unchanged(beam_small):
     assert np.array_equal(x_hat, before)
 
 
+def _traced_peak(fn):
+    """(fn(), tracemalloc peak of the call)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def _duality_peak(maker, kw, replay, n_steps=400):
     """(tracemalloc peak of a 5-pair duality_check, bytes of one
     trajectory), the pairs as arrays or replayed by duality_probes."""
-    import tracemalloc
-
     _, disc, grid, _, x0 = maker(n_steps=n_steps, **kw)
     rng = np.random.default_rng(0)
     r = np.full(disc.r_dim, 0.5)
@@ -309,12 +320,8 @@ def _duality_peak(maker, kw, replay, n_steps=400):
     else:
         u_tilde = rng.standard_normal((5, grid.n_steps + 1))
         x_hat = rng.standard_normal((5,) + base.shape)
-    tracemalloc.start()
-    try:
-        defects = ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    defects, peak = _traced_peak(
+        lambda: ao.duality_check(disc, base, r, u_tilde, x_hat, grid))
     assert defects.shape == (5,)
     return peak, base.nbytes
 
@@ -340,6 +347,53 @@ def test_replayed_duality_keeps_no_probe(maker, kw):
     assert peak < traj_bytes
     peak_400, traj_400 = _duality_peak(maker, kw, replay=True)
     assert peak - peak_400 < (traj_bytes - traj_400) / 4
+
+
+def test_gradcheck_keeps_one_trajectory_of_memory():
+    # the finite-difference check writes its multipliers over the base
+    # trajectory and sweeps its points in column blocks, so beyond the
+    # caller's trajectory it takes less than one more; the probes keep one
+    # 128-bit generator state per row chunk (400 per pair here), under a
+    # tenth of a trajectory for 5 pairs
+    _, disc, grid, cost, x0 = make_wave(nx=24, ny=24, n_steps=400)
+    u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
+    r = np.array([0.45, 0.55])
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    traj_bytes = traj.nbytes
+    want = ao.gradient_fd_check(disc, cost, traj.copy(), u, r, grid, n_directions=2)
+    got, peak = _traced_peak(lambda: ao.gradient_fd_check(
+        disc, cost, traj, u, r, grid, n_directions=2, overwrite_traj=True))
+    assert got == want
+    assert peak < traj_bytes
+    _, peak = _traced_peak(lambda: adjoint_grad.duality_probes(
+        np.random.default_rng(0), 5, disc, grid))
+    assert len(adjoint_grad._row_chunks(grid, 5, disc.n_dof)) == grid.n_steps
+    assert peak < traj_bytes / 10
+
+
+def test_replayed_normals_keep_the_buffered_half_of_the_start_state():
+    # a generator that has drawn an odd number of 32-bit integers carries
+    # one buffered half; normal draws never read it, so the replay holds it
+    # with the increment once. Other bit generators are refused
+    _, disc, grid, _, _ = make_beam(n_cells=16, n_steps=30)
+    rng = np.random.default_rng(2)
+    rng.integers(0, 10, dtype=np.uint32)
+    draw = np.random.default_rng(2)
+    draw.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    u_tilde, x_hat = adjoint_grad.duality_probes(rng, 2, disc, grid)
+    whole = []
+    for u in u_tilde:
+        assert np.array_equal(u, draw.standard_normal(grid.n_steps + 1))
+        whole.append(draw.standard_normal((grid.n_steps + 1, disc.n_dof)))
+    assert rng.bit_generator.state == draw.bit_generator.state
+    for lo, hi in adjoint_grad._row_chunks(grid, 2, disc.n_dof):
+        assert np.array_equal(x_hat[:, lo:hi], np.stack(whole)[:, lo:hi])
+    assert rng.integers(0, 2**32, dtype=np.uint32) == draw.integers(
+        0, 2**32, dtype=np.uint32)
+    with pytest.raises(TypeError, match="PCG64"):
+        adjoint_grad.duality_probes(np.random.Generator(np.random.MT19937(0)), 2,
+                                    disc, grid)
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import actuopt as ao
+import actuopt.core_system as core_system
 from actuopt.core_system import CNStep, Discretization
 
 from conftest import make_beam, make_wave
@@ -225,6 +226,30 @@ def test_forward_costs_blow_up_names_the_column():
     # once every column has blown up the sweep ends, and every J is NaN
     assert np.all(np.isnan(ao.forward_costs(disc, cost, x0, us[[1, 1]], rs[[1, 1]],
                                             grid)))
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+def test_forward_costs_do_not_depend_on_the_block_width(maker, monkeypatch):
+    # forward_costs sweeps its columns in blocks of the most columns whose
+    # (n_dof, w) block stays under 2 * CHUNK_BYTES: one column per block at
+    # CHUNK_BYTES = 1, blocks of 3, 3 and 1 here, the default width and one
+    # block. Column 3 blows up at once, in the middle block of three; its J
+    # stays NaN and every other column keeps its own solve's J
+    _, disc, grid, cost, x0 = maker()
+    rng = np.random.default_rng(11)
+    us = rng.standard_normal((7, grid.n_steps + 1))
+    us[3] = 1e16
+    rs = 0.45 + 0.1 * rng.random((7, disc.r_dim))
+    want = _serial_costs(disc, cost, x0, np.delete(us, 3, axis=0),
+                         np.delete(rs, 3, axis=0), grid)
+    results = []
+    for chunk_bytes in (1, 3 * 8 * disc.n_dof // 2, core_system.CHUNK_BYTES, 2**40):
+        monkeypatch.setattr(core_system, "CHUNK_BYTES", chunk_bytes)
+        got = ao.forward_costs(disc, cost, x0, us, rs, grid)
+        assert np.isnan(got[3])
+        np.testing.assert_array_equal(np.delete(got, 3), want)
+        results.append(got.tobytes())
+    assert results[1:] == results[:1] * 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
