@@ -235,9 +235,10 @@ class ReplayedNormals:
             raise IndexError("a ReplayedNormals reads only x[:, lo:hi] over "
                              "the row ranges it was drawn in")
         out = np.empty((self.shape[0], span[1] - span[0], self.shape[2]))
+        inc = self._start["state"]["inc"]
         for probe, state in zip(out, self._states[span]):
-            self._start["state"]["state"] = state
-            self._rng.bit_generator.state = self._start
+            self._rng.bit_generator.state = dict(
+                self._start, state={"state": state, "inc": inc})
             self._rng.standard_normal(out=probe)
         return out
 
@@ -403,7 +404,7 @@ def adjoint_compare(disc, cost, x_traj, grid):
 
 
 def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
-                      corrupt=False, overwrite_traj=False):
+                      corrupt=False):
     """Central-difference verification of grad_u and grad_r.
 
     x_traj is the forward trajectory of (u, r), the base point. For each
@@ -413,10 +414,11 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     direction is kept and the worst direction is reported. Every perturbed
     J comes from one forward_costs call from x_traj[0], which sweeps the
     points in column blocks; the first perturbed point that blows up raises
-    its BlowUpError from its own solve_forward. overwrite_traj stores the
-    multipliers over x_traj, as solve_adjoint does, once the base J and
-    x_traj[0] are taken from it: then no array the size of a trajectory is
-    made. The corrupt flag deliberately biases the predictions
+    its BlowUpError from its own solve_forward. The check consumes x_traj:
+    once the base J and x_traj[0] are taken from it, the multipliers are
+    stored over it (solve_adjoint with overwrite_traj), so no array the
+    size of a trajectory is made; a caller that reads its trajectory again
+    passes a copy. The corrupt flag deliberately biases the predictions
     (negative-control hook for the CLI contract tests).
     """
     rng = np.random.default_rng(seed)
@@ -425,9 +427,9 @@ def gradient_fd_check(disc, cost, x_traj, u, r, grid, n_directions=10, seed=0,
     theta = grid.theta
     j_base = cost_eval(disc, cost, x_traj, u, grid)
     x0 = np.array(x_traj[0], dtype=float)
-    # the multipliers are freed (or left in x_traj) before the sweeps below
+    # the multipliers, left in x_traj, are not read by the sweeps below
     grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, solve_adjoint(
-        disc, cost, x_traj, grid, overwrite_traj=overwrite_traj), grid)
+        disc, cost, x_traj, grid, overwrite_traj=True), grid)
     bias = 1.001 if corrupt else 1.0
 
     # (predicted derivative, direction in u, direction in r): the random

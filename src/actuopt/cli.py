@@ -137,7 +137,7 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
     duality_max = float(np.max(defects))
     fd = gradient_fd_check(
         disc, cost, x_traj, u, r, grid, n_directions=cfg.n_directions,
-        seed=cfg.seed, corrupt=cfg.corrupt, overwrite_traj=True,
+        seed=cfg.seed, corrupt=cfg.corrupt,
     )
 
     failed = []
