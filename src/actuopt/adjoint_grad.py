@@ -125,15 +125,6 @@ def solve_linearized(disc, x_traj, u_tilde, r, grid):
     return xt[0] if one else xt
 
 
-def _row_chunks(grid, n_cols, n_dof):
-    """(lo, hi) ranges that cover steps 1..n_steps in time order, in
-    chunks of the rows of a stack of n_cols float trajectories that
-    chunk_rows allows (the last chunk shorter)."""
-    chunk = chunk_rows(n_cols * n_dof * 8)
-    return [(lo, min(lo + chunk, grid.n_steps + 1))
-            for lo in range(1, grid.n_steps + 1, chunk)]
-
-
 def _transpose_sweep(disc, mat, y, x_traj, grid):
     """Exact transpose of the linearized sweep along x_traj, for K columns
     at once, against the Euclidean sources theta_m * mat @ y_m that pair
@@ -141,11 +132,11 @@ def _transpose_sweep(disc, mat, y, x_traj, grid):
 
     Yields the multipliers lam_m as (n_dof, K) blocks, m = n_steps, ...,
     1 (lam_0 is zero). The caller must not modify a yielded block. y is a
-    stack (K, n_steps+1, n_dof), read only as y[:, lo:hi] over the ranges
-    of _row_chunks; x_traj, for F'(x), a stack of one trajectory that all
-    K columns share, or of K. Each chunk of rows is read before the first
-    multiplier of the chunk is yielded, so the caller may write lam_m over
-    row m of y or x_traj.
+    stack (K, n_steps+1, n_dof); x_traj, for F'(x), a stack of one
+    trajectory that all K columns share, or of K. Both are read a chunk of
+    steps at a time, and each chunk is read before the first multiplier of
+    the chunk is yielded, so the caller may write lam_m over row m of y or
+    x_traj.
     """
     dt = grid.dt
     step = disc.step_factors(dt)
@@ -153,7 +144,9 @@ def _transpose_sweep(disc, mat, y, x_traj, grid):
     theta = grid.theta
     n_func, _, n_dof = y.shape
     nxt = nxt2 = np.zeros((n_dof, n_func))  # lam_{m+1}, lam_{m+2}
-    for lo, hi in reversed(_row_chunks(grid, n_func, n_dof)):
+    chunk = chunk_rows(y[:, 0].nbytes)
+    for lo in reversed(range(1, grid.n_steps + 1, chunk)):
+        hi = min(lo + chunk, grid.n_steps + 1)
         dvecs = disc.fnl_diag(x_traj[:, lo:hi]).transpose(1, 2, 0)
         # one product for the chunk; column k * (hi - lo) + m - lo is y_m of k
         srcs = mat @ y[:, lo:hi].reshape(-1, n_dof).T
@@ -207,75 +200,6 @@ def adjoint_node_view(disc, lam, grid):
     return p
 
 
-class ReplayedNormals:
-    """A (K, rows, cols) stack of standard normals that holds generator
-    states instead of numbers; duality_probes builds one.
-
-    states[(lo, hi)][k] is the 128-bit state of a PCG64 generator at the
-    start of rows lo..hi-1 of element k; start is that generator's state
-    dict, whose increment and buffered 32-bit half every saved state
-    shares. A read x[:, lo:hi] of one of those row ranges redraws them for
-    every k from the saved states and returns a new (K, hi - lo, cols)
-    array, bit for bit the numbers of drawing each element whole. Any
-    other read raises IndexError.
-    """
-
-    def __init__(self, states, shape, start):
-        self.shape = tuple(shape)
-        self._states = states
-        self._start = start
-        self._rng = np.random.Generator(np.random.PCG64())
-
-    def __getitem__(self, key):
-        whole, rows = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
-        plain = (isinstance(whole, slice) and whole == slice(None)
-                 and isinstance(rows, slice) and rows.step is None)
-        span = (rows.start, rows.stop) if plain else None
-        if span not in self._states:
-            raise IndexError("a ReplayedNormals reads only x[:, lo:hi] over "
-                             "the row ranges it was drawn in")
-        out = np.empty((self.shape[0], span[1] - span[0], self.shape[2]))
-        inc = self._start["state"]["inc"]
-        for probe, state in zip(out, self._states[span]):
-            self._rng.bit_generator.state = dict(
-                self._start, state={"state": state, "inc": inc})
-            self._rng.standard_normal(out=probe)
-        return out
-
-
-def duality_probes(rng, n_pairs, disc, grid):
-    """n_pairs random pairs (u~, x_hat) for duality_check, drawn from rng
-    pair by pair: u~_k, n_steps+1 standard normals, then x_hat_k,
-    (n_steps+1, n_dof) of them.
-
-    Returns u~ as a (K, n_steps+1) array and x_hat as a ReplayedNormals
-    over the row chunks duality_check reads: no x_hat is kept, only the
-    128-bit generator state at the start of each chunk, and each sweep
-    redraws the rows it reads. Both hold the numbers of drawing every pair
-    into arrays, and rng ends where that would leave it. rng must run on
-    PCG64, the bit generator of np.random.default_rng.
-    """
-    if type(rng.bit_generator) is not np.random.PCG64:
-        raise TypeError("duality_probes replays PCG64 states; rng runs on "
-                        f"{type(rng.bit_generator).__name__}")
-    # normal draws take whole 64-bit outputs: the increment and the
-    # buffered 32-bit half of the start state hold for every saved state
-    start = rng.bit_generator.state
-    n_rows = grid.n_steps + 1
-    chunks = _row_chunks(grid, n_pairs, disc.n_dof)
-    buf = np.empty((max(hi - lo for lo, hi in chunks), disc.n_dof))
-    u_tilde = np.empty((n_pairs, n_rows))
-    states = {span: [] for span in chunks}
-    for u_k in u_tilde:
-        rng.standard_normal(out=u_k)
-        # draw x_hat_k only to step rng over it; row 0 is never read
-        rng.standard_normal(out=buf[:1])
-        for (lo, hi), saved in states.items():
-            saved.append(rng.bit_generator.state["state"]["state"])
-            rng.standard_normal(out=buf[:hi - lo])
-    return u_tilde, ReplayedNormals(states, (n_pairs, n_rows, disc.n_dof), start)
-
-
 def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     """Relative defect of <x_hat, S'_u u~>_{L^2(0,tau;X)} = <S'*_u x_hat, u~>.
 
@@ -288,31 +212,21 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
     pair alone. Neither sweep keeps a trajectory: the tangent sweep pairs
     each state with x_hat, and each multiplier of the transpose sweep is
     paired with b(r) as it comes, so K numbers per step are kept. x_hat is
-    read only as x_hat[:, lo:hi], a chunk of rows at a time, and is left
-    unchanged; it may be an array or the ReplayedNormals of
-    duality_probes.
+    left unchanged.
     """
     x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
-    if not isinstance(x_hat, ReplayedNormals):
-        x_hat = np.asarray(x_hat, dtype=float)
-        pairs = x_hat[None] if one else x_hat
-    elif one:
-        raise ValueError("replayed x_hat needs u_tilde as a (K, n_steps+1) "
-                         "stack, one row per pair")
-    else:
-        pairs = x_hat
-    n_pairs, n_dof = len(u_tilde), disc.n_dof
+    x_hat = np.asarray(x_hat, dtype=float)
+    pairs = x_hat[None] if one else x_hat
+    n_pairs = len(u_tilde)
     if pairs.shape != (n_pairs,) + x_traj.shape[1:]:
         raise ValueError(f"x_hat shape {x_hat.shape} does not match u_tilde "
                          f"{u_tilde.shape} and the trajectory")
     theta = grid.theta
-    buf = np.empty((n_dof, n_pairs + 1))
+    buf = np.empty((disc.n_dof, n_pairs + 1))
     lhs = np.zeros((n_pairs, grid.n_steps + 1))  # x~_0 = 0 pairs to 0
     states = _linearized_states(disc, x_traj, u_tilde, b_col, grid)
-    for lo, hi in _row_chunks(grid, n_pairs, n_dof):
-        rows = pairs[:, lo:hi]
-        for i, xt in zip(range(lo, hi), states):
-            lhs[:, i] = _pairings(rows[:, i - lo].T, disc.gram, xt, buf)
+    for i, xt in enumerate(states, 1):
+        lhs[:, i] = _pairings(pairs[:, i].T, disc.gram, xt, buf)
     # lam_m . b(r) summed as _pairings sums: b(r) in K columns of buf
     b_cols = buf[:, :n_pairs]
     b_cols[...] = b_col

@@ -20,8 +20,7 @@ import time
 
 import numpy as np
 
-from .adjoint_grad import (FD_EPS, adjoint_compare, duality_check, duality_probes,
-                           gradient_fd_check)
+from .adjoint_grad import FD_EPS, adjoint_compare, duality_check, gradient_fd_check
 from .config import (
     ConfigError,
     build_problem,
@@ -125,14 +124,18 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
         u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
 
     x_traj = solve_forward(disc, prob["x0"], u, r, grid)
-    # 5 duality pairs, drawn pair by pair (u~ then x_hat), in one batched
-    # check; x_hat is replayed from one 128-bit generator state per row
-    # chunk, never stored. The finite-difference check then writes its
-    # multipliers over x_traj, which is not read again, so the base
-    # trajectory is the one trajectory-sized array of the command
-    pairs = duality_probes(np.random.default_rng(cfg.seed), 5, disc, grid)
-    defects = duality_check(disc, x_traj, r, *pairs, grid)
-    del pairs
+    # 5 duality pairs, each drawn from the seed (u~, then x_hat) into the
+    # same two buffers and checked alone. x_hat is freed before the
+    # finite-difference check, which writes its multipliers over x_traj,
+    # so the command holds at most two trajectory-sized arrays
+    rng = np.random.default_rng(cfg.seed)
+    u_tilde, x_hat = np.empty(grid.n_steps + 1), np.empty(x_traj.shape)
+    defects = []
+    for _ in range(5):
+        rng.standard_normal(out=u_tilde)
+        rng.standard_normal(out=x_hat)
+        defects.append(duality_check(disc, x_traj, r, u_tilde, x_hat, grid))
+    del x_hat
     # np.max, unlike max, keeps a NaN defect, which then fails the check
     duality_max = float(np.max(defects))
     fd = gradient_fd_check(
@@ -309,7 +312,12 @@ def main(argv=None):
         print(f"actuopt: {source} must be >= 1, got {threads}", file=sys.stderr)
         return 2
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"actuopt: cannot create output directory {cfg.out_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     prob = build_problem(cfg)
     try:

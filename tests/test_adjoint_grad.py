@@ -3,7 +3,6 @@ import pytest
 from conftest import make_beam, make_wave
 
 import actuopt as ao
-import actuopt.adjoint_grad as adjoint_grad
 import actuopt.core_system as core_system
 
 
@@ -237,49 +236,16 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     assert lin.shape == (k,) + base.shape
     for u, z in zip(us, lin):
         assert np.array_equal(z, ao.solve_linearized(disc, base, u, r, grid))
-    # K duality pairs drawn pair by pair (u~, then x_hat) into arrays, and
-    # the same pairs replayed from generator states by duality_probes
+    # K duality pairs drawn pair by pair (u~, then x_hat)
     draw = np.random.default_rng(k)
     pairs = [(draw.standard_normal(grid.n_steps + 1), draw.standard_normal(base.shape))
              for _ in range(k)]
-    u_tildes, replayed = adjoint_grad.duality_probes(np.random.default_rng(k), k, disc, grid)
-    assert np.array_equal(u_tildes, [u for u, _ in pairs])
-    x_hats = np.stack([x_hat for _, x_hat in pairs])
     alone = [ao.duality_check(disc, base, r, u, x_hat, grid) for u, x_hat in pairs]
-    together = ao.duality_check(disc, base, r, u_tildes, x_hats, grid)
-    from_replay = ao.duality_check(disc, base, r, u_tildes, replayed, grid)
-    assert together.shape == from_replay.shape == (k,)
-    assert all(a == b == c for a, b, c in zip(alone, together, from_replay))
+    together = ao.duality_check(disc, base, r, np.stack([u for u, _ in pairs]),
+                                np.stack([x_hat for _, x_hat in pairs]), grid)
+    assert together.shape == (k,)
+    assert all(a == b for a, b in zip(alone, together))
     assert all(a <= 1e-10 for a in alone)
-
-
-def test_replayed_normals_redraw_their_row_chunks():
-    # the probes hold the numbers of drawing each pair whole, chunk by
-    # chunk, and leave the generator where the draws would; they read only
-    # the row chunks duality_check sweeps
-    _, disc, grid, _, _ = make_beam(n_cells=64, n_steps=60)
-    rng = np.random.default_rng(7)
-    u_tilde, x_hat = adjoint_grad.duality_probes(rng, 3, disc, grid)
-    draw = np.random.default_rng(7)
-    whole = []
-    for u in u_tilde:
-        assert np.array_equal(u, draw.standard_normal(grid.n_steps + 1))
-        whole.append(draw.standard_normal((grid.n_steps + 1, disc.n_dof)))
-    assert rng.bit_generator.state == draw.bit_generator.state
-    assert x_hat.shape == (3, grid.n_steps + 1, disc.n_dof)
-    chunks = adjoint_grad._row_chunks(grid, 3, disc.n_dof)
-    assert len(chunks) > 1 and chunks[0][0] == 1 and chunks[-1][1] == grid.n_steps + 1
-    for lo, hi in chunks:
-        assert np.array_equal(x_hat[:, lo:hi], np.stack(whole)[:, lo:hi])
-    lo, hi = chunks[1]
-    for key in (np.s_[:, :], np.s_[:, 0:1], np.s_[:, lo + 1:hi], np.s_[:, lo:hi:1],
-                np.s_[0:1, lo:hi], np.s_[0]):
-        with pytest.raises(IndexError):
-            x_hat[key]
-    # a single pair is a 1-D u~; its replayed x_hat would have to be a stack
-    base = ao.solve_forward(disc, np.zeros(disc.n_dof), u_tilde[0], np.array([0.5]), grid)
-    with pytest.raises(ValueError, match="replayed x_hat"):
-        ao.duality_check(disc, base, np.array([0.5]), u_tilde[0], x_hat, grid)
 
 
 def test_duality_check_leaves_x_hat_unchanged(beam_small):
@@ -308,18 +274,15 @@ def _traced_peak(fn):
     return out, peak
 
 
-def _duality_peak(maker, kw, replay, n_steps=400):
-    """(tracemalloc peak of a 5-pair duality_check, bytes of one
-    trajectory), the pairs as arrays or replayed by duality_probes."""
-    _, disc, grid, _, x0 = maker(n_steps=n_steps, **kw)
+def _duality_peak(maker, kw):
+    """(tracemalloc peak of a 5-pair duality_check at 400 steps, bytes of
+    one trajectory)."""
+    _, disc, grid, _, x0 = maker(n_steps=400, **kw)
     rng = np.random.default_rng(0)
     r = np.full(disc.r_dim, 0.5)
     base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
-    if replay:
-        u_tilde, x_hat = adjoint_grad.duality_probes(rng, 5, disc, grid)
-    else:
-        u_tilde = rng.standard_normal((5, grid.n_steps + 1))
-        x_hat = rng.standard_normal((5,) + base.shape)
+    u_tilde = rng.standard_normal((5, grid.n_steps + 1))
+    x_hat = rng.standard_normal((5,) + base.shape)
     defects, peak = _traced_peak(
         lambda: ao.duality_check(disc, base, r, u_tilde, x_hat, grid))
     assert defects.shape == (5,)
@@ -333,28 +296,14 @@ def test_batched_duality_keeps_no_trajectory(maker, kw):
     # less extra memory than one trajectory. The per-step (n_dof, 5) blocks
     # and the chunks of sources and F'(x) (about CHUNK_BYTES) are small
     # next to 400 steps
-    peak, traj_bytes = _duality_peak(maker, kw, replay=False)
+    peak, traj_bytes = _duality_peak(maker, kw)
     assert peak < traj_bytes
-
-
-@pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
-def test_replayed_duality_keeps_no_probe(maker, kw):
-    # replayed probes add the chunk of x_hat rows a sweep reads. Beyond K
-    # numbers per step the extra memory is a fixed few CHUNK_BYTES: at 800
-    # steps it is well below one trajectory, and from 400 to 800 steps it
-    # grows by far less than a trajectory does
-    peak, traj_bytes = _duality_peak(maker, kw, replay=True, n_steps=800)
-    assert peak < traj_bytes
-    peak_400, traj_400 = _duality_peak(maker, kw, replay=True)
-    assert peak - peak_400 < (traj_bytes - traj_400) / 4
 
 
 def test_gradcheck_keeps_one_trajectory_of_memory():
     # the finite-difference check writes its multipliers over the base
     # trajectory and sweeps its points in column blocks, so beyond the
-    # caller's trajectory it takes less than one more; the probes keep one
-    # 128-bit generator state per row chunk (400 per pair here), under a
-    # tenth of a trajectory for 5 pairs
+    # caller's trajectory it takes less than one more
     _, disc, grid, cost, x0 = make_wave(nx=24, ny=24, n_steps=400)
     u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
     r = np.array([0.45, 0.55])
@@ -363,35 +312,6 @@ def test_gradcheck_keeps_one_trajectory_of_memory():
     _, peak = _traced_peak(lambda: ao.gradient_fd_check(
         disc, cost, traj, u, r, grid, n_directions=2))
     assert peak < traj_bytes
-    _, peak = _traced_peak(lambda: adjoint_grad.duality_probes(
-        np.random.default_rng(0), 5, disc, grid))
-    assert len(adjoint_grad._row_chunks(grid, 5, disc.n_dof)) == grid.n_steps
-    assert peak < traj_bytes / 10
-
-
-def test_replayed_normals_keep_the_buffered_half_of_the_start_state():
-    # a generator that has drawn an odd number of 32-bit integers carries
-    # one buffered half; normal draws never read it, so the replay holds it
-    # with the increment once. Other bit generators are refused
-    _, disc, grid, _, _ = make_beam(n_cells=16, n_steps=30)
-    rng = np.random.default_rng(2)
-    rng.integers(0, 10, dtype=np.uint32)
-    draw = np.random.default_rng(2)
-    draw.integers(0, 10, dtype=np.uint32)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    u_tilde, x_hat = adjoint_grad.duality_probes(rng, 2, disc, grid)
-    whole = []
-    for u in u_tilde:
-        assert np.array_equal(u, draw.standard_normal(grid.n_steps + 1))
-        whole.append(draw.standard_normal((grid.n_steps + 1, disc.n_dof)))
-    assert rng.bit_generator.state == draw.bit_generator.state
-    for lo, hi in adjoint_grad._row_chunks(grid, 2, disc.n_dof):
-        assert np.array_equal(x_hat[:, lo:hi], np.stack(whole)[:, lo:hi])
-    assert rng.integers(0, 2**32, dtype=np.uint32) == draw.integers(
-        0, 2**32, dtype=np.uint32)
-    with pytest.raises(TypeError, match="PCG64"):
-        adjoint_grad.duality_probes(np.random.Generator(np.random.MT19937(0)), 2,
-                                    disc, grid)
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])

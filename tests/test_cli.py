@@ -187,8 +187,8 @@ def test_gradcheck_beam_passes(tmp_path):
 
 def test_gradcheck_integrates_its_base_trajectory_once(tmp_path, monkeypatch):
     # the duality pairs and the finite-difference check share one base
-    # trajectory; the perturbed costs come from forward_costs, and the 5
-    # duality pairs from one batched duality_check
+    # trajectory; the perturbed costs come from forward_costs, and each of
+    # the 5 duality pairs is checked alone
     calls = {"solve_forward": [], "duality_check": []}
 
     def counted(name, original):
@@ -206,8 +206,8 @@ def test_gradcheck_integrates_its_base_trajectory_once(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
     assert code == 0
     assert len(calls["solve_forward"]) == 1
-    assert len(calls["duality_check"]) == 1
-    assert calls["duality_check"][0][3].shape[0] == 5  # u_tilde: 5 pairs
+    assert len(calls["duality_check"]) == 5
+    assert all(args[3].ndim == 1 for args in calls["duality_check"])  # one u~
 
 
 # off-center actuator: at the symmetric center the design gradient
@@ -229,7 +229,7 @@ def test_gradcheck_wave_passes(tmp_path):
                          ids=["beam", "wave"])
 def test_gradcheck_duality_rel_is_the_check_of_its_pairs(tmp_path, text):
     # the 5 pairs drawn into arrays pair by pair from the seed, u~ then
-    # x_hat, give the duality_rel that gradcheck reports from its replay
+    # x_hat, give the duality_rel that gradcheck reports
     code, out = run_cli(tmp_path, text, "gradcheck")
     assert code == 0
     with open(os.path.join(out, "gradcheck.json"), encoding="utf-8") as fh:
@@ -249,13 +249,47 @@ def test_gradcheck_duality_rel_is_the_check_of_its_pairs(tmp_path, text):
     assert report["duality_rel"] == max(defects)
 
 
+def test_gradcheck_holds_under_three_trajectories(tmp_path):
+    # the base trajectory and one x_hat buffer reused by the 5 duality
+    # pairs, then the finite-difference check, which stores its multipliers
+    # over the base trajectory and sweeps its points in column blocks. On a
+    # 12x12 wave with 10 directions the finite-difference check sets the
+    # peak whatever the duality pairs hold, so the grid is 24x24 and there
+    # is one direction
+    import tracemalloc
+
+    text = """\
+[run]
+model = wave
+[time]
+n_steps = 400
+[wave]
+nx = 24
+ny = 24
+[actuator]
+r_init = 0.45, 0.55
+[gradcheck]
+n_directions = 1
+"""
+    prob = actuopt.build_problem(parse_config_text(text))
+    traj_bytes = (prob["grid"].n_steps + 1) * prob["disc"].n_dof * 8
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, text, "gradcheck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * traj_bytes
+
+
 def test_gradcheck_nan_duality_defect_fails(tmp_path, monkeypatch, capsys):
     # a NaN defect among the 5 fails the duality check and is written as
     # null, whatever the other defects are
     import actuopt.cli as cli
 
-    monkeypatch.setattr(cli, "duality_check",
-                        lambda *args: np.array([np.nan, 1e-16, 0.0, 0.0, 0.0]))
+    defects = iter([1e-16, np.nan, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(cli, "duality_check", lambda *args: next(defects))
     code, out = run_cli(tmp_path, GRADCHECK_BEAM, "gradcheck")
     assert code == 1
     assert "duality" in capsys.readouterr().err
@@ -553,6 +587,18 @@ def test_values_that_would_fail_later_exit_2(tmp_path, capsys):
     assert code == 2
     assert "n_grid must be >= 8" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unmakeable_output_directory_exits_2(tmp_path, capsys, out):
+    # an existing file, or a path below one, cannot become the directory
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    code, _ = run_cli(tmp_path, TINY_BEAM, "simulate", sub=out)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("actuopt: cannot create output directory ")
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
 
 
 def test_missing_config_file_exits_2(tmp_path):
