@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import (_check_block, _pairings, chunk_rows, cost_eval,
-                          energy_norm, forward_costs, solve_forward)
+from .core_system import (_check_block, _cn_ab2, _pairings, chunk_rows,
+                          cost_eval, energy_norm, forward_costs, solve_forward)
 
 # the central-difference steps of gradient_fd_check
 FD_EPS = (1e-2, 1e-3, 1e-4)
@@ -85,27 +85,20 @@ def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
     """Yield x~_1, ..., x~_N of the linearized IMEX recursion from x~_0 = 0
     as (n_dof, K) blocks, column k driven by u_tilde[k] through b_col.
 
-    F'(x) is read a chunk of steps at a time from x_traj, the stack of the
-    one base trajectory that all K columns share.
+    This is the forward step loop with the explicit term F'(x_i) x~_i; F'(x)
+    is read a chunk of steps at a time from x_traj, the stack of the one
+    base trajectory that all K columns share.
     """
     dt = grid.dt
-    step = disc.step_factors(dt)
     ms = disc.n_space
     # the control part of every step's source, one row per step
     dt_u = ((dt * 0.5) * (u_tilde[:, :-1] + u_tilde[:, 1:])).T
-    xt = np.zeros((disc.n_dof, len(u_tilde)))
-    j_prev = None
     chunk = chunk_rows(x_traj[:, 0, :ms].nbytes)
-    for lo in range(0, grid.n_steps, chunk):
-        dvecs = disc.fnl_diag(x_traj[:, lo:lo + chunk]).transpose(1, 2, 0)
-        for i, d in zip(range(lo, grid.n_steps), dvecs):
-            j_curr = d * xt[:ms]
-            jx = j_curr if i == 0 else 1.5 * j_curr - 0.5 * j_prev
-            src = dt_u[i] * b_col
-            src[ms:] += dt * jx
-            xt = step.advance(xt, src)
-            yield xt
-            j_prev = j_curr
+    dvecs = (d for lo in range(0, grid.n_steps, chunk)  # d of step i is the i-th
+             for d in disc.fnl_diag(x_traj[:, lo:lo + chunk]).transpose(1, 2, 0))
+    xt = np.zeros((disc.n_dof, len(u_tilde)))
+    yield from _cn_ab2(disc.step_factors(dt), xt, dt_u, b_col, dt,
+                       lambda x: next(dvecs) * x[:ms])
 
 
 def solve_linearized(disc, x_traj, u_tilde, r, grid):

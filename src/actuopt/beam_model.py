@@ -210,11 +210,10 @@ class BeamDiscretization(Discretization):
         return (params.dx,)
 
     def fnl(self, x):
-        m = self.n_space
-        out = np.zeros_like(x)
-        if self.params.alpha != 0.0:
-            out[m:] = (-self.params.alpha * self._inv_rho) * x[:m] ** 3
-        return out
+        w = x[:self.n_space]
+        if self.params.alpha == 0.0:
+            return np.zeros_like(w)
+        return (-self.params.alpha * self._inv_rho) * w ** 3
 
     def fnl_diag(self, x):
         return (-3.0 * self.params.alpha * self._inv_rho) * x[..., :self.n_space] ** 2

@@ -48,6 +48,13 @@ def _i(s):
     return int(s)
 
 
+def _n(s):
+    val = _i(s)
+    if val < 0:
+        raise ValueError(f"expected a nonnegative integer, got {s!r}")
+    return val
+
+
 def _b(s):
     low = s.lower()
     if low in ("true", "yes", "1"):
@@ -77,7 +84,7 @@ class ExperimentConfig:
     """A parsed configuration; the field order is the canonical key order."""
 
     model: str = _key("run", "model", _s, None)  # required: None is rejected
-    seed: int = _key("run", "seed", _i, 0)
+    seed: int = _key("run", "seed", _n, 0)
     t_final: float = _key("time", "t_final", _f, 2.0)
     n_steps: int = _key("time", "n_steps", _i, 400)
     params: object  # the [<model>] section: the model's params_cls
@@ -312,10 +319,11 @@ def _check_preset(preset, r_dim, where):
 
 
 def load_config(path):
+    """Parse the config file at path, UTF-8 with or without a BOM."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 

@@ -251,7 +251,7 @@ class Discretization:
     -------
     b_of_r(r):  (2m,) control influence vector of the design r
     b_jac_of_r(r): (2m, r_dim) derivative of the influence in r
-    fnl(x):     (2m,) nonlinearity F(x)
+    fnl(x):     (m, ...) velocity rows f(w) of the nonlinearity F = [0; f(w)]
     fnl_diag(x): (..., m) diagonal d of the Jacobian coupling, i.e.
                 F'(x)(x~) = [0; d * x~_w], over the last axis: a whole
                 (n_steps+1, 2m) trajectory gives one row per state
@@ -302,11 +302,15 @@ class Discretization:
         """The CNStep of dt, cached by (dt, operator).
 
         operator="forward" steps with A, operator="adjoint" with A* (for
-        the continuous-adjoint oracle sweep).
+        the continuous-adjoint oracle sweep); any other name raises
+        ValueError.
         """
         key = (float(dt), operator)
         step = self._step_cache.get(key)
         if step is None:
+            if operator not in ("forward", "adjoint"):
+                raise ValueError(f"operator must be 'forward' or 'adjoint', "
+                                 f"got {operator!r}")
             mat = self.a_mat if operator == "forward" else self.astar_mat
             step = self._step_cache[key] = CNStep(mat, dt)
         return step
@@ -350,6 +354,26 @@ def _check_block(disc, x0, u, r, grid):
     return x0, u, r
 
 
+def _cn_ab2(step, x, dt_u, b_cols, dt, explicit):
+    """Yield x_1, ..., x_N of the CN/AB2 step loop of every forward and
+    tangent sweep from the (n_dof, K) block x, one step per row of dt_u.
+
+    Step i sources dt_u[i] * b_cols, plus dt times the AB2 extrapolation
+    of g_i = explicit(x_i), the (m, K) velocity rows of the explicit term.
+    explicit runs once per step, at its top, on x_i as the caller left it:
+    a caller may edit a yielded block in place.
+    """
+    m = len(x) // 2
+    g_prev = None
+    for i, dt_u_i in enumerate(dt_u):
+        g = explicit(x)
+        src = dt_u_i * b_cols
+        src[m:] += dt * (g if i == 0 else 1.5 * g - 0.5 * g_prev)
+        x = step.advance(x, src)
+        yield x
+        g_prev = g
+
+
 def _imex_states(disc, x, u, r, dt):
     """Yield x_1, ..., x_N of the IMEX recursion of K solves as (n_dof, K)
     blocks, one column per solve.
@@ -361,22 +385,17 @@ def _imex_states(disc, x, u, r, dt):
     goes non-finite is NaN from that step on, and the others step on; the
     sweep ends once every column has blown up.
     """
-    step = disc.step_factors(dt)
     b_cols = np.column_stack([disc.b_of_r(rk) for rk in r])
     # the control part dt * u_mid of every step's source, one row per step
     dt_u = (dt * (0.5 * (u[:, :-1] + u[:, 1:]))).T
-    f_curr, f_prev = disc.fnl(x), None
-    for i, dt_u_mid in enumerate(dt_u):
-        f_ext = f_curr if i == 0 else 1.5 * f_curr - 0.5 * f_prev
-        x_next = step.advance(x, dt * f_ext + dt_u_mid * b_cols)
-        if not np.abs(x_next).max() <= STATE_CEILING:
-            blown = ~(np.abs(x_next) <= STATE_CEILING).all(axis=0)
-            x_next[:, blown] = np.nan
+    for x in _cn_ab2(disc.step_factors(dt), x, dt_u, b_cols, dt, disc.fnl):
+        if not np.abs(x).max() <= STATE_CEILING:
+            blown = ~(np.abs(x) <= STATE_CEILING).all(axis=0)
+            x[:, blown] = np.nan
             if blown.all():  # no column is left to step: the sweep ends
-                yield x_next
+                yield x
                 return
-        yield x_next
-        x, f_prev, f_curr = x_next, f_curr, disc.fnl(x_next)
+        yield x
 
 
 def solve_forward(disc, x0, u, r, grid, out=None):
@@ -493,7 +512,8 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
         y_new = np.empty_like(y)
         y_new[0] = x0
         for i in range(n):
-            src = 0.5 * (f_all[i] + f_all[i + 1]) + u_mid[i] * b_vec
+            src = u_mid[i] * b_vec
+            src[disc.n_space:] += 0.5 * (f_all[i] + f_all[i + 1])
             y_new[i + 1] = step.advance(y_new[i], dt * src)
         diff = y_new - y
         d = math.sqrt(max(np.max(energy_series(disc, diff)), 0.0))

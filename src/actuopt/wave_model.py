@@ -219,14 +219,12 @@ class WaveDiscretization(Discretization):
         return (params.hx, params.hy)
 
     def fnl(self, x):
-        m = self.n_space
-        out = np.zeros_like(x)
-        w = x[:m]
+        w = x[:self.n_space]
         if self.params.nonlinearity == "sine_gordon":
-            out[m:] = np.sin(w)
-        elif self.params.nonlinearity == "klein_gordon":
-            out[m:] = np.abs(w) ** self._kg * w
-        return out
+            return np.sin(w)
+        if self.params.nonlinearity == "klein_gordon":
+            return np.abs(w) ** self._kg * w
+        return np.zeros_like(w)
 
     def fnl_diag(self, x):
         w = x[..., :self.n_space]

@@ -601,6 +601,15 @@ def test_unmakeable_output_directory_exits_2(tmp_path, capsys, out):
     assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"\xff\xfe" + TINY_BEAM.encode("utf-8"))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "o")])

@@ -332,10 +332,12 @@ def test_readme_config_block_is_the_schema_and_its_defaults():
      "[output] probe point 2 component 2 lies outside the domain"),
     (MINIMAL_BEAM + "[init]\nkind = gaussian\ncenter = 5.0\n",
      "[init] center component 1 lies outside the domain"),
+    ("[run]\nmodel = beam\nseed = -1\n", ":3: bad value for 'seed'"),
 ], ids=["section", "key", "dup", "nosection", "noeq", "badvalue",
         "nomodel", "badmodel", "wavesec", "beamsec", "optimizer", "ngrid",
         "zerowidth", "negwidth", "widebeam", "infwidth", "nanamplitude",
-        "nanfreq", "waverinit", "beamprobe", "waveprobe", "initcenter"])
+        "nanfreq", "waverinit", "beamprobe", "waveprobe", "initcenter",
+        "negseed"])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
@@ -367,6 +369,20 @@ def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(MINIMAL_BEAM, encoding="utf-8")
     assert load_config(str(path)).model == "beam"
+
+
+def test_load_config_skips_a_utf8_bom(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_BEAM.encode("utf-8"))
+    assert load_config(str(path)) == parse_config_text(MINIMAL_BEAM)
+
+
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xff\xfe" + MINIMAL_BEAM.encode("utf-8"))
+    message = f"cannot read config file {path}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path))
 
 
 def test_control_series_kinds():

@@ -56,13 +56,16 @@ def test_solve_forward_matches_manual_imex_steps(beam_small):
 
     step = disc.step_factors(grid.dt)
     b_vec = disc.b_of_r(r)
+    m = disc.n_space
     x = x0.copy()
     x_prev = None
     for i in range(grid.n_steps):
         u_mid = 0.5 * (u[i] + u[i + 1])
         f_ext = (disc.fnl(x) if x_prev is None
                  else 1.5 * disc.fnl(x) - 0.5 * disc.fnl(x_prev))
-        x_new = step.advance(x, grid.dt * f_ext + (grid.dt * u_mid) * b_vec)
+        src = (grid.dt * u_mid) * b_vec
+        src[m:] += grid.dt * f_ext  # F = [0; f] has only velocity rows
+        x_new = step.advance(x, src)
         np.testing.assert_array_equal(x_new, traj[i + 1])
         x_prev = x
         x = x_new
@@ -120,6 +123,39 @@ def test_step_factors_cache_returns_one_object(beam_small):
     step = disc.step_factors(grid.dt)
     assert disc.step_factors(grid.dt) is step
     assert disc.step_factors(grid.dt, "adjoint") is not step
+
+
+def test_step_factors_rejects_unknown_operator(beam_small):
+    _, disc, grid, _, _ = beam_small
+    with pytest.raises(ValueError, match="'foward'"):
+        disc.step_factors(grid.dt, "foward")
+
+
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+def test_nonlinearity_runs_once_per_step(maker, monkeypatch):
+    # a sweep of N steps evaluates F once per step, and the tangent sweep
+    # reads F'(x) once per chunk of steps
+    _, disc, grid, cost, x0 = maker()
+    calls = {"fnl": 0, "fnl_diag": 0}
+
+    def counted(name):
+        fn = getattr(disc, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    disc.fnl, disc.fnl_diag = counted("fnl"), counted("fnl_diag")
+    u = 0.3 * np.sin(2.0 * grid.times)
+    r = 0.5 * np.array(disc.domain(disc.params))
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    assert calls["fnl"] == grid.n_steps
+    ao.forward_costs(disc, cost, x0, np.stack([u, -u]), r[None], grid)
+    assert calls["fnl"] == 2 * grid.n_steps
+    monkeypatch.setattr(core_system, "CHUNK_BYTES", 3 * 8 * disc.n_space)
+    ao.solve_linearized(disc, traj, u, r, grid)
+    assert calls == {"fnl": 2 * grid.n_steps, "fnl_diag": -(-grid.n_steps // 3)}
 
 
 def test_step_internals_stay_in_the_step_class():
@@ -258,7 +294,7 @@ def test_non_finite_state_blows_up_at_step_one(bad):
     # solve stops there with x0 as the last completed state, and a batched
     # cost gives NaN for every column
     _, disc, grid, cost, x0 = make_beam()
-    disc.fnl = lambda x: np.full_like(x, bad)
+    disc.fnl = lambda x: np.full_like(x[:disc.n_space], bad)
     u = np.zeros(grid.n_steps + 1)
     with pytest.raises(ao.BlowUpError) as serial:
         ao.solve_forward(disc, x0, u, [0.4], grid)

@@ -25,9 +25,9 @@ def _f_and_fprime(nonlinearity, kg_exponent=2):
     m = disc.n_space
     z = np.resize([-1.3, -0.2, 0.0, 0.7, 2.1], m)
     x = np.concatenate([z, np.full(m, 5.0)])  # F reads only the positions
-    f = disc.fnl(x)
-    assert np.all(f[:m] == 0.0)
-    return z, f[m:], disc.fnl_diag(x)
+    f = disc.fnl(x)  # the velocity rows of F = [0; f]
+    assert f.shape == (m,)
+    return z, f, disc.fnl_diag(x)
 
 
 def test_nonlinearity_families_pointwise():
@@ -202,9 +202,9 @@ def test_state_nonlinearity_wiring(wave_small):
     m = disc.n_space
     rng = np.random.default_rng(14)
     x = rng.standard_normal(disc.n_dof)
-    f = disc.fnl(x)
-    assert np.all(f[:m] == 0.0)
-    np.testing.assert_allclose(f[m:], np.sin(x[:m]), rtol=1e-14)
+    f = disc.fnl(x)  # the velocity rows of F = [0; f]
+    assert f.shape == (m,)
+    np.testing.assert_allclose(f, np.sin(x[:m]), rtol=1e-14)
     np.testing.assert_allclose(disc.fnl_diag(x), np.cos(x[:m]), rtol=1e-14)
 
 
