@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint_grad import _bstar_series, gradients_from_adjoint, solve_adjoint
+from .adjoint_grad import gradients_from_adjoint, solve_adjoint
 from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
                           solve_forward)
 
@@ -164,10 +164,9 @@ def optimality_residual(disc, cost, u, r, lam, grid, spec=None):
     """
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    bstar = _bstar_series(lam @ disc.b_of_r(r_arr), grid)
-    viol = u + bstar / cost.r_weight
-    res_u = math.sqrt(float(grid.theta @ viol**2))
     grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)
+    # grad_u = 2 (R u + B* p), so u + R^{-1} B* p is grad_u / (2 R)
+    res_u = _u_norm(grad_u / (2.0 * cost.r_weight), grid)
     res_r = np.abs(0.5 * grad_r)
 
     pg_u = pg_r = None
@@ -181,17 +180,20 @@ def optimality_residual(disc, cost, u, r, lam, grid, spec=None):
 def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     """One projected-gradient run as a generator that yields its sweeps.
 
-    Yielding (u, r) asks for J at (u, r), answered with J or a thrown
-    BlowUpError; yielding None asks for the adjoint multipliers at the
-    point last evaluated, which the generator reads before it yields again,
-    so they may live in a reused block. Returns the run's OptimRun; a
-    blow-up of the first forward solve propagates, as there is no earlier
-    iterate to retreat to.
+    Yielding (u, r) asks for J at (u, r), answered with J, which is NaN
+    where the forward solve blew up; yielding None asks for the adjoint
+    multipliers at the point last evaluated, which the generator reads
+    before it yields again, so they may live in a reused block. A trial
+    point is accepted only when its J passes the Armijo test, which NaN
+    never does. Returns the run's OptimRun, or None when J at the start is
+    NaN, as there is no earlier iterate to retreat to.
     """
     u = project_u(np.asarray(u_init, dtype=float), spec, grid)
     r = project_r(r_init, spec)
 
     j = yield u, r
+    if math.isnan(j):
+        return None
     lam = yield None
     gu, gr = gradients_from_adjoint(disc, cost, u, r, lam, grid)
     pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
@@ -227,7 +229,6 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
         active_u = pg_u > tol_u()
         active_r = (not freeze_r) and pg_r > config.tol_grad
         au, ar = alpha_u, alpha_r
-        accepted = False
         saw_blowup = False
         for bt in range(MAX_BACKTRACKS + 1):
             u_new = project_u(u - au * gu, spec, grid) if active_u else u
@@ -235,25 +236,16 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
             dec = config.armijo_c * (
                 float(grid.theta @ (gu * (u - u_new))) + float(gr @ (r - r_new))
             )
-            if dec <= 0.0:
-                # projection returned the base point: no feasible descent
-                # at this step size, shrink further
-                au *= config.backtrack
-                ar *= config.backtrack
-                continue
-            try:
+            # dec <= 0: the projection returned the base point, so there is
+            # no feasible descent at this step size and nothing to evaluate
+            if dec > 0.0:
                 j_new = yield u_new, r_new
-            except BlowUpError:
-                saw_blowup = True
-                au *= config.backtrack
-                ar *= config.backtrack
-                continue
-            if math.isfinite(j_new) and j_new <= j - dec:
-                accepted = True
-                break
+                if j_new <= j - dec:
+                    break
+                saw_blowup = saw_blowup or math.isnan(j_new)
             au *= config.backtrack
             ar *= config.backtrack
-        if not accepted:
+        else:
             status = "blow_up" if saw_blowup else "line_search_failure"
             it -= 1
             break
@@ -297,10 +289,11 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
     running column's cost request from one forward sweep of an (n_dof, K)
     block, then every column that accepted a trial point from one
     transpose sweep that writes the multipliers over their trajectories.
-    A column that blows up fails only its own trial: the columns share no
-    arithmetic, so each run is bit for bit the one it makes alone,
+    Every cost request is answered with the column's J, NaN where its
+    solve blew up, which fails only that column's trial: the columns share
+    no arithmetic, so each run is bit for bit the one it makes alone,
     whenever it joins and whoever runs beside it. Returns each design's
-    OptimRun, or the BlowUpError of its first forward solve.
+    OptimRun, or the BlowUpError of a start that blew up.
     """
     n_designs = len(u_init)
     width = min(_block_width(disc, grid), n_designs)
@@ -314,16 +307,10 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
 
     def reply(k, answer):
         try:
-            if isinstance(answer, BlowUpError):
-                asks[k] = columns[k].throw(answer)
-            else:
-                asks[k] = columns[k].send(answer)
+            asks[k] = columns[k].send(answer)
         except StopIteration as stop:
             runs[k] = stop.value
-            asks.pop(k, None)
-        except BlowUpError as exc:
-            runs[k] = exc
-            asks.pop(k, None)
+            del asks[k]
 
     def refill():
         for k in itertools.islice(pending, width - len(asks)):
@@ -337,9 +324,9 @@ def _lockstep(disc, cost, x0, u_init, r_init, spec, config, grid, freeze_r):
                               np.stack([asks[k][1] for k in cols]), grid,
                               out=trials[:len(cols)])
         for k, traj in zip(cols, block):
-            u = asks[k][0]
-            fault = blowup_of(traj, grid.dt)
-            reply(k, fault if fault is not None else cost_eval(disc, cost, traj, u, grid))
+            reply(k, cost_eval(disc, cost, traj, asks[k][0], grid))
+            if k not in asks and runs[k] is None:  # its start blew up
+                runs[k] = blowup_of(traj, grid.dt)
         reached = [i for i, k in enumerate(cols) if k in asks and asks[k] is None]
         if not reached:
             return

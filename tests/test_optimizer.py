@@ -138,6 +138,44 @@ def test_optimize_initial_blowup_propagates():
                     LOOSE, grid)
 
 
+def _descent_answering_trials(offset):
+    """Drive _descent from u = 0, r = 0.42 with its first J0 and multipliers
+    from real sweeps and every trial point answered with J0 + offset;
+    returns the run and the number of trials."""
+    params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20)
+    descent = optimizer_mod._descent(disc, cost, _spec_1d(), LOOSE, grid,
+                                     np.zeros(grid.n_steps + 1),
+                                     np.array([0.42]), False)
+    u, r = next(descent)
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    j0 = ao.cost_eval(disc, cost, traj, u, grid)
+    assert descent.send(j0) is None  # it asks for the multipliers
+    ask = descent.send(ao.solve_adjoint(disc, cost, traj, grid))
+    trials = 0
+    try:
+        while True:
+            assert ask is not None  # no trial is accepted
+            trials += 1
+            ask = descent.send(j0 + offset)
+    except StopIteration as stop:
+        return stop.value, trials
+
+
+@pytest.mark.parametrize("offset, status", [
+    (np.nan, "blow_up"),
+    # not 0: once the Armijo decrease is below half an ulp of J0,
+    # j0 - dec == j0 and a trial with zero decrease passes
+    (1.0, "line_search_failure"),
+])
+def test_every_rejected_trial_ends_the_run(offset, status):
+    run, trials = _descent_answering_trials(offset)
+    assert run.status == status
+    assert not run.converged
+    assert run.n_iters == 0
+    assert len(run.history) == 1
+    assert trials == optimizer_mod.MAX_BACKTRACKS + 1
+
+
 def test_grid_search_rejects_coarse_grids(beam_small):
     params, disc, grid, cost, x0 = beam_small
     with pytest.raises(ValueError):
@@ -338,6 +376,32 @@ def test_lockstep_blocks_equal_single_design_solves(case, monkeypatch):
         # at the whole-grid width some sweep carried blown and sound columns
         assert any(any(p) and not all(p) for p in patterns)
         assert all(run.converged for run in alone)
+
+
+def test_lockstep_blown_start_fails_only_its_own_column(monkeypatch):
+    # the middle design starts from a control that blows the cubic up; its
+    # neighbours start from rest and converge
+    params, disc, grid, cost, x0 = make_beam(n_cells=12, n_steps=20,
+                                             t_final=1.0, alpha=80.0)
+    spec = _spec_1d(r_ad=1e9)
+    points = np.array([[0.3], [0.5], [0.7]])
+    u0 = np.zeros((3, grid.n_steps + 1))
+    u0[1] = 1e3
+    with pytest.raises(ao.BlowUpError) as alone:
+        ao.solve_forward(disc, x0, u0[1], points[1], grid)
+    refs = [ao.optimize(disc, cost, x0, u0[k], points[k], spec, LOOSE, grid,
+                        freeze_r=True) for k in (0, 2)]
+    assert all(ref.converged for ref in refs)
+    # every width gives the runs of the designs solved alone
+    for width in (1, 3):
+        monkeypatch.setattr(optimizer_mod, "_block_width", lambda d, g: width)
+        first, fault, last = optimizer_mod._lockstep(
+            disc, cost, x0, u0, points, spec, LOOSE, grid, True)
+        assert isinstance(fault, ao.BlowUpError)
+        assert (fault.step, fault.time) == (alone.value.step, alone.value.time)
+        assert np.array_equal(fault.partial, alone.value.partial)
+        _same_run(first, refs[0])
+        _same_run(last, refs[1])
 
 
 def test_lockstep_queue_keeps_every_sweep_full(monkeypatch):
