@@ -72,13 +72,13 @@ def _check_traj(disc, x_traj, grid):
 
 
 def _check_directions(disc, x_traj, u_tilde, r, grid):
-    """(x_traj stack, u_tilde stack (K, n_steps+1), b(r) column, whether
-    u_tilde was one direction) of tangent sweeps from x~_0 = 0 along x_traj."""
-    one = np.ndim(u_tilde) == 1
-    _, u_tilde, (r,) = _check_block(disc, np.zeros(disc.n_dof), [u_tilde] if one
-                                    else u_tilde, [np.atleast_1d(r)], grid)
-    base, = _check_traj(disc, x_traj, grid)  # one base trajectory
-    return base[None], u_tilde, disc.b_of_r(r)[:, None], one
+    """(x_traj (n_steps+1, n_dof) and u_tilde (n_steps+1,) as blocks of one,
+    b(r) column) of one tangent sweep from x~_0 = 0 along x_traj."""
+    _, u_tilde, (r,) = _check_block(disc, np.zeros(disc.n_dof), [u_tilde],
+                                    [np.atleast_1d(r)], grid)
+    if np.ndim(x_traj) != 2:
+        raise ValueError(f"x_traj has shape {np.shape(x_traj)}, expected one trajectory")
+    return _check_traj(disc, x_traj, grid), u_tilde, disc.b_of_r(r)[:, None]
 
 
 def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
@@ -104,18 +104,16 @@ def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
 def solve_linearized(disc, x_traj, u_tilde, r, grid):
     """Integrate the exact linearization of the IMEX sweep along x_traj.
 
-    Solves x~' = (A + F'(x(t))) x~ + b(r) u~, x~(0) = 0, with the same
-    CN/AB2 structure as solve_forward (F replaced by its Jacobian), and
-    returns x~ (n_steps+1, n_dof). K directions u_tilde (K, n_steps+1) run
-    as the columns of one sweep and return a (K, n_steps+1, n_dof) array,
-    row k bit for bit the sweep of u_tilde[k] alone.
+    Solves x~' = (A + F'(x(t))) x~ + b(r) u~, x~(0) = 0, for one direction
+    u_tilde (n_steps+1,), with the same CN/AB2 structure as solve_forward
+    (F replaced by its Jacobian), and returns x~ (n_steps+1, n_dof). Blocks
+    of directions run through _linearized_states.
     """
-    x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
-    xt = np.zeros((len(u_tilde), grid.n_steps + 1, disc.n_dof))
-    rows = xt.transpose(1, 2, 0)  # time first, one column per direction
+    x_traj, u_tilde, b_col = _check_directions(disc, x_traj, u_tilde, r, grid)
+    xt = np.zeros((grid.n_steps + 1, disc.n_dof))
     for i, x in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
-        rows[i] = x
-    return xt[0] if one else xt
+        xt[i] = x[:, 0]
+    return xt
 
 
 def _transpose_sweep(disc, mat, y, x_traj, grid):
@@ -123,13 +121,13 @@ def _transpose_sweep(disc, mat, y, x_traj, grid):
     at once, against the Euclidean sources theta_m * mat @ y_m that pair
     with x~_m, m = n_steps, ..., 1, in K output functionals.
 
-    Yields the multipliers lam_m as (n_dof, K) blocks, m = n_steps, ...,
-    1 (lam_0 is zero). The caller must not modify a yielded block. y is a
-    stack (K, n_steps+1, n_dof); x_traj, for F'(x), a stack of one
-    trajectory that all K columns share, or of K. Both are read a chunk of
-    steps at a time, and each chunk is read before the first multiplier of
-    the chunk is yielded, so the caller may write lam_m over row m of y or
-    x_traj.
+    Yields the multipliers lam_m as (n_dof, K) blocks, m = n_steps, ..., 1
+    (lam_0 is zero). The caller must not modify a yielded block. y is a
+    stack (K, n_steps+1, n_dof); x_traj, for F'(x), a stack of K, or of one
+    that all K columns share (K functionals at one base point, as in the
+    duality check or a Newton-CG step). Both are read a chunk of steps at a
+    time, and each chunk is read before the first multiplier of the chunk is
+    yielded, so the caller may write lam_m over row m of y or x_traj.
     """
     dt = grid.dt
     step = disc.step_factors(dt)
@@ -198,43 +196,33 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
 
     Computes the left side through the linearized forward sweep and the
     right side through the transposed sweep, both against the trapezoid
-    pairings. Returns |lhs - rhs| / max(|lhs|, |rhs|) (0 when both vanish,
-    NaN when either is NaN). K pairs, u_tilde (K, n_steps+1) and x_hat
-    (K, n_steps+1, n_dof), run as the columns of one tangent sweep and one
-    transpose sweep and return the K defects, each bit for bit that of its
-    pair alone. Neither sweep keeps a trajectory: the tangent sweep pairs
-    each state with x_hat, and each multiplier of the transpose sweep is
-    paired with b(r) as it comes, so K numbers per step are kept. x_hat is
-    left unchanged.
+    pairings, for one pair: u_tilde (n_steps+1,) and x_hat (n_steps+1,
+    n_dof). Returns |lhs - rhs| / max(|lhs|, |rhs|) (0 when both vanish,
+    NaN when either is NaN). Neither sweep keeps a trajectory: the tangent
+    sweep pairs each state with x_hat, and each multiplier of the transpose
+    sweep is paired with b(r) as it comes, so one number per step is kept.
+    x_hat is left unchanged.
     """
-    x_traj, u_tilde, b_col, one = _check_directions(disc, x_traj, u_tilde, r, grid)
+    x_traj, u_tilde, b_col = _check_directions(disc, x_traj, u_tilde, r, grid)
     x_hat = np.asarray(x_hat, dtype=float)
-    pairs = x_hat[None] if one else x_hat
-    n_pairs = len(u_tilde)
-    if pairs.shape != (n_pairs,) + x_traj.shape[1:]:
-        raise ValueError(f"x_hat shape {x_hat.shape} does not match u_tilde "
-                         f"{u_tilde.shape} and the trajectory")
-    theta = grid.theta
-    buf = np.empty((disc.n_dof, n_pairs + 1))
-    lhs = np.zeros((n_pairs, grid.n_steps + 1))  # x~_0 = 0 pairs to 0
-    states = _linearized_states(disc, x_traj, u_tilde, b_col, grid)
-    for i, xt in enumerate(states, 1):
-        lhs[:, i] = _pairings(pairs[:, i].T, disc.gram, xt, buf)
-    # lam_m . b(r) summed as _pairings sums: b(r) in K columns of buf
-    b_cols = buf[:, :n_pairs]
+    if x_hat.shape != x_traj.shape[1:]:
+        raise ValueError(f"x_hat has shape {x_hat.shape}, expected {x_traj.shape[1:]}")
+    buf = np.empty((disc.n_dof, 2))
+    lhs = np.zeros(grid.n_steps + 1)  # x~_0 = 0 pairs to 0
+    for i, xt in enumerate(_linearized_states(disc, x_traj, u_tilde, b_col, grid), 1):
+        lhs[i], = _pairings(x_hat[None, i].T, disc.gram, xt, buf)
+    # lam_m . b(r) summed as _pairings sums: b(r) in one column of buf
+    b_cols = buf[:, :1]
     b_cols[...] = b_col
-    z = np.zeros((n_pairs, grid.n_steps + 1))  # lam_0 = 0
-    sweep = _transpose_sweep(disc, disc.gram, pairs, x_traj, grid)
+    z = np.zeros(grid.n_steps + 1)  # lam_0 = 0
+    sweep = _transpose_sweep(disc, disc.gram, x_hat[None], x_traj, grid)
     for m, lam_m in zip(range(grid.n_steps, 0, -1), sweep):
-        z[:, m] = np.einsum("jk,jk->k", lam_m, b_cols)
-    defects = []
-    for pairing, z_k, u_k in zip(lhs, z, u_tilde):
-        left = float(theta @ pairing)
-        right = float(theta @ (_bstar_series(z_k, grid) * u_k))
-        diff = abs(left - right)
-        scale = max(abs(left), abs(right))  # may drop a NaN; diff keeps it
-        defects.append(diff / scale if scale else diff)
-    return defects[0] if one else np.array(defects)
+        z[m], = np.einsum("jk,jk->k", lam_m, b_cols)
+    left = float(grid.theta @ lhs)
+    right = float(grid.theta @ (_bstar_series(z, grid) * u_tilde[0]))
+    diff = abs(left - right)
+    scale = max(abs(left), abs(right))  # may drop a NaN; diff keeps it
+    return diff / scale if scale else diff
 
 
 def gradients_from_adjoint(disc, cost, u, r, lam, grid):

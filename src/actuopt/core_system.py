@@ -339,16 +339,16 @@ def energy_series(disc, traj):
 
 def _check_block(disc, x0, u, r, grid):
     """(x0, u, r) of K solves from one x0 (n_dof,): controls u (K,
-    n_steps+1), and designs r (K, r_dim) or one (1, r_dim) that all share."""
+    n_steps+1) and their designs r (K, r_dim), one per control."""
     x0 = np.asarray(x0, dtype=float)
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
     if x0.shape != (disc.n_dof,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({disc.n_dof},)")
     if (u.ndim != 2 or len(u) < 1 or u.shape[1] != grid.n_steps + 1
-            or r.shape not in ((len(u), disc.r_dim), (1, disc.r_dim))):
+            or r.shape != (len(u), disc.r_dim)):
         raise ValueError(f"controls {u.shape} and designs {r.shape} must be (K, "
-                         f"{grid.n_steps + 1}) and (K or 1, {disc.r_dim}), K >= 1")
+                         f"{grid.n_steps + 1}) and (K, {disc.r_dim}), K >= 1")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(u))):
         raise ValueError("x0 or a control signal contains non-finite entries")
     return x0, u, r
@@ -378,12 +378,11 @@ def _imex_states(disc, x, u, r, dt):
     """Yield x_1, ..., x_N of the IMEX recursion of K solves as (n_dof, K)
     blocks, one column per solve.
 
-    x (n_dof, K) is the start block, u (K, N+1) the controls and r their
-    designs (K, r_dim), or one (1, r_dim) that all share. Every operation acts
-    column by column, so each column's states are bit for bit those of its
-    own sweep. A column whose state exceeds STATE_CEILING in max-norm or
-    goes non-finite is NaN from that step on, and the others step on; the
-    sweep ends once every column has blown up.
+    x (n_dof, K) is the start block, u (K, N+1) the controls, r (K, r_dim)
+    their designs. Every operation acts column by column, so each column's
+    states are bit for bit those of its own sweep. A column whose state
+    exceeds STATE_CEILING in max-norm or goes non-finite is NaN from that
+    step on, and the others step on; the sweep ends once all have blown up.
     """
     b_cols = np.column_stack([disc.b_of_r(rk) for rk in r])
     # the control part dt * u_mid of every step's source, one row per step
@@ -407,14 +406,16 @@ def solve_forward(disc, x0, u, r, grid, out=None):
     is column k's trajectory, bit for bit the one its own solve returns. A
     column that blows up raises nothing; its rows are NaN from the failing
     step on (see blowup_of). One control u (n_steps+1,) with its design r
-    (r_dim,) runs as a block of one and returns its (n_steps+1, n_dof)
-    trajectory, out when given, or raises BlowUpError if a state exceeds
-    STATE_CEILING in max-norm or goes non-finite (partial: every completed
-    row).
+    (r_dim,) runs as a block of one and returns a fresh (n_steps+1, n_dof)
+    trajectory, or raises BlowUpError if a state exceeds STATE_CEILING in
+    max-norm or goes non-finite (partial: every completed row); out takes
+    a block only.
     """
     one = np.ndim(u) == 1
     if one:  # a block of one
-        u, r, out = [u], [np.atleast_1d(r)], (None if out is None else out[None])
+        if out is not None:
+            raise ValueError("out takes the trajectories of a block of controls")
+        u, r = [u], [np.atleast_1d(r)]
     x0, u, r = _check_block(disc, x0, u, r, grid)
     shape = (len(u), grid.n_steps + 1, disc.n_dof)
     traj = np.empty(shape) if out is None else out
@@ -467,8 +468,7 @@ def forward_costs(disc, cost, x0, u, r, grid):
         # one row per column; the steps after every column blew up stay NaN
         quad = np.full((len(u_blk), grid.n_steps + 1), np.nan)
         quad[:, 0] = _pairings(block, mq, block, buf)
-        states = _imex_states(disc, block, u_blk, r if len(r) == 1 else
-                              r[lo:lo + width], grid.dt)
+        states = _imex_states(disc, block, u_blk, r[lo:lo + width], grid.dt)
         for i, x in enumerate(states, 1):
             quad[:, i] = _pairings(x, mq, x, buf)
         # each column's trapezoid sum is a vector dot, as in cost_eval

@@ -62,10 +62,10 @@ class ProjectionSpec:
 
 @dataclass
 class OptimizerConfig:
-    # tol_grad is a projected-gradient tolerance. The Armijo test compares
-    # exact J values, so predicted decreases ~ tol^2 must stay above J's
-    # roundoff, which 2e-6 need not be on O(10)-scale costs; which points
-    # of a beam grid stall on it moves with the roundoff of the sweeps
+    # tol_grad is a projected-gradient tolerance. Near it the Armijo
+    # decrease dec can fall below half an ulp of J, where j_new <= j - dec
+    # is j_new <= j: a trial with a flat J is accepted, and a beam grid
+    # point can run to max_iters on such steps instead of converging
     max_iters: int = 500
     tol_grad: float = 2e-6
     armijo_c: float = 1e-4

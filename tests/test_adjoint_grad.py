@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import make_beam, make_wave
 
 import actuopt as ao
+import actuopt.adjoint_grad as adjoint_grad
 import actuopt.core_system as core_system
 
 
@@ -230,22 +233,20 @@ def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):
     over = ao.solve_adjoint(disc, cost, block, grid, overwrite_traj=True)
     assert np.array_equal(block, lams)
     assert over.shape == block.shape and over.base is block
-    # K directions along one base trajectory: tangent and duality sweeps
+    # K directions along one base trajectory: the block tangent and
+    # transpose generators, against their one-column sweeps
     base, r = singles[0], rs[0]
-    lin = ao.solve_linearized(disc, base, us, r, grid)
-    assert lin.shape == (k,) + base.shape
-    for u, z in zip(us, lin):
-        assert np.array_equal(z, ao.solve_linearized(disc, base, u, r, grid))
-    # K duality pairs drawn pair by pair (u~, then x_hat)
-    draw = np.random.default_rng(k)
-    pairs = [(draw.standard_normal(grid.n_steps + 1), draw.standard_normal(base.shape))
-             for _ in range(k)]
-    alone = [ao.duality_check(disc, base, r, u, x_hat, grid) for u, x_hat in pairs]
-    together = ao.duality_check(disc, base, r, np.stack([u for u, _ in pairs]),
-                                np.stack([x_hat for _, x_hat in pairs]), grid)
-    assert together.shape == (k,)
-    assert all(a == b for a, b in zip(alone, together))
-    assert all(a <= 1e-10 for a in alone)
+    tangents = np.stack([ao.solve_linearized(disc, base, u, r, grid) for u in us])
+    states = adjoint_grad._linearized_states(disc, base[None], us,
+                                             disc.b_of_r(r)[:, None], grid)
+    for i, x in enumerate(states, 1):
+        assert np.array_equal(x, tangents[:, i].T)
+    x_hats = rng.standard_normal((k,) + base.shape)
+    lams = adjoint_grad._transpose_sweep(disc, disc.gram, x_hats, base[None], grid)
+    alone = [adjoint_grad._transpose_sweep(disc, disc.gram, x_hat[None], base[None], grid)
+             for x_hat in x_hats]
+    for lam in lams:
+        assert np.array_equal(lam, np.hstack([next(sweep) for sweep in alone]))
 
 
 def test_duality_check_leaves_x_hat_unchanged(beam_small):
@@ -253,12 +254,33 @@ def test_duality_check_leaves_x_hat_unchanged(beam_small):
     rng = np.random.default_rng(5)
     r = np.array([0.5])
     base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
-    u_tilde = rng.standard_normal((3, grid.n_steps + 1))
-    x_hat = rng.standard_normal((3,) + base.shape)
+    u_tilde = rng.standard_normal(grid.n_steps + 1)
+    x_hat = rng.standard_normal(base.shape)
     before = x_hat.copy()
     ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
-    ao.duality_check(disc, base, r, u_tilde[0], x_hat[0], grid)
     assert np.array_equal(x_hat, before)
+
+
+def test_tangent_and_duality_take_one_direction_along_one_base(beam_small):
+    # a block of directions or of base trajectories is no call form of
+    # solve_linearized or duality_check: it raises instead of running
+    _, disc, grid, _, x0 = beam_small
+    rng = np.random.default_rng(6)
+    r = np.array([0.5])
+    base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
+    u_tilde = rng.standard_normal((2, grid.n_steps + 1))
+    x_hat = rng.standard_normal((2,) + base.shape)
+    with pytest.raises(ValueError):
+        ao.solve_linearized(disc, base, u_tilde, r, grid)
+    with pytest.raises(ValueError):
+        ao.duality_check(disc, base, r, u_tilde, x_hat, grid)
+    # two base trajectories: the error names the shape
+    bases = np.stack([base, base])
+    shape = re.escape(str(bases.shape))
+    with pytest.raises(ValueError, match=shape):
+        ao.solve_linearized(disc, bases, u_tilde[0], r, grid)
+    with pytest.raises(ValueError, match=shape):
+        ao.duality_check(disc, bases, r, u_tilde[0], x_hat[0], grid)
 
 
 def _traced_peak(fn):
@@ -275,25 +297,25 @@ def _traced_peak(fn):
 
 
 def _duality_peak(maker, kw):
-    """(tracemalloc peak of a 5-pair duality_check at 400 steps, bytes of
-    one trajectory)."""
+    """(tracemalloc peak of a duality_check at 400 steps, bytes of one
+    trajectory)."""
     _, disc, grid, _, x0 = maker(n_steps=400, **kw)
     rng = np.random.default_rng(0)
     r = np.full(disc.r_dim, 0.5)
     base = ao.solve_forward(disc, x0, rng.standard_normal(grid.n_steps + 1), r, grid)
-    u_tilde = rng.standard_normal((5, grid.n_steps + 1))
-    x_hat = rng.standard_normal((5,) + base.shape)
-    defects, peak = _traced_peak(
+    u_tilde = rng.standard_normal(grid.n_steps + 1)
+    x_hat = rng.standard_normal(base.shape)
+    defect, peak = _traced_peak(
         lambda: ao.duality_check(disc, base, r, u_tilde, x_hat, grid))
-    assert defects.shape == (5,)
+    assert np.isfinite(defect)
     return peak, base.nbytes
 
 
 @pytest.mark.parametrize("maker,kw", [(make_beam, {"n_cells": 64}), (make_wave, {})])
-def test_batched_duality_keeps_no_trajectory(maker, kw):
+def test_duality_check_keeps_no_trajectory(maker, kw):
     # the tangent sweep pairs each step as it goes and each multiplier of
-    # the transpose sweep is paired with b(r) as it comes, so 5 pairs take
-    # less extra memory than one trajectory. The per-step (n_dof, 5) blocks
+    # the transpose sweep is paired with b(r) as it comes, so a pair takes
+    # less extra memory than one trajectory. The per-step (n_dof, 1) blocks
     # and the chunks of sources and F'(x) (about CHUNK_BYTES) are small
     # next to 400 steps
     peak, traj_bytes = _duality_peak(maker, kw)

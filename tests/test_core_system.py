@@ -151,7 +151,7 @@ def test_nonlinearity_runs_once_per_step(maker, monkeypatch):
     r = 0.5 * np.array(disc.domain(disc.params))
     traj = ao.solve_forward(disc, x0, u, r, grid)
     assert calls["fnl"] == grid.n_steps
-    ao.forward_costs(disc, cost, x0, np.stack([u, -u]), r[None], grid)
+    ao.forward_costs(disc, cost, x0, np.stack([u, -u]), np.stack([r, r]), grid)
     assert calls["fnl"] == 2 * grid.n_steps
     monkeypatch.setattr(core_system, "CHUNK_BYTES", 3 * 8 * disc.n_space)
     ao.solve_linearized(disc, traj, u, r, grid)
@@ -203,13 +203,20 @@ def test_solve_forward_validates_shapes(beam_small):
     traj = ao.solve_forward(wdisc, wx0, wu, [0.5, 0.5], wgrid)
     with pytest.raises(ValueError):
         ao.duality_check(wdisc, traj, [0.5], wu, np.zeros_like(traj), wgrid)
-    # one solve writes into out when given
-    out = np.empty((grid.n_steps + 1, disc.n_dof))
-    traj = ao.solve_forward(disc, x0, u, [0.3], grid, out=out)
-    assert np.shares_memory(traj, out)
-    assert np.array_equal(out, ao.solve_forward(disc, x0, u, [0.3], grid))
+    # one solve returns a fresh trajectory: it takes no out
+    out = np.empty((1, grid.n_steps + 1, disc.n_dof))
+    for given in (out[0], out):
+        with pytest.raises(ValueError):
+            ao.solve_forward(disc, x0, u, [0.3], grid, out=given)
+    # K controls take K designs: one design is not shared by the block
     with pytest.raises(ValueError):
-        ao.solve_forward(disc, x0, u, [0.3], grid, out=out[1:])
+        ao.solve_forward(disc, x0, np.stack([u, u]), [[0.3]], grid)
+    # a block writes into out when given, of the block's shape only
+    traj = ao.solve_forward(disc, x0, u[None], [[0.3]], grid, out=out)
+    assert np.shares_memory(traj, out)
+    assert np.array_equal(out[0], ao.solve_forward(disc, x0, u, [0.3], grid))
+    with pytest.raises(ValueError):
+        ao.solve_forward(disc, x0, u[None], [[0.3]], grid, out=out[:, 1:])
 
 
 def test_blow_up_carries_partial_trajectory():
@@ -339,6 +346,9 @@ def test_forward_costs_validates_shapes(beam_small):
         ao.forward_costs(disc, cost, x0, u[0], np.full((1, 1), 0.4), grid)
     with pytest.raises(ValueError):
         ao.forward_costs(disc, cost, x0, u[:, :-1], np.full((2, 1), 0.4), grid)
+    # K controls take K designs: one design is not shared by the block
+    with pytest.raises(ValueError):
+        ao.forward_costs(disc, cost, x0, u, np.full((1, 1), 0.4), grid)
 
 
 def test_picard_linear_problem_converges_immediately():
