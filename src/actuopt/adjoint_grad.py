@@ -71,14 +71,19 @@ def _check_traj(disc, x_traj, grid):
     return x_traj.reshape((-1,) + x_traj.shape[-2:])
 
 
+def _check_one_traj(disc, x_traj, grid):
+    """One trajectory (n_steps+1, n_dof) as a float stack of one."""
+    if np.ndim(x_traj) != 2:
+        raise ValueError(f"x_traj has shape {np.shape(x_traj)}, expected one trajectory")
+    return _check_traj(disc, x_traj, grid)
+
+
 def _check_directions(disc, x_traj, u_tilde, r, grid):
     """(x_traj (n_steps+1, n_dof) and u_tilde (n_steps+1,) as blocks of one,
     b(r) column) of one tangent sweep from x~_0 = 0 along x_traj."""
     _, u_tilde, (r,) = _check_block(disc, np.zeros(disc.n_dof), [u_tilde],
                                     [np.atleast_1d(r)], grid)
-    if np.ndim(x_traj) != 2:
-        raise ValueError(f"x_traj has shape {np.shape(x_traj)}, expected one trajectory")
-    return _check_traj(disc, x_traj, grid), u_tilde, disc.b_of_r(r)[:, None]
+    return _check_one_traj(disc, x_traj, grid), u_tilde, disc.b_of_r(r)[:, None]
 
 
 def _linearized_states(disc, x_traj, u_tilde, b_col, grid):
@@ -262,7 +267,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     transposed sweep. Returns the (n_steps+1, n_dof) adjoint trajectory
     on the time grid.
     """
-    x_traj, = _check_traj(disc, x_traj, grid)
+    x_traj, = _check_one_traj(disc, x_traj, grid)
     dt = grid.dt
     n = grid.n_steps
     ms = disc.n_space
@@ -289,8 +294,9 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
 def adjoint_compare(disc, cost, x_traj, grid):
     """Relative L-infinity (in time, energy norm in space) distance between
     the discrete-adjoint node view and the continuous-adjoint oracle."""
-    p = adjoint_node_view(disc, solve_adjoint(disc, cost, x_traj, grid), grid)
+    # the oracle first: it takes one trajectory, where solve_adjoint takes stacks
     p_oracle = continuous_adjoint_oracle(disc, cost, x_traj, grid)
+    p = adjoint_node_view(disc, solve_adjoint(disc, cost, x_traj, grid), grid)
     num = max(energy_norm(disc, d) for d in (p - p_oracle))
     den = max(energy_norm(disc, row) for row in p_oracle)
     if den == 0.0:

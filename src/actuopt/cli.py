@@ -281,9 +281,8 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output] out_dir)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for gridsearch "
-                            "(default: ACTUOPT_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for gridsearch (default: 1)")
 
     try:
         args = parser.parse_args(argv)
@@ -300,16 +299,8 @@ def main(argv=None):
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
 
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        source, env = "ACTUOPT_THREADS", os.environ.get("ACTUOPT_THREADS", "").strip()
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            print(f"actuopt: {source} must be an integer, got {env!r}", file=sys.stderr)
-            return 2
-    if threads < 1:
-        print(f"actuopt: {source} must be >= 1, got {threads}", file=sys.stderr)
+    if args.threads < 1:
+        print(f"actuopt: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
 
     try:
@@ -322,7 +313,7 @@ def main(argv=None):
     prob = build_problem(cfg)
     try:
         code, status, converged, files, extra = _COMMANDS[args.command](
-            cfg, prob, cfg.out_dir, threads
+            cfg, prob, cfg.out_dir, args.threads
         )
     except BlowUpError as exc:
         print(f"actuopt {args.command}: forward solve blew up "
@@ -335,7 +326,7 @@ def main(argv=None):
         "status": status,
         "converged": converged,
         "wall_time_s": time.perf_counter() - t0,
-        "threads": threads,
+        "threads": args.threads,
         "j_history": None,
         "final_residuals": None,
         **extra,

@@ -2,9 +2,9 @@
 
 Grammar: `[section]` headers, `key = value` lines, `#` comments, blank
 lines ignored. Every key belongs to a fixed per-section schema; unknown
-sections or keys, duplicates, type errors, and cross-field violations are
-rejected with the offending line number. All keys have defaults, so the
-minimal valid file is just
+sections or keys, duplicates, and type and range errors are rejected
+with the offending line number; a rule across keys names their section
+or the keys. All keys have defaults, so the minimal valid file is just
 
     [run]
     model = beam
@@ -48,11 +48,28 @@ def _i(s):
     return int(s)
 
 
-def _n(s):
-    val = _i(s)
-    if val < 0:
-        raise ValueError(f"expected a nonnegative integer, got {s!r}")
+def _at_least(k):
+    def parse(s):
+        val = _i(s)
+        if val < k:
+            raise ValueError(f"expected an integer >= {k}, got {s!r}")
+        return val
+    return parse
+
+
+def _positive(s):
+    val = _f(s)
+    if not val > 0.0:
+        raise ValueError(f"expected a positive number, got {s!r}")
     return val
+
+
+def _one_of(*names):
+    def parse(s):
+        if s not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {s!r}")
+        return s
+    return parse
 
 
 def _b(s):
@@ -84,30 +101,30 @@ class ExperimentConfig:
     """A parsed configuration; the field order is the canonical key order."""
 
     model: str = _key("run", "model", _s, None)  # required: None is rejected
-    seed: int = _key("run", "seed", _n, 0)
-    t_final: float = _key("time", "t_final", _f, 2.0)
-    n_steps: int = _key("time", "n_steps", _i, 400)
+    seed: int = _key("run", "seed", _at_least(0), 0)
+    t_final: float = _key("time", "t_final", _positive, 2.0)
+    n_steps: int = _key("time", "n_steps", _at_least(2), 400)
     params: object  # the [<model>] section: the model's params_cls
-    act_width: float = _key("actuator", "width", _f, None)  # None: model default
+    act_width: float = _key("actuator", "width", _positive, None)  # None: the model's
     r_init: object = _key("actuator", "r_init", _s, "center")  # or tuple of floats
     q1: str = _key("cost", "q1", _s, "uniform")
     q2: str = _key("cost", "q2", _s, "uniform")
-    r_weight: float = _key("cost", "r_weight", _f, 1.0)
-    init_kind: str = _key("init", "kind", _s, "sine")
+    r_weight: float = _key("cost", "r_weight", _positive, 1.0)
+    init_kind: str = _key("init", "kind", _one_of("sine", "gaussian", "zero"), "sine")
     init_amplitude: float = _key("init", "amplitude", _f, 1.0)
-    init_mode: int = _key("init", "mode", _i, 1)
+    init_mode: int = _key("init", "mode", _at_least(1), 1)
     init_center: tuple = _key("init", "center", _s, None)  # None: domain center
-    init_sigma: float = _key("init", "sigma", _f, 0.1)
-    control_kind: str = _key("control", "kind", _s, "zero")
+    init_sigma: float = _key("init", "sigma", _positive, 0.1)
+    control_kind: str = _key("control", "kind", _one_of("zero", "sine"), "zero")
     control_amplitude: float = _key("control", "amplitude", _f, 1.0)
     control_freq: float = _key("control", "freq", _f, 1.0)
-    r_ad: float = _key("admissible", "r_ad", _f, 10.0)
+    r_ad: float = _key("admissible", "r_ad", _positive, 10.0)
     # "auto" or flat tuple (lo1, hi1[, lo2, hi2])
     r_box: object = _key("admissible", "r_box", _s, "auto")
     opt: OptimizerConfig = dataclasses.field(metadata={"section": "optimizer"})
-    n_directions: int = _key("gradcheck", "n_directions", _i, 10)
+    n_directions: int = _key("gradcheck", "n_directions", _at_least(1), 10)
     corrupt: bool = _key("gradcheck", "corrupt", _b, False)
-    n_grid: int = _key("gridsearch", "n_grid", _i, 64)
+    n_grid: int = _key("gridsearch", "n_grid", _at_least(MIN_GRID), 64)
     out_dir: str = _key("output", "out_dir", _s, "runs/out")
     # "center" or tuple of floats (beam) / tuple of pairs (wave)
     probe: object = _key("output", "probe", _s, "center")
@@ -119,12 +136,19 @@ class ExperimentConfig:
 
 
 # the sections built from a dataclass (the models' parameters and the
-# optimizer) parse each field by the type of the field's default
+# optimizer) parse each field by the type of the field's default, and check
+# it at its line by building the class with only that field set; a rule
+# across fields waits for the whole section
 _PARSERS = {float: _f, int: _i, str: _s, tuple: _names}
 
 
+def _field_parser(cls, name, parse):
+    return lambda s: getattr(cls(**{name: parse(s)}), name)
+
+
 def _fields_schema(cls):
-    return {f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(cls)}
+    return {f.name: _field_parser(cls, f.name, _PARSERS[type(f.default)])
+            for f in dataclasses.fields(cls)}
 
 
 _KEYS = [f for f in dataclasses.fields(ExperimentConfig) if "key" in f.metadata]
@@ -182,9 +206,6 @@ def parse_config_text(text, source="<config>"):
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
-    def given(section):
-        return {k: raw.pop((sec, k)) for (sec, k) in list(raw) if sec == section}
-
     # every plain key, given or its field's default; the dataclass
     # sections ([<model>], [optimizer]) stay in raw
     values = {f.name: raw.pop((f.metadata["section"], f.metadata["key"]), f.default)
@@ -202,18 +223,19 @@ def parse_config_text(text, source="<config>"):
         )
     model = MODELS[name]
 
-    try:
-        params = model.params_cls(**given(name))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{name}] section: {exc}") from None
+    def build(cls, section):
+        try:
+            return cls(**{k: v for (sec, k), v in raw.items() if sec == section})
+        except ValueError as exc:
+            raise ConfigError(f"{source}: [{section}] section: {exc}") from None
+
+    params = build(model.params_cls, name)
     domain = model.domain(params)
     r_dim = len(domain)
 
     if values["act_width"] is None:
         values["act_width"] = model.default_act_width
     act_width = values["act_width"]
-    if not (act_width > 0.0):
-        raise ConfigError(f"{source}: actuator width must be positive")
 
     def check_range(point, what, margin=0.0):
         # the point must lie in the domain; an actuator center (margin =
@@ -233,14 +255,6 @@ def parse_config_text(text, source="<config>"):
 
     for key in ("q1", "q2"):
         _check_preset(values[key], r_dim, f"{source}: [cost] {key}")
-    if not (values["r_weight"] > 0.0 and math.isfinite(values["r_weight"])):
-        raise ConfigError(f"{source}: [cost] r_weight must be positive")
-
-    if values["init_kind"] not in ("sine", "gaussian", "zero"):
-        raise ConfigError(f"{source}: [init] kind must be sine, gaussian, or zero, "
-                          f"got {values['init_kind']!r}")
-    if values["init_mode"] < 1:
-        raise ConfigError(f"{source}: [init] mode must be >= 1")
     if values["init_center"] is None:
         values["init_center"] = tuple(d / 2.0 for d in domain)
     else:
@@ -248,22 +262,11 @@ def parse_config_text(text, source="<config>"):
             values["init_center"], f"{source}: [init] center", r_dim
         )
         check_range(values["init_center"], "[init] center")
-    if not (values["init_sigma"] > 0.0):
-        raise ConfigError(f"{source}: [init] sigma must be positive")
 
-    if values["control_kind"] not in ("zero", "sine"):
-        raise ConfigError(f"{source}: [control] kind must be zero or sine, "
-                          f"got {values['control_kind']!r}")
-
-    if not (values["r_ad"] > 0.0 and math.isfinite(values["r_ad"])):
-        raise ConfigError(f"{source}: [admissible] r_ad must be positive")
-    if values["r_box"] == "auto":
-        box = _auto_box(domain, model.spacing(params), act_width)
-    else:
-        values["r_box"] = _floats(
-            values["r_box"], f"{source}: [admissible] r_box", 2 * r_dim
-        )
-        box = np.reshape(values["r_box"], (r_dim, 2))
+    if values["r_box"] != "auto":
+        values["r_box"] = _floats(values["r_box"], f"{source}: [admissible] r_box",
+                                  2 * r_dim)
+    box = _box(model, params, values["r_box"], act_width)
     for c, (lo, hi) in enumerate(box):
         if not lo <= hi:
             raise ConfigError(f"{source}: [admissible] r_box component {c + 1} "
@@ -271,16 +274,6 @@ def parse_config_text(text, source="<config>"):
     if values["r_box"] != "auto":
         check_range(box[:, 0], "[admissible] r_box", act_width)
         check_range(box[:, 1], "[admissible] r_box", act_width)
-
-    try:
-        opt = OptimizerConfig(**given("optimizer"))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [optimizer] section: {exc}") from None
-
-    if values["n_directions"] < 1:
-        raise ConfigError(f"{source}: [gradcheck] n_directions must be >= 1")
-    if values["n_grid"] < MIN_GRID:
-        raise ConfigError(f"{source}: [gridsearch] n_grid must be >= {MIN_GRID}")
 
     if values["probe"] != "center":
         # one-dimensional probes are a list of numbers, others "x, y; x, y"
@@ -295,12 +288,8 @@ def parse_config_text(text, source="<config>"):
             check_range(point, f"[output] probe point {k + 1}")
         values["probe"] = tuple(p for (p,) in points) if r_dim == 1 else points
 
-    cfg = ExperimentConfig(params=params, opt=opt, **values)
-    try:
-        TimeGrid(cfg.t_final, cfg.n_steps)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [time] section: {exc}") from None
-    return cfg
+    return ExperimentConfig(params=params, opt=build(OptimizerConfig, "optimizer"),
+                            **values)
 
 
 def _check_preset(preset, r_dim, where):
@@ -376,9 +365,14 @@ def control_series(cfg, times):
     )
 
 
-def _auto_box(domain, spacing, w):
-    """The automatic r_box: one cell inside [w, L - w] per dimension."""
-    return np.array([[w + h, length - w - h] for length, h in zip(domain, spacing)])
+def _box(model, params, r_box, width):
+    """r_box as (r_dim, 2) rows (lo, hi); "auto" is one cell inside
+    [width, L - width] per dimension."""
+    domain = model.domain(params)
+    if r_box == "auto":
+        return np.array([[width + h, length - width - h]
+                         for length, h in zip(domain, model.spacing(params))])
+    return np.reshape(r_box, (len(domain), 2))
 
 
 def build_problem(cfg):
@@ -407,10 +401,7 @@ def build_problem(cfg):
         d2 = sum((x - c) ** 2 for x, c in zip(dofs, cfg.init_center))
         x0[:m] = cfg.init_amplitude * np.exp(-d2 / (2.0 * cfg.init_sigma**2))
 
-    if cfg.r_box == "auto":
-        box = _auto_box(domain, model.spacing(cfg.params), cfg.act_width)
-    else:
-        box = np.asarray(cfg.r_box, dtype=float).reshape(len(domain), 2)
+    box = _box(model, cfg.params, cfg.r_box, cfg.act_width)
     if cfg.probe == "center":
         probe_pts = (tuple(length / 2.0 for length in domain),)
     else:

@@ -63,9 +63,9 @@ class ProjectionSpec:
 @dataclass
 class OptimizerConfig:
     # tol_grad is a projected-gradient tolerance. Near it the Armijo
-    # decrease dec can fall below half an ulp of J, where j_new <= j - dec
-    # is j_new <= j: a trial with a flat J is accepted, and a beam grid
-    # point can run to max_iters on such steps instead of converging
+    # decrease dec can fall below half an ulp of J, where j - dec == j; the
+    # line search tests j_new - j <= -dec, so a trial with a flat J fails
+    # where j_new <= j - dec would accept it
     max_iters: int = 500
     tol_grad: float = 2e-6
     armijo_c: float = 1e-4
@@ -240,7 +240,7 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
             # no feasible descent at this step size and nothing to evaluate
             if dec > 0.0:
                 j_new = yield u_new, r_new
-                if j_new <= j - dec:
+                if j_new - j <= -dec:
                     break
                 saw_blowup = saw_blowup or math.isnan(j_new)
             au *= config.backtrack

@@ -283,6 +283,19 @@ def test_tangent_and_duality_take_one_direction_along_one_base(beam_small):
         ao.duality_check(disc, bases, r, u_tilde[0], x_hat[0], grid)
 
 
+def test_oracle_takes_one_base_trajectory(beam_small):
+    # a stack of base trajectories is refused with its shape, not unpacked
+    _, disc, grid, cost, x0 = beam_small
+    u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
+    base = ao.solve_forward(disc, x0, u, np.array([0.5]), grid)
+    bases = np.stack([base, base])
+    shape = re.escape(str(bases.shape))
+    with pytest.raises(ValueError, match=shape):
+        ao.continuous_adjoint_oracle(disc, cost, bases, grid)
+    with pytest.raises(ValueError, match=shape):
+        ao.adjoint_compare(disc, cost, bases, grid)
+
+
 def _traced_peak(fn):
     """(fn(), tracemalloc peak of the call)."""
     import tracemalloc

@@ -548,29 +548,26 @@ def test_oracle_compare_zero_cost_metric_vanishes(tmp_path):
     assert report["greens"] is None
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ACTUOPT_THREADS", "2")
+def test_threads_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # --threads is the one source of the worker count, default 1
+    monkeypatch.setenv("ACTUOPT_THREADS", "abc")
     code, out = run_cli(tmp_path, TINY_BEAM, "simulate")
     assert code == 0
-    assert read_summary(out)["threads"] == 2
+    assert read_summary(out)["threads"] == 1
 
 
-@pytest.mark.parametrize("argv_tail,env,message", [
-    (("--threads", "0"), None, "--threads must be >= 1, got 0"),
-    ((), "0", "ACTUOPT_THREADS must be >= 1, got 0"),
-    ((), "abc", "ACTUOPT_THREADS must be an integer, got 'abc'"),
-    ((), "-3", "ACTUOPT_THREADS must be >= 1, got -3"),
-], ids=["zero", "env-zero", "garbage", "negative"])
-def test_bad_thread_counts_are_usage_errors(tmp_path, monkeypatch, capsys,
-                                            argv_tail, env, message):
-    # the message names where the bad value came from
-    if env is not None:
-        monkeypatch.setenv("ACTUOPT_THREADS", env)
+@pytest.mark.parametrize("value,message", [
+    ("0", "--threads must be >= 1, got 0"),
+    ("abc", "argument --threads: invalid int value: 'abc'"),
+    ("-3", "--threads must be >= 1, got -3"),
+], ids=["zero", "garbage", "negative"])
+def test_bad_thread_counts_are_usage_errors(tmp_path, capsys, value, message):
     cfg = write_cfg(tmp_path, TINY_BEAM)
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 *argv_tail])
+                 "--threads", value])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -585,7 +582,8 @@ def test_values_that_would_fail_later_exit_2(tmp_path, capsys):
     code, out = run_cli(tmp_path, GRID_BEAM.replace("n_grid = 8", "n_grid = 4"),
                         "gridsearch")
     assert code == 2
-    assert "n_grid must be >= 8" in capsys.readouterr().err
+    assert ":11: bad value for 'n_grid': expected an integer >= 8, got '4'" in (
+        capsys.readouterr().err)
     assert not os.path.exists(out)
 
 

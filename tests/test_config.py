@@ -315,8 +315,9 @@ def test_readme_config_block_is_the_schema_and_its_defaults():
     ("[run]\nmodel = beam\n[wave]\nnx = 12\n", "section [wave] is invalid"),
     ("[run]\nmodel = wave\n[beam]\nei = 2.0\n", "section [beam] is invalid"),
     (MINIMAL_BEAM + "[optimizer]\nmax_iters = 0\n",
-     "[optimizer] section: max_iters must be >= 1"),
-    (MINIMAL_BEAM + "[gridsearch]\nn_grid = 4\n", "n_grid must be >= 8"),
+     ":4: bad value for 'max_iters': max_iters must be >= 1"),
+    (MINIMAL_BEAM + "[gridsearch]\nn_grid = 4\n",
+     ":4: bad value for 'n_grid': expected an integer >= 8, got '4'"),
     (MINIMAL_BEAM + "[cost]\nq1 = gaussian(0.5, 0)\n", "width must be positive"),
     (MINIMAL_BEAM + "[cost]\nq2 = gaussian(0.5, -0.1)\n",
      "width must be positive"),
@@ -333,15 +334,51 @@ def test_readme_config_block_is_the_schema_and_its_defaults():
     (MINIMAL_BEAM + "[init]\nkind = gaussian\ncenter = 5.0\n",
      "[init] center component 1 lies outside the domain"),
     ("[run]\nmodel = beam\nseed = -1\n", ":3: bad value for 'seed'"),
+    # a rule across the keys of a section names the section
+    (MINIMAL_WAVE + "[wave]\nkg_exponent = 1\nnonlinearity = klein_gordon\n",
+     "<config>: [wave] section: klein_gordon exponent must be >= 2, got 1"),
 ], ids=["section", "key", "dup", "nosection", "noeq", "badvalue",
         "nomodel", "badmodel", "wavesec", "beamsec", "optimizer", "ngrid",
         "zerowidth", "negwidth", "widebeam", "infwidth", "nanamplitude",
         "nanfreq", "waverinit", "beamprobe", "waveprobe", "initcenter",
-        "negseed"])
+        "negseed", "kgexponent"])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
     assert fragment in str(exc_info.value)
+
+
+# (section, key, value) out of the key's range; [wave] keys go in a wave
+# config, the others in a beam config
+OUT_OF_RANGE = [
+    ("time", "t_final", "0"),
+    ("time", "n_steps", "1"),
+    ("beam", "n_cells", "4"),
+    ("beam", "alpha", "-1"),
+    ("wave", "nx", "4"),
+    ("actuator", "width", "-0.1"),
+    ("cost", "r_weight", "0"),
+    ("init", "kind", "square"),
+    ("init", "mode", "0"),
+    ("init", "sigma", "0"),
+    ("control", "kind", "chirp"),
+    ("admissible", "r_ad", "-1"),
+    ("optimizer", "max_iters", "0"),
+    ("optimizer", "armijo_c", "1.5"),
+    ("gradcheck", "n_directions", "0"),
+    ("gridsearch", "n_grid", "4"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=["-".join(case[:2]) for case in OUT_OF_RANGE])
+def test_out_of_range_value_names_its_line(section, key, value):
+    # the value sits on line 5, after a comment line in its section
+    model = "wave" if section == "wave" else "beam"
+    text = f"[run]\nmodel = {model}\n[{section}]\n# out of range\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(text, source="x.cfg")
+    assert str(exc_info.value).startswith(f"x.cfg:5: bad value for {key!r}: ")
 
 
 def test_r_box_must_keep_support_inside_domain():

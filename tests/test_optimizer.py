@@ -163,9 +163,10 @@ def _descent_answering_trials(offset):
 
 @pytest.mark.parametrize("offset, status", [
     (np.nan, "blow_up"),
-    # not 0: once the Armijo decrease is below half an ulp of J0,
-    # j0 - dec == j0 and a trial with zero decrease passes
     (1.0, "line_search_failure"),
+    # a flat J: the later trials' Armijo decreases are below half an ulp
+    # of J0, where j0 - dec == j0, and still none of them passes
+    (0.0, "line_search_failure"),
 ])
 def test_every_rejected_trial_ends_the_run(offset, status):
     run, trials = _descent_answering_trials(offset)
