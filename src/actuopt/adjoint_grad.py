@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import (_check_block, _cn_ab2, _pairings, chunk_rows,
+from .core_system import (CNStep, _check_block, _cn_ab2, _pairings, chunk_rows,
                           cost_eval, energy_norm, forward_costs, solve_forward)
 
 # the central-difference steps of gradient_fd_check
@@ -271,7 +271,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     dt = grid.dt
     n = grid.n_steps
     ms = disc.n_space
-    step = disc.step_factors(dt, operator="adjoint")
+    step = CNStep(disc.astar_mat, dt)
     mq = disc.cost_matrix(cost)
     qx = disc.gram_solve(mq @ x_traj.T)  # columns: Q x_m
 

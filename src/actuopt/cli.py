@@ -12,7 +12,6 @@ exactly; line endings are LF.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -279,8 +278,8 @@ def main(argv=None):
     for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", required=True, help="path to config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides [output] out_dir)")
+        p.add_argument("--out", default="runs/out",
+                       help="output directory (default: %(default)s)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes for gridsearch (default: 1)")
 
@@ -296,24 +295,21 @@ def main(argv=None):
         print(f"actuopt: config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-
     if args.threads < 1:
         print(f"actuopt: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
 
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        print(f"actuopt: cannot create output directory {cfg.out_dir}: "
+        print(f"actuopt: cannot create output directory {args.out}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     prob = build_problem(cfg)
     try:
         code, status, converged, files, extra = _COMMANDS[args.command](
-            cfg, prob, cfg.out_dir, args.threads
+            cfg, prob, args.out, args.threads
         )
     except BlowUpError as exc:
         print(f"actuopt {args.command}: forward solve blew up "
@@ -333,7 +329,7 @@ def main(argv=None):
         "files": files + ["summary.json"],
         "config_text": canonical_text(cfg),
     }
-    _write_text(os.path.join(cfg.out_dir, "summary.json"), _json_text(summary))
+    _write_text(os.path.join(args.out, "summary.json"), _json_text(summary))
     return code
 
 

@@ -125,7 +125,6 @@ class ExperimentConfig:
     n_directions: int = _key("gradcheck", "n_directions", _at_least(1), 10)
     corrupt: bool = _key("gradcheck", "corrupt", _b, False)
     n_grid: int = _key("gridsearch", "n_grid", _at_least(MIN_GRID), 64)
-    out_dir: str = _key("output", "out_dir", _s, "runs/out")
     # "center" or tuple of floats (beam) / tuple of pairs (wave)
     probe: object = _key("output", "probe", _s, "center")
 

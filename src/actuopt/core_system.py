@@ -263,11 +263,11 @@ class Discretization:
     dof_coords(): coordinate arrays of the position dofs
     probe_columns(points, traj): one displacement series per point
 
-    step_factors(dt, operator) gives the cached CNStep that every sweep uses:
-    advance(x, src) = (I - dt/2 M)^{-1}((I + dt/2 M) x + src) for M = A or
-    A*, and its transpose advance_T, through one m x m factor; it unpacks
-    as (lu, B), that factor and the CSR coupling block. An operator not of
-    the second-order form raises ValueError there.
+    step_factors(dt) gives the cached CNStep that every sweep uses:
+    advance(x, src) = (I - dt/2 A)^{-1}((I + dt/2 A) x + src) and its
+    transpose advance_T, through one m x m factor; it unpacks as (lu, B),
+    that factor and the CSR coupling block. An A not of the second-order
+    form raises ValueError there.
     A model's instance pickles as its recipe, assemble(params, act_width):
     unpickling reassembles it, caches empty.
     """
@@ -298,21 +298,12 @@ class Discretization:
         self._mq_cache[key] = (cost, mq)
         return mq
 
-    def step_factors(self, dt, operator="forward"):
-        """The CNStep of dt, cached by (dt, operator).
-
-        operator="forward" steps with A, operator="adjoint" with A* (for
-        the continuous-adjoint oracle sweep); any other name raises
-        ValueError.
-        """
-        key = (float(dt), operator)
+    def step_factors(self, dt):
+        """The CNStep of A at dt, cached by dt."""
+        key = float(dt)
         step = self._step_cache.get(key)
         if step is None:
-            if operator not in ("forward", "adjoint"):
-                raise ValueError(f"operator must be 'forward' or 'adjoint', "
-                                 f"got {operator!r}")
-            mat = self.a_mat if operator == "forward" else self.astar_mat
-            step = self._step_cache[key] = CNStep(mat, dt)
+            step = self._step_cache[key] = CNStep(self.a_mat, dt)
         return step
 
     def gram_solve(self, rhs):

@@ -33,6 +33,12 @@ from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
 BB_MIN = 1e-10
 BB_MAX = 1e4
 MAX_BACKTRACKS = 60
+# Armijo sufficient-decrease constant. Near tol_grad the decrease dec can
+# fall below half an ulp of J, where j - dec == j; the line search tests
+# j_new - j <= -dec, so a trial with a flat J fails where j_new <= j - dec
+# would accept it
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5  # step-size factor per rejected trial
 MIN_GRID = 8  # fewest grid_search_r points per design dimension
 # relative J gap within which grid points tie; the first in grid order wins
 GRID_TIE = 1e-9
@@ -62,24 +68,15 @@ class ProjectionSpec:
 
 @dataclass
 class OptimizerConfig:
-    # tol_grad is a projected-gradient tolerance. Near it the Armijo
-    # decrease dec can fall below half an ulp of J, where j - dec == j; the
-    # line search tests j_new - j <= -dec, so a trial with a flat J fails
-    # where j_new <= j - dec would accept it
+    # the stopping rule; tol_grad is a projected-gradient tolerance
     max_iters: int = 500
     tol_grad: float = 2e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol_grad > 0.0):
             raise ValueError("tol_grad must be positive")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass
@@ -233,7 +230,7 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
         for bt in range(MAX_BACKTRACKS + 1):
             u_new = project_u(u - au * gu, spec, grid) if active_u else u
             r_new = project_r(r - ar * gr, spec) if active_r else r
-            dec = config.armijo_c * (
+            dec = ARMIJO_C * (
                 float(grid.theta @ (gu * (u - u_new))) + float(gr @ (r - r_new))
             )
             # dec <= 0: the projection returned the base point, so there is
@@ -243,8 +240,8 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
                 if j_new - j <= -dec:
                     break
                 saw_blowup = saw_blowup or math.isnan(j_new)
-            au *= config.backtrack
-            ar *= config.backtrack
+            au *= BACKTRACK
+            ar *= BACKTRACK
         else:
             status = "blow_up" if saw_blowup else "line_search_failure"
             it -= 1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -151,10 +150,8 @@ def test_summary_config_text_round_trips(tmp_path):
     code, out = run_cli(tmp_path, TINY_WAVE, "simulate")
     assert code == 0
     summary = read_summary(out)
-    # the recorded text is the effective config: --out lands in out_dir
-    effective = dataclasses.replace(parse_config_text(TINY_WAVE), out_dir=out)
     cfg_round = parse_config_text(summary["config_text"], source="<summary>")
-    assert cfg_round == effective
+    assert cfg_round == parse_config_text(TINY_WAVE)
 
 
 GRADCHECK_BEAM = """\
@@ -575,6 +572,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_out_is_the_one_output_directory(tmp_path, monkeypatch):
+    # without --out the files go to runs/out under the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, TINY_BEAM)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert sorted(os.listdir(tmp_path / "runs" / "out")) == [
+        "summary.json", "trajectory.csv"]
+
+
+def test_output_directory_in_the_config_exits_2(tmp_path, monkeypatch, capsys):
+    # [output] out_dir is not a key: --out is the only output directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, TINY_BEAM + "[output]\nout_dir = elsewhere\n")
+    code = main(["simulate", "--config", cfg])
+    assert code == 2
+    assert (f"{cfg}:9: unknown key 'out_dir' in section [output] (known: probe)"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_values_that_would_fail_later_exit_2(tmp_path, capsys):

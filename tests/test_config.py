@@ -123,8 +123,6 @@ r_box = auto
 [optimizer]
 max_iters = 500
 tol_grad = 2e-06
-armijo_c = 0.0001
-backtrack = 0.5
 
 [gradcheck]
 n_directions = 10
@@ -134,7 +132,6 @@ corrupt = false
 n_grid = 64
 
 [output]
-out_dir = runs/out
 probe = center
 """
 
@@ -184,8 +181,6 @@ r_box = auto
 [optimizer]
 max_iters = 500
 tol_grad = 2e-06
-armijo_c = 0.0001
-backtrack = 0.5
 
 [gradcheck]
 n_directions = 10
@@ -195,7 +190,6 @@ corrupt = false
 n_grid = 64
 
 [output]
-out_dir = runs/out
 probe = center
 """
 
@@ -246,12 +240,9 @@ NON_DEFAULT = {
     ("admissible", "r_box"): {"beam": "0.2, 0.8", "wave": "0.2, 0.8, 0.3, 0.7"},
     ("optimizer", "max_iters"): "50",
     ("optimizer", "tol_grad"): "1e-5",
-    ("optimizer", "armijo_c"): "1e-3",
-    ("optimizer", "backtrack"): "0.25",
     ("gradcheck", "n_directions"): "4",
     ("gradcheck", "corrupt"): "true",
     ("gridsearch", "n_grid"): "16",
-    ("output", "out_dir"): "runs/elsewhere",
     ("output", "probe"): {"beam": "0.25, 0.75", "wave": "0.25, 0.25; 0.75, 0.5"},
 }
 
@@ -334,6 +325,13 @@ def test_readme_config_block_is_the_schema_and_its_defaults():
     (MINIMAL_BEAM + "[init]\nkind = gaussian\ncenter = 5.0\n",
      "[init] center component 1 lies outside the domain"),
     ("[run]\nmodel = beam\nseed = -1\n", ":3: bad value for 'seed'"),
+    # a setting that was removed is an unknown key at its line
+    (MINIMAL_BEAM + "[output]\nout_dir = runs/elsewhere\n",
+     ":4: unknown key 'out_dir' in section [output] (known: probe)"),
+    (MINIMAL_BEAM + "[optimizer]\narmijo_c = 1e-3\n",
+     ":4: unknown key 'armijo_c' in section [optimizer] (known: max_iters, tol_grad)"),
+    (MINIMAL_BEAM + "[optimizer]\nmax_iters = 50\nbacktrack = 0.25\n",
+     ":5: unknown key 'backtrack' in section [optimizer] (known: max_iters, tol_grad)"),
     # a rule across the keys of a section names the section
     (MINIMAL_WAVE + "[wave]\nkg_exponent = 1\nnonlinearity = klein_gordon\n",
      "<config>: [wave] section: klein_gordon exponent must be >= 2, got 1"),
@@ -341,7 +339,7 @@ def test_readme_config_block_is_the_schema_and_its_defaults():
         "nomodel", "badmodel", "wavesec", "beamsec", "optimizer", "ngrid",
         "zerowidth", "negwidth", "widebeam", "infwidth", "nanamplitude",
         "nanfreq", "waverinit", "beamprobe", "waveprobe", "initcenter",
-        "negseed", "kgexponent"])
+        "negseed", "outdir", "armijo", "backtrack", "kgexponent"])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
@@ -364,7 +362,7 @@ OUT_OF_RANGE = [
     ("control", "kind", "chirp"),
     ("admissible", "r_ad", "-1"),
     ("optimizer", "max_iters", "0"),
-    ("optimizer", "armijo_c", "1.5"),
+    ("optimizer", "tol_grad", "0"),
     ("gradcheck", "n_directions", "0"),
     ("gridsearch", "n_grid", "4"),
 ]

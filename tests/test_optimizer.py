@@ -224,7 +224,7 @@ def test_serial_grid_search_solves_on_the_callers_problem(monkeypatch):
     ao.grid_search_r(disc, cost, x0, _spec_1d(lo=0.3, hi=0.7), 8, grid,
                      config=LOOSE)
     assert assemblies == []
-    assert list(disc._step_cache) == [(grid.dt, "forward")]
+    assert list(disc._step_cache) == [grid.dt]
 
 
 def test_grid_search_process_pool_matches_serial():
