@@ -221,9 +221,8 @@ class BeamDiscretization(Discretization):
     def b_of_r(self, r_arr):
         """The bump b(xi; r) / rho_a in the velocity rows: nonnegative,
         supported in [r - width, r + width], unit mass up to quadrature."""
+        self.check_support(r_arr)
         r = float(r_arr[0])
-        if not math.isfinite(r):
-            raise ValueError("actuator center must be finite")
         m = self.n_space
         width = self.act_width
         z = (self.nodes - r) / width

@@ -52,13 +52,13 @@ def _write_text(path, text):
     os.replace(tmp, path)
 
 
-def _write_csv(path, header, rows, trailer=None):
+def _csv(header, rows, trailer=None):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
     if trailer is not None:
         lines.append(trailer)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(obj):
@@ -70,18 +70,18 @@ def _finite_or_none(x):
     return x if np.isfinite(x) else None
 
 
-# Each command takes (cfg, prob, out_dir, threads), writes its own files and
-# returns (exit code, status, converged, files written, extra summary keys);
-# main times it together with build_problem and writes summary.json, where
-# j_history and final_residuals are null unless the command sets them. A
-# BlowUpError that leaves a command becomes a blow_up summary with exit 1.
+# Each command takes (cfg, prob, threads) and returns (status, message,
+# files, extra): its stderr line or None, each output file's name and text in
+# write order, and its summary keys. main times it with build_problem, prints
+# the message, writes the files and summary.json (converged, j_history and
+# final_residuals are null unless extra sets them) and exits by _EXIT. A
+# BlowUpError that leaves a command becomes a blow_up summary.
 
 
-def cmd_simulate(cfg, prob, out_dir, threads):
+def cmd_simulate(cfg, prob, threads):
+    """integrate the forward model and write a trajectory CSV"""
     disc, grid = prob["disc"], prob["grid"]
-    status = "ok"
-    exit_code = 0
-    trailer = None
+    status, message, trailer = "ok", None, None
     try:
         traj = solve_forward(disc, prob["x0"], prob["u0"], prob["r_init"], grid)
         times = grid.times
@@ -89,23 +89,19 @@ def cmd_simulate(cfg, prob, out_dir, threads):
         traj = exc.partial
         times = grid.times[: traj.shape[0]]
         trailer = f"# truncated at step {exc.step}, t = {_fmt(exc.time)}"
-        status = "blow_up"
-        exit_code = 1
-        print(f"actuopt simulate: {exc}", file=sys.stderr)
+        status, message = "blow_up", str(exc)
 
     energy = energy_series(disc, traj)
     pts = prob["probe_pts"]
     names = ["w_at_" + "_".join("%g" % c for c in pt) for pt in pts]
     cols = disc.probe_columns(pts, traj)
     rows = list(zip(times, energy, *cols))
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["t", "energy"] + names, rows, trailer)
-    return exit_code, status, None, ["trajectory.csv"], {
-        "n_steps_completed": int(traj.shape[0] - 1),
-    }
+    files = {"trajectory.csv": _csv(["t", "energy"] + names, rows, trailer)}
+    return status, message, files, {"n_steps_completed": int(traj.shape[0] - 1)}
 
 
-def cmd_gradcheck(cfg, prob, out_dir, threads):
+def cmd_gradcheck(cfg, prob, threads):
+    """verify adjoint gradients against duality and finite differences"""
     disc, grid, cost = prob["disc"], prob["grid"], prob["cost"]
     r, u = prob["r_init"], prob["u0"]
     # the design differences move each component of r by up to max(FD_EPS);
@@ -113,10 +109,10 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
     eps, width = max(FD_EPS), cfg.act_width
     for c, (rc, length) in enumerate(zip(r, cfg.domain)):
         if not (rc - eps - width >= 0.0 and rc + eps + width <= length):
-            print(f"actuopt gradcheck: [actuator] r_init component {c + 1} must "
-                  f"lie at least {eps:g} inside [{width:g}, {length - width:g}] "
-                  "for the finite differences", file=sys.stderr)
-            return 2, "config_error", None, [], {}
+            return "config_error", (
+                f"[actuator] r_init component {c + 1} must lie at least "
+                f"{eps:g} inside [{width:g}, {length - width:g}] for the "
+                "finite differences"), {}, {}
     if not np.any(u):
         # a zero control would make J independent of r; exercise the design
         # gradient with a deterministic unit sine instead
@@ -159,15 +155,13 @@ def cmd_gradcheck(cfg, prob, out_dir, threads):
         "pass": not failed,
         "failed_checks": failed,
     }
-    _write_text(os.path.join(out_dir, "gradcheck.json"), _json_text(report))
-    if failed:
-        print(f"actuopt gradcheck: failed checks: {', '.join(failed)}",
-              file=sys.stderr)
-    return (1 if failed else 0, "check_failed" if failed else "ok", None,
-            ["gradcheck.json"], {})
+    message = f"failed checks: {', '.join(failed)}" if failed else None
+    return ("check_failed" if failed else "ok", message,
+            {"gradcheck.json": _json_text(report)}, {})
 
 
-def cmd_optimize(cfg, prob, out_dir, threads):
+def cmd_optimize(cfg, prob, threads):
+    """run the projected-gradient solver for (u, r)"""
     run = optimize(
         prob["disc"], prob["cost"], prob["x0"], prob["u0"], prob["r_init"],
         prob["pspec"], cfg.opt, prob["grid"],
@@ -177,11 +171,6 @@ def cmd_optimize(cfg, prob, out_dir, threads):
                  + [f"r{c + 1}" for c in range(r_dim)]
                  + ["alpha_u", "alpha_r", "backtracks", "u_norm"])
     hist_rows = [[row[c] for c in hist_cols] for row in run.history]
-    _write_csv(os.path.join(out_dir, "optim_history.csv"), hist_cols, hist_rows)
-
-    _write_csv(os.path.join(out_dir, "optimal_u.csv"), ["t", "u"],
-               list(zip(prob["grid"].times, run.u)))
-
     r_report = {
         "r": [float(v) for v in run.r],
         "j_final": run.j_final,
@@ -189,20 +178,22 @@ def cmd_optimize(cfg, prob, out_dir, threads):
         "status": run.status,
         "n_iters": run.n_iters,
     }
-    _write_text(os.path.join(out_dir, "optimal_r.json"), _json_text(r_report))
-
-    if not run.converged:
-        print(f"actuopt optimize: did not converge (status: {run.status})",
-              file=sys.stderr)
+    files = {
+        "optim_history.csv": _csv(hist_cols, hist_rows),
+        "optimal_u.csv": _csv(["t", "u"], list(zip(prob["grid"].times, run.u))),
+        "optimal_r.json": _json_text(r_report),
+    }
+    message = None if run.converged else f"did not converge (status: {run.status})"
     last = run.history[-1]
-    files = ["optim_history.csv", "optimal_u.csv", "optimal_r.json"]
-    return 0 if run.converged else 1, run.status, run.converged, files, {
+    return run.status, message, files, {
+        "converged": run.converged,
         "j_history": [row["j"] for row in run.history],
         "final_residuals": {"res_u": last["res_u"], "res_r": last["res_r"]},
     }
 
 
-def cmd_gridsearch(cfg, prob, out_dir, threads):
+def cmd_gridsearch(cfg, prob, threads):
+    """sweep actuator positions with per-point control solves"""
     r_dim = prob["r_init"].size
     try:
         best, table = grid_search_r(
@@ -211,20 +202,18 @@ def cmd_gridsearch(cfg, prob, out_dir, threads):
             threads=threads,
         )
     except RuntimeError as exc:
-        print(f"actuopt gridsearch: {exc}", file=sys.stderr)
-        return 1, "failed", None, [], {}
+        return "failed", str(exc), {}, {}
 
     header = [f"r{c + 1}" for c in range(r_dim)] + ["j", "converged"]
-    _write_csv(os.path.join(out_dir, "landscape.csv"), header, table)
-
     best_j = next(row[r_dim] for row in table if row[:r_dim] == tuple(best))
-    return 0, "ok", None, ["landscape.csv"], {
+    return "ok", None, {"landscape.csv": _csv(header, table)}, {
         "best_r": [float(v) for v in best],
         "best_j": best_j,
     }
 
 
-def cmd_oracle_compare(cfg, prob, out_dir, threads):
+def cmd_oracle_compare(cfg, prob, threads):
+    """compare the discrete adjoint against the continuous-adjoint oracle"""
     disc, cost = prob["disc"], prob["cost"]
     # refine the time grid: the oracle and the discrete adjoint only have to
     # agree up to time-discretization error
@@ -242,12 +231,9 @@ def cmd_oracle_compare(cfg, prob, out_dir, threads):
         "greens": greens,
         "pass": ok,
     }
-    _write_text(os.path.join(out_dir, "oracle_compare.json"), _json_text(report))
-    if not ok:
-        print(f"actuopt oracle-compare: relative error {rel:.3e} "
-              f"(tolerance {ORACLE_TOL:g})", file=sys.stderr)
-    return (0 if ok else 1, "ok" if ok else "check_failed", None,
-            ["oracle_compare.json"], {})
+    message = None if ok else f"relative error {rel:.3e} (tolerance {ORACLE_TOL:g})"
+    return ("ok" if ok else "check_failed", message,
+            {"oracle_compare.json": _json_text(report)}, {})
 
 
 _COMMANDS = {
@@ -257,6 +243,8 @@ _COMMANDS = {
     "gridsearch": cmd_gridsearch,
     "oracle-compare": cmd_oracle_compare,
 }
+# exit code of each status; every other status exits 1
+_EXIT = {"ok": 0, "converged": 0, "config_error": 2}
 
 
 def main(argv=None):
@@ -266,17 +254,8 @@ def main(argv=None):
                     "beam and wave models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "integrate the forward model and write a trajectory CSV",
-        "gradcheck": "verify adjoint gradients against duality and finite "
-                     "differences",
-        "optimize": "run the projected-gradient solver for (u, r)",
-        "gridsearch": "sweep actuator positions with per-point control solves",
-        "oracle-compare": "compare the discrete adjoint against the "
-                          "continuous-adjoint oracle",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default="runs/out",
                        help="output directory (default: %(default)s)")
@@ -308,29 +287,33 @@ def main(argv=None):
     t0 = time.perf_counter()
     prob = build_problem(cfg)
     try:
-        code, status, converged, files, extra = _COMMANDS[args.command](
-            cfg, prob, args.out, args.threads
+        status, message, files, extra = _COMMANDS[args.command](
+            cfg, prob, args.threads
         )
     except BlowUpError as exc:
-        print(f"actuopt {args.command}: forward solve blew up "
-              f"(step {exc.step}, t = {exc.time:g})", file=sys.stderr)
-        code, status, converged, files = 1, "blow_up", False, []
-        extra = {"blow_up_step": exc.step, "blow_up_time": exc.time}
+        status, files = "blow_up", {}
+        message = f"forward solve blew up (step {exc.step}, t = {exc.time:g})"
+        extra = {"converged": False, "blow_up_step": exc.step,
+                 "blow_up_time": exc.time}
+    if message is not None:
+        print(f"actuopt {args.command}: {message}", file=sys.stderr)
+    for name, text in files.items():
+        _write_text(os.path.join(args.out, name), text)
     summary = {
         "command": args.command,
         "model": cfg.model,
         "status": status,
-        "converged": converged,
+        "converged": None,
         "wall_time_s": time.perf_counter() - t0,
         "threads": args.threads,
         "j_history": None,
         "final_residuals": None,
         **extra,
-        "files": files + ["summary.json"],
+        "files": [*files, "summary.json"],
         "config_text": canonical_text(cfg),
     }
     _write_text(os.path.join(args.out, "summary.json"), _json_text(summary))
-    return code
+    return _EXIT.get(status, 1)
 
 
 if __name__ == "__main__":

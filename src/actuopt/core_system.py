@@ -249,7 +249,10 @@ class Discretization:
 
     Methods
     -------
-    b_of_r(r):  (2m,) control influence vector of the design r
+    b_of_r(r):  (2m,) control influence vector of the design r; through
+                check_support(r) it raises ValueError unless c - act_width
+                >= 0 and c + act_width <= L for each component c of r and
+                side L of domain(params), so the support stays in the domain
     b_jac_of_r(r): (2m, r_dim) derivative of the influence in r
     fnl(x):     (m, ...) velocity rows f(w) of the nonlinearity F = [0; f(w)]
     fnl_diag(x): (..., m) diagonal d of the Jacobian coupling, i.e.
@@ -287,6 +290,15 @@ class Discretization:
     @property
     def n_dof(self):
         return 2 * self.n_space
+
+    def check_support(self, r):
+        """Raise ValueError if the actuator support about r leaves the domain."""
+        width = self.act_width
+        for c, length in zip(r, self.domain(self.params)):
+            if not (c - width >= 0.0 and c + width <= length):
+                raise ValueError(
+                    f"actuator support (center {list(map(float, r))}, width {width}) "
+                    "leaves the domain; project the center into the admissible box")
 
     def cost_matrix(self, cost):
         """Build (and cache) M_Q for a CostSpec instance."""

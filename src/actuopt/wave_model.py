@@ -237,19 +237,9 @@ class WaveDiscretization(Discretization):
     def b_of_r(self, c_arr):
         """The radial bump r(xi) at the free nodes, in the velocity rows;
         its continuous integral over the plane is 1."""
+        self.check_support(c_arr)
         c1, c2 = float(c_arr[0]), float(c_arr[1])
         width = self.act_width
-        if not (
-            c1 - width >= 0.0
-            and c1 + width <= self.params.lx
-            and c2 - width >= 0.0
-            and c2 + width <= self.params.ly
-        ):
-            raise ValueError(
-                f"actuator support disk (center ({c1}, {c2}), width "
-                f"{width}) leaves the domain; project the center into the "
-                "admissible box"
-            )
         m = self.n_space
         xp, yp = self.dof_coords()
         rho = np.hypot(xp - c1, yp - c2)

@@ -132,20 +132,23 @@ def test_fd_check_runs_one_batched_sweep(beam_small, monkeypatch):
 
 
 def test_fd_check_blow_up_raises_from_the_first_blown_point(monkeypatch):
-    # the base point and its +-1e-2 points stay bounded, the +-1e3 points
-    # blow up; the first of them in point order, u + 1e3 du of the first
-    # direction, raises the BlowUpError of its own solve_forward
+    # from rest with no control, on a beam with a stiff cubic term, the base
+    # point, its +-1e-2 points and its r +- 0.3 points stay bounded, and the
+    # u +- 0.3 du points blow up; the first of them in point order,
+    # u + 0.3 du of the first direction, raises the BlowUpError of its own
+    # solve_forward
     import actuopt.adjoint_grad as adjoint_grad
 
-    monkeypatch.setattr(adjoint_grad, "FD_EPS", (1e-2, 1e3))
-    _, disc, grid, cost, x0 = make_beam(alpha=80.0, t_final=2.0, n_steps=50)
+    monkeypatch.setattr(adjoint_grad, "FD_EPS", (1e-2, 0.3))
+    _, disc, grid, cost, x0 = make_beam(alpha=1e9, t_final=2.0, n_steps=50)
+    x0 = np.zeros_like(x0)
     u = np.zeros(grid.n_steps + 1)
-    r = np.array([0.4])
+    r = np.array([0.5])
     traj = ao.solve_forward(disc, x0, u, r, grid)
     du = np.random.default_rng(0).standard_normal(u.shape)
     du /= np.sqrt(grid.theta @ du**2)
     with pytest.raises(ao.BlowUpError) as alone:
-        ao.solve_forward(disc, x0, u + 1e3 * du, r, grid)
+        ao.solve_forward(disc, x0, u + 0.3 * du, r, grid)
     with pytest.raises(ao.BlowUpError) as exc_info:
         ao.gradient_fd_check(disc, cost, traj, u, r, grid, n_directions=2, seed=0)
     err = exc_info.value

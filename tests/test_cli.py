@@ -545,6 +545,77 @@ def test_oracle_compare_zero_cost_metric_vanishes(tmp_path):
     assert report["greens"] is None
 
 
+TINY_CI = """\
+[run]
+model = beam
+[time]
+t_final = 0.1
+n_steps = 10
+[beam]
+n_cells = 12
+"""
+
+BLOWN_AT_28 = "state blow-up at step 28 (t = 1.12); partial trajectory of 28 rows retained"
+
+# command, config, exit code, status, converged, stderr line (None: empty)
+OUTCOMES = {
+    "simulate-ok": ("simulate", TINY_BEAM, 0, "ok", None, None),
+    "simulate-blow_up": ("simulate", BLOWUP_BEAM, 1, "blow_up", None, BLOWN_AT_28),
+    "gradcheck-ok": ("gradcheck", GRADCHECK_BEAM, 0, "ok", None, None),
+    "gradcheck-check_failed": ("gradcheck", GRADCHECK_BEAM + "corrupt = true\n", 1,
+                               "check_failed", None, "failed checks: fd_u, fd_r"),
+    "gradcheck-config_error": (
+        "gradcheck", TINY_WAVE + "[actuator]\nr_init = 0.1, 0.5\n", 2,
+        "config_error", None, "[actuator] r_init component 1 must lie at least "
+        "0.01 inside [0.1, 0.9] for the finite differences"),
+    "gradcheck-blow_up": ("gradcheck", BLOWUP_BEAM, 1, "blow_up", False,
+                          "forward solve blew up (step 29, t = 1.16)"),
+    "optimize-converged": ("optimize", TINY_CI, 0, "converged", True, None),
+    "optimize-max_iters": ("optimize", TINY_CI + "[optimizer]\nmax_iters = 1\n", 1,
+                           "max_iters", False, "did not converge (status: max_iters)"),
+    "optimize-blow_up": ("optimize", BLOWUP_BEAM, 1, "blow_up", False,
+                         "forward solve blew up (step 28, t = 1.12)"),
+    "gridsearch-ok": ("gridsearch", GRID_BEAM, 0, "ok", None, None),
+    "gridsearch-failed": (
+        "gridsearch", BLOWUP_BEAM + "[gridsearch]\nn_grid = 8\n", 1, "failed", None,
+        "grid search failed at every design point; the first: " + BLOWN_AT_28),
+    "oracle-compare-ok": ("oracle-compare", ORACLE_BEAM, 0, "ok", None, None),
+    "oracle-compare-check_failed": ("oracle-compare", BLOWUP_BEAM, 1, "check_failed",
+                                    None, "relative error 1.452e-01 (tolerance 0.01)"),
+}
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+def test_every_command_outcome(tmp_path, capsys, outcome):
+    # the exit code follows from the status alone; the stderr line is the
+    # command's message; summary.json lists exactly the files written
+    command, text, code, status, converged, message = OUTCOMES[outcome]
+    got, out = run_cli(tmp_path, text, command)
+    err = capsys.readouterr().err
+    assert got == code
+    summary = read_summary(out)
+    assert summary["status"] == status
+    assert summary["converged"] is converged
+    assert err == ("" if message is None else f"actuopt {command}: {message}\n")
+    assert sorted(summary["files"]) == sorted(os.listdir(out))
+    assert summary["files"][-1] == "summary.json"
+
+
+def test_help_lists_the_five_commands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command
+    assert main(["--help"]) == 0
+    lines = [" ".join(ln.split()) for ln in capsys.readouterr().out.splitlines()]
+    for line in [
+        "simulate integrate the forward model and write a trajectory CSV",
+        "gradcheck verify adjoint gradients against duality and finite differences",
+        "optimize run the projected-gradient solver for (u, r)",
+        "gridsearch sweep actuator positions with per-point control solves",
+        "oracle-compare compare the discrete adjoint against the "
+        "continuous-adjoint oracle",
+    ]:
+        assert line in lines
+
+
 def test_threads_environment_variable_is_not_read(tmp_path, monkeypatch):
     # --threads is the one source of the worker count, default 1
     monkeypatch.setenv("ACTUOPT_THREADS", "abc")

@@ -143,10 +143,20 @@ def test_actuator_width_is_checked_at_construction(name, width):
         cls.assemble(cls.params_cls(), width)
 
 
-def test_beam_actuator_center_must_be_finite():
-    disc = actuopt.assemble_beam(actuopt.BeamParams(n_cells=8))
-    with pytest.raises(ValueError, match="center must be finite"):
-        disc.b_of_r(np.array([float("nan")]))
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("frac", [-0.2, 0.0, 1.02, float("nan")])
+def test_actuator_support_must_stay_in_the_domain(name, frac):
+    # a centre at frac times a side, in any one component, puts the support
+    # partly or wholly outside the domain (or is NaN); both models reject it
+    cls = MODELS[name]
+    disc = cls.assemble(cls.params_cls(), cls.default_act_width)
+    sides = np.array(disc.domain(disc.params))
+    disc.b_of_r(0.5 * sides)
+    for c in range(disc.r_dim):
+        center = 0.5 * sides
+        center[c] = frac * sides[c]
+        with pytest.raises(ValueError, match="actuator support .* leaves the domain"):
+            disc.b_of_r(center)
 
 
 def test_package_exports_exactly_what_it_imports():
