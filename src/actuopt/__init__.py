@@ -29,12 +29,10 @@ from .wave_model import (
     assemble_wave,
 )
 from .adjoint_grad import (
-    GradientReport,
     adjoint_compare,
     adjoint_node_view,
     continuous_adjoint_oracle,
     duality_check,
-    gradient,
     gradient_fd_check,
     gradients_from_adjoint,
     solve_adjoint,
@@ -42,11 +40,9 @@ from .adjoint_grad import (
 )
 from .optimizer import (
     OptimRun,
-    OptimalityResidual,
     OptimizerConfig,
     ProjectionSpec,
     grid_search_r,
-    optimality_residual,
     optimize,
     project_r,
     project_u,
@@ -69,10 +65,8 @@ __all__ = [
     "CostSpec",
     "Discretization",
     "ExperimentConfig",
-    "GradientReport",
     "NonContractionError",
     "OptimRun",
-    "OptimalityResidual",
     "OptimizerConfig",
     "ProjectionSpec",
     "StepSolverError",
@@ -92,14 +86,12 @@ __all__ = [
     "energy_norm",
     "energy_series",
     "forward_costs",
-    "gradient",
     "gradient_fd_check",
     "gradients_from_adjoint",
     "greens_apply",
     "greens_eval",
     "grid_search_r",
     "load_config",
-    "optimality_residual",
     "optimize",
     "parse_config_text",
     "picard_mild_solve",

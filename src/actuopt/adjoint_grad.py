@@ -23,7 +23,6 @@ exists only for the comparison with the continuous-adjoint oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +44,6 @@ def _bstar_series(z, grid):
     z_next[:-1] = z[1:]
     z_next[-1] = 0.0
     return (z + z_next) * (grid.dt / (2.0 * grid.theta))
-
-
-@dataclass
-class GradientReport:
-    """Gradients of the discrete cost at (u, r).
-
-    grad_u is the Riesz representative in the trapezoid L^2(0, tau) inner
-    product (directional derivatives are sum theta_j grad_u_j du_j);
-    grad_r is the plain Euclidean gradient over design components.
-    """
-
-    grad_u: np.ndarray
-    grad_r: np.ndarray
-    j: float
 
 
 def _check_traj(disc, x_traj, grid):
@@ -232,7 +217,12 @@ def duality_check(disc, x_traj, r, u_tilde, x_hat, grid):
 
 def gradients_from_adjoint(disc, cost, u, r, lam, grid):
     """grad_u and grad_r from the multipliers lam of an adjoint sweep
-    (multiplier-exact pairings)."""
+    (multiplier-exact pairings).
+
+    grad_u is the Riesz representative in the trapezoid L^2(0, tau) inner
+    product (directional derivatives are sum theta_j grad_u_j du_j);
+    grad_r is the plain Euclidean gradient over design components.
+    """
     u = np.asarray(u, dtype=float)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     b_vec = disc.b_of_r(r_arr)
@@ -241,15 +231,6 @@ def gradients_from_adjoint(disc, cost, u, r, lam, grid):
     u_mid = 0.5 * (u[:-1] + u[1:])
     grad_r = 2.0 * grid.dt * (u_mid @ (lam[1:] @ b_jac))
     return grad_u, grad_r
-
-
-def gradient(disc, cost, x0, u, r, grid):
-    """GradientReport of the discrete J at (u, r) from x0 (BlowUpError propagates)."""
-    x_traj = solve_forward(disc, x0, u, r, grid)
-    lam = solve_adjoint(disc, cost, x_traj, grid)
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r, lam, grid)
-    j = cost_eval(disc, cost, x_traj, u, grid)
-    return GradientReport(grad_u=grad_u, grad_r=grad_r, j=j)
 
 
 def continuous_adjoint_oracle(disc, cost, x_traj, grid):

@@ -72,10 +72,10 @@ def _finite_or_none(x):
 
 # Each command takes (cfg, prob, threads) and returns (status, message,
 # files, extra): its stderr line or None, each output file's name and text in
-# write order, and its summary keys. main times it with build_problem, prints
-# the message, writes the files and summary.json (converged, j_history and
-# final_residuals are null unless extra sets them) and exits by _EXIT. A
-# BlowUpError that leaves a command becomes a blow_up summary.
+# write order, and the summary keys it fills. main times it with
+# build_problem, prints the message, writes the files and summary.json (the
+# common keys, then extra) and exits by _EXIT. A BlowUpError that leaves a
+# command becomes a blow_up summary.
 
 
 def cmd_simulate(cfg, prob, threads):
@@ -186,8 +186,6 @@ def cmd_optimize(cfg, prob, threads):
     message = None if run.converged else f"did not converge (status: {run.status})"
     last = run.history[-1]
     return run.status, message, files, {
-        "converged": run.converged,
-        "j_history": [row["j"] for row in run.history],
         "final_residuals": {"res_u": last["res_u"], "res_r": last["res_r"]},
     }
 
@@ -293,8 +291,7 @@ def main(argv=None):
     except BlowUpError as exc:
         status, files = "blow_up", {}
         message = f"forward solve blew up (step {exc.step}, t = {exc.time:g})"
-        extra = {"converged": False, "blow_up_step": exc.step,
-                 "blow_up_time": exc.time}
+        extra = {"blow_up_step": exc.step, "blow_up_time": exc.time}
     if message is not None:
         print(f"actuopt {args.command}: {message}", file=sys.stderr)
     for name, text in files.items():
@@ -303,11 +300,8 @@ def main(argv=None):
         "command": args.command,
         "model": cfg.model,
         "status": status,
-        "converged": None,
         "wall_time_s": time.perf_counter() - t0,
         "threads": args.threads,
-        "j_history": None,
-        "final_residuals": None,
         **extra,
         "files": [*files, "summary.json"],
         "config_text": canonical_text(cfg),

@@ -1,4 +1,4 @@
-"""Projected gradient descent over (u, r), its first-order optimality
+"""Projected gradient descent over (u, r), stopped by its projected-gradient
 residuals, and the actuator grid-search oracle.
 
 The joint iteration takes simultaneous projected steps in the control u
@@ -80,32 +80,17 @@ class OptimizerConfig:
 
 
 @dataclass
-class OptimalityResidual:
-    """First-order residuals at (u, r).
-
-    res_u  = || u + R^{-1} B*(r) p ||_{L^2(0,tau)}
-    res_r  = | integral (B'_r u)* p dt |  componentwise
-    grad_r = the signed value of 2 * that integral (descent direction info)
-    pg_res_u / pg_res_r: projected-gradient residuals, filled when an
-    admissible-set spec is supplied (boundary-of-set iterates).
-    """
-
-    res_u: float
-    res_r: np.ndarray
-    grad_r: np.ndarray
-    pg_res_u: float = None
-    pg_res_r: float = None
-
-
-@dataclass
 class OptimRun:
     u: np.ndarray
     r: np.ndarray
     j_final: float
-    converged: bool
     status: str
     history: list = field(default_factory=list)
     n_iters: int = 0
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
 
 def _bb_step(num, den, tried):
@@ -151,29 +136,6 @@ def _pg_residuals(u, r, gu, gr, spec, grid):
     return pg_u, pg_r
 
 
-def optimality_residual(disc, cost, u, r, lam, grid, spec=None):
-    """First-order residuals of the optimality system at (u, r), from the
-    multipliers lam of the adjoint sweep there.
-
-    When an admissible-set spec is given, the projected-gradient residuals
-    ||z - Proj(z - grad)|| realizing the variational inequalities on the
-    set boundary are filled in as well.
-    """
-    u = np.asarray(u, dtype=float)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    grad_u, grad_r = gradients_from_adjoint(disc, cost, u, r_arr, lam, grid)
-    # grad_u = 2 (R u + B* p), so u + R^{-1} B* p is grad_u / (2 R)
-    res_u = _u_norm(grad_u / (2.0 * cost.r_weight), grid)
-    res_r = np.abs(0.5 * grad_r)
-
-    pg_u = pg_r = None
-    if spec is not None:
-        pg_u, pg_r = _pg_residuals(u, r_arr, grad_u, grad_r, spec, grid)
-    return OptimalityResidual(
-        res_u=res_u, res_r=res_r, grad_r=grad_r, pg_res_u=pg_u, pg_res_r=pg_r
-    )
-
-
 def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     """One projected-gradient run as a generator that yields its sweeps.
 
@@ -217,11 +179,15 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
     def tol_u():
         return config.tol_grad * max(1.0, _u_norm(u, grid))
 
+    def stationary():
+        return pg_u <= tol_u() and (freeze_r or pg_r <= config.tol_grad)
+
     push(0, 0)
-    converged = pg_u <= tol_u() and (freeze_r or pg_r <= config.tol_grad)
-    status = "converged" if converged else "running"
+    # the status the run ends with unless it converges or its line search
+    # fails
+    status = "converged" if stationary() else "max_iters"
     it = 0
-    while not converged and it < config.max_iters:
+    while status == "max_iters" and it < config.max_iters:
         it += 1
         active_u = pg_u > tol_u()
         active_r = (not freeze_r) and pg_r > config.tol_grad
@@ -261,17 +227,13 @@ def _descent(disc, cost, spec, config, grid, u_init, r_init, freeze_r):
         u, r, j, gu, gr = u_new, r_new, j_new, gu_new, gr_new
         pg_u, pg_r = _pg_residuals(u, r, gu, gr, spec, grid)
         push(it, bt)
-        converged = pg_u <= tol_u() and (freeze_r or pg_r <= config.tol_grad)
-        if converged:
+        if stationary():
             status = "converged"
-    if not converged and status == "running":
-        status = "max_iters"
 
     return OptimRun(
         u=u,
         r=r,
         j_final=j,
-        converged=converged,
         status=status,
         history=history,
         n_iters=it,
@@ -376,7 +338,7 @@ def _solve_block(disc, cost, x0, spec, config, grid, r_points):
     except StepSolverError as exc:
         return [(math.nan, False, str(exc))] * len(r_points)
     return [(math.nan, False, str(run)) if isinstance(run, BlowUpError)
-            else (run.j_final, bool(run.converged), None) for run in runs]
+            else (run.j_final, run.converged, None) for run in runs]
 
 
 def _block_width(disc, grid):

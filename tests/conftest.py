@@ -51,6 +51,14 @@ def make_wave(nx=10, ny=10, t_final=0.4, n_steps=40, act_width=0.1, **kw):
     return params, disc, grid, cost, x0
 
 
+def gradients_at(disc, cost, x0, u, r, grid):
+    """(grad_u, grad_r) of the discrete J at (u, r) from x0: one forward
+    sweep, one adjoint sweep and their pairing, as the optimizer forms it."""
+    traj = ao.solve_forward(disc, x0, u, r, grid)
+    lam = ao.solve_adjoint(disc, cost, traj, grid)
+    return ao.gradients_from_adjoint(disc, cost, u, r, lam, grid)
+
+
 @pytest.fixture
 def beam_small():
     return make_beam()

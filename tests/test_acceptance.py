@@ -7,15 +7,13 @@ whole file stays well under the five-minute budget on one core.
 import time
 
 import numpy as np
-from conftest import record_acceptance
+from conftest import gradients_at, record_acceptance
 
 import actuopt as ao
 from actuopt.adjoint_grad import (
     adjoint_compare,
     duality_check,
-    gradient,
     gradient_fd_check,
-    solve_adjoint,
 )
 from actuopt.config import build_problem, parse_config_text
 from actuopt.core_system import (
@@ -29,7 +27,6 @@ from actuopt.optimizer import (
     OptimizerConfig,
     ProjectionSpec,
     grid_search_r,
-    optimality_residual,
     optimize,
     project_r,
     project_u,
@@ -285,9 +282,9 @@ def test_criterion_09_optimality_system():
     run = optimize(disc, cost, prob["x0"], prob["u0"], prob["r_init"], spec,
                    OptimizerConfig(), grid)
 
-    lam = solve_adjoint(disc, cost,
-                        solve_forward(disc, prob["x0"], run.u, run.r, grid), grid)
-    res = optimality_residual(disc, cost, run.u, run.r, lam, grid)
+    grad_u, grad_r = gradients_at(disc, cost, prob["x0"], run.u, run.r, grid)
+    # || u + R^{-1} B*(r) p ||, as grad_u = 2 (R u + B* p)
+    res_u = np.sqrt(grid.theta @ (grad_u / (2.0 * cost.r_weight)) ** 2)
     u_norm = np.sqrt(grid.theta @ run.u**2)
     js = [row["j"] for row in run.history]
     monotone = all(b <= a + 1e-14 for a, b in zip(js, js[1:]))
@@ -298,28 +295,28 @@ def test_criterion_09_optimality_system():
     wall = time.perf_counter() - t0
 
     ok = (run.converged
-          and res.res_u <= 1e-6 * max(1.0, u_norm)
-          and np.max(np.abs(res.grad_r)) <= 1e-6
+          and res_u <= 1e-6 * max(1.0, u_norm)
+          and np.max(np.abs(grad_r)) <= 1e-6
           and monotone
           and abs(run.r[0] - best[0]) <= cell + 1e-12
           and wall < 120.0)
     assert record_acceptance(
-        9, f"default-instance optimality (res_u {res.res_u:.1e}, "
+        9, f"default-instance optimality (res_u {res_u:.1e}, "
            f"|r-argmin| {abs(run.r[0] - best[0]):.4f}, {wall:.0f}s)", ok
-    ), (run.status, res, run.r, best, wall)
+    ), (run.status, res_u, grad_r, run.r, best, wall)
 
 
 def test_criterion_10_symmetry_stationarity():
     params, disc, grid, cost, x0 = _beam_bundle(n_cells=64, t_final=2.0,
                                                 n_steps=400)
     u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
-    g_beam = abs(gradient(disc, cost, x0, u, np.array([0.5]), grid).grad_r[0])
+    g_beam = abs(gradients_at(disc, cost, x0, u, np.array([0.5]), grid)[1][0])
 
     wparams, wdisc, wgrid, wcost, wx0 = _wave_bundle(nx=16, t_final=0.5,
                                                      n_steps=50)
     uw = np.sin(2.0 * np.pi * wgrid.times / wgrid.t_final)
     g_wave = np.max(np.abs(
-        gradient(wdisc, wcost, wx0, uw, np.array([0.5, 0.5]), wgrid).grad_r))
+        gradients_at(wdisc, wcost, wx0, uw, np.array([0.5, 0.5]), wgrid)[1]))
 
     ok = g_beam <= 1e-8 and g_wave <= 1e-8
     assert record_acceptance(

@@ -2,11 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import make_beam, make_wave
+from conftest import gradients_at, make_beam, make_wave
 
 import actuopt as ao
 import actuopt.adjoint_grad as adjoint_grad
 import actuopt.core_system as core_system
+import actuopt.optimizer as optimizer
+from actuopt.optimizer import OptimizerConfig, ProjectionSpec
 
 
 def test_linearized_equals_solution_difference_when_linear():
@@ -161,25 +163,25 @@ def test_design_gradient_antisymmetric_across_center():
     # design derivative is odd about the midpoint and flips sign there
     params, disc, grid, cost, x0 = make_beam(n_cells=16)
     u = np.sin(2.0 * np.pi * grid.times / grid.t_final)
-    g_left = ao.gradient(disc, cost, x0, u, np.array([0.4]), grid).grad_r[0]
-    g_right = ao.gradient(disc, cost, x0, u, np.array([0.6]), grid).grad_r[0]
+    g_left = gradients_at(disc, cost, x0, u, np.array([0.4]), grid)[1][0]
+    g_right = gradients_at(disc, cost, x0, u, np.array([0.6]), grid)[1][0]
     assert g_left * g_right < 0.0
     assert abs(g_left + g_right) < 1e-8 * max(1.0, abs(g_left))
 
 
 def test_residual_definitions_agree_with_gradient(beam_small):
+    # where no constraint binds, the optimizer's projected-gradient
+    # residuals are the norms of the gradient itself
     params, disc, grid, cost, x0 = beam_small
     u = 0.2 * np.sin(grid.times)
     r = np.array([0.42])
-    traj = ao.solve_forward(disc, x0, u, r, grid)
-    lam = ao.solve_adjoint(disc, cost, traj, grid)
-    rep = ao.gradients_from_adjoint(disc, cost, u, r, lam, grid)
-    res = ao.optimality_residual(disc, cost, u, r, lam, grid)
-    grad_u, grad_r = rep
-    expect_u = np.sqrt(grid.theta @ (grad_u / (2.0 * cost.r_weight)) ** 2)
-    assert abs(res.res_u - expect_u) < 1e-12 * max(1.0, expect_u)
-    assert abs(res.res_r - 0.5 * abs(grad_r[0])) < 1e-14
-    np.testing.assert_allclose(res.grad_r, grad_r)
+    grad_u, grad_r = gradients_at(disc, cost, x0, u, r, grid)
+    spec = ProjectionSpec(r_ad=1e6, r_box=np.array([[-1e3, 1e3]]))
+    pg_u, pg_r = optimizer._pg_residuals(u, r, grad_u, grad_r, spec, grid)
+    norm_u = np.sqrt(grid.theta @ grad_u**2)
+    assert norm_u > 0.0 and abs(grad_r[0]) > 0.0
+    assert abs(pg_u - norm_u) < 1e-12 * norm_u
+    assert abs(pg_r - abs(grad_r[0])) < 1e-12 * abs(grad_r[0])
 
 
 def test_continuous_oracle_agrees_and_refines():
@@ -197,16 +199,21 @@ def test_continuous_oracle_agrees_and_refines():
 
 
 def test_gradient_equals_its_sweeps_composed(beam_small):
+    # the first row of an optimize run, from its lockstep block sweeps,
+    # holds the J and residuals of the public sweeps composed at the start
     params, disc, grid, cost, x0 = beam_small
     u = 0.1 * np.cos(grid.times)
     r = np.array([0.55])
+    spec = ProjectionSpec(r_ad=10.0, r_box=np.array([[0.1, 0.9]]))
+    run = ao.optimize(disc, cost, x0, u, r, spec,
+                      OptimizerConfig(max_iters=1), grid)
     traj = ao.solve_forward(disc, x0, u, r, grid)
+    j = ao.cost_eval(disc, cost, traj, u, grid)
     lam = ao.solve_adjoint(disc, cost, traj, grid)
-    a = ao.gradient(disc, cost, x0, u, r, grid)
     grad_u, grad_r = ao.gradients_from_adjoint(disc, cost, u, r, lam, grid)
-    np.testing.assert_array_equal(a.grad_u, grad_u)
-    np.testing.assert_array_equal(a.grad_r, grad_r)
-    assert a.j == ao.cost_eval(disc, cost, traj, u, grid)
+    first = run.history[0]
+    assert (first["j"], first["res_u"], first["res_r"]) == (
+        j, *optimizer._pg_residuals(u, r, grad_u, grad_r, spec, grid))
 
 
 def test_trajectory_shape_mismatch_rejected(beam_small):

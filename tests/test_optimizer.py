@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import make_beam, make_wave
+from conftest import gradients_at, make_beam, make_wave
 
 import actuopt as ao
 import actuopt.beam_model as beam_mod
@@ -91,11 +91,12 @@ def test_optimize_descends_monotone_and_feasible():
         assert row["u_norm"] <= spec.r_ad + 1e-12
         assert spec.r_box[0, 0] <= row["r1"] <= spec.r_box[0, 1]
     # converged point satisfies the stationarity system to tolerance
-    lam = ao.solve_adjoint(disc, cost,
-                           ao.solve_forward(disc, x0, run.u, run.r, grid), grid)
-    res = ao.optimality_residual(disc, cost, run.u, run.r, lam, grid, spec=spec)
+    grad_u, grad_r = gradients_at(disc, cost, x0, run.u, run.r, grid)
+    pg_u, pg_r = optimizer_mod._pg_residuals(run.u, run.r, grad_u, grad_r, spec,
+                                             grid)
     u_norm = np.sqrt(grid.theta @ run.u**2)
-    assert res.pg_res_u <= LOOSE.tol_grad * max(1.0, u_norm)
+    assert pg_u <= LOOSE.tol_grad * max(1.0, u_norm)
+    assert pg_r <= LOOSE.tol_grad
 
 
 def test_adjoint_sweeps_run_only_at_accepted_points(monkeypatch):
@@ -175,6 +176,26 @@ def test_every_rejected_trial_ends_the_run(offset, status):
     assert run.n_iters == 0
     assert len(run.history) == 1
     assert trials == optimizer_mod.MAX_BACKTRACKS + 1
+
+
+def test_design_residual_within_ten_tolerances_is_not_converged(monkeypatch):
+    # the r block is stationary only at pg_r <= tol_grad: a start whose u
+    # block is stationary and whose pg_r is 5 tol_grad must not stop there
+    params, disc, grid, cost, x0 = make_beam(n_cells=16)
+    pg_residuals = optimizer_mod._pg_residuals
+    calls = []
+
+    def r_off_at_start(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return 0.0, 5.0 * LOOSE.tol_grad
+        return pg_residuals(*args)
+
+    monkeypatch.setattr(optimizer_mod, "_pg_residuals", r_off_at_start)
+    run = ao.optimize(disc, cost, x0, np.zeros(grid.n_steps + 1),
+                      np.array([0.42]), _spec_1d(), LOOSE, grid)
+    assert calls
+    assert (run.n_iters, run.status) != (0, "converged")
 
 
 def test_grid_search_rejects_coarse_grids(beam_small):
