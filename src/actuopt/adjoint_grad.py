@@ -47,12 +47,13 @@ def _bstar_series(z, grid):
 
 
 def _check_traj(disc, x_traj, grid):
-    """x_traj as a float stack (K, n_steps+1, n_dof); one trajectory
+    """x_traj as a float stack (K, n_steps+1, n_dof), K >= 1; one trajectory
     (n_steps+1, n_dof) becomes a stack of one."""
     x_traj = np.asarray(x_traj, dtype=float)
-    if x_traj.shape[-2:] != (grid.n_steps + 1, disc.n_dof) or x_traj.ndim not in (2, 3):
-        raise ValueError(f"trajectory shape {x_traj.shape} does not match the grid "
-                         f"({grid.n_steps + 1}, {disc.n_dof}): grid mismatch")
+    rows = (grid.n_steps + 1, disc.n_dof)
+    if x_traj.ndim not in (2, 3) or x_traj.shape[-2:] != rows or not len(x_traj):
+        raise ValueError(f"trajectory shape {x_traj.shape} must be {rows} or "
+                         f"(K, {rows[0]}, {rows[1]}), K >= 1")
     return x_traj.reshape((-1,) + x_traj.shape[-2:])
 
 

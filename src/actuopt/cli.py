@@ -27,7 +27,8 @@ from .config import (
     control_series,
     load_config,
 )
-from .core_system import BlowUpError, TimeGrid, energy_series, solve_forward
+from .core_system import (BlowUpError, TimeGrid, energy_series, solve_forward,
+                          support_leaves)
 from .optimizer import grid_search_r, optimize
 
 DUALITY_TOL = 1e-10
@@ -105,13 +106,14 @@ def cmd_gradcheck(cfg, prob, threads):
     disc, grid, cost = prob["disc"], prob["grid"], prob["cost"]
     r, u = prob["r_init"], prob["u0"]
     # the design differences move each component of r by up to max(FD_EPS);
-    # the actuator support must stay in the domain at every such point
-    eps, width = max(FD_EPS), cfg.act_width
-    for c, (rc, length) in enumerate(zip(r, cfg.domain)):
-        if not (rc - eps - width >= 0.0 and rc + eps + width <= length):
+    # the actuator support must stay in the domain at the extreme points
+    eps, width, sides = max(FD_EPS), disc.act_width, disc.domain(disc.params)
+    for point in (r - eps, r + eps):
+        c = support_leaves(point, width, sides)
+        if c is not None:
             return "config_error", (
                 f"[actuator] r_init component {c + 1} must lie at least "
-                f"{eps:g} inside [{width:g}, {length - width:g}] for the "
+                f"{eps:g} inside [{width:g}, {sides[c] - width:g}] for the "
                 "finite differences"), {}, {}
     if not np.any(u):
         # a zero control would make J independent of r; exercise the design

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import CostSpec, TimeGrid
+from .core_system import CostSpec, TimeGrid, support_leaves
 from .models import MODELS
 from .optimizer import MIN_GRID, OptimizerConfig, ProjectionSpec
 
@@ -127,11 +127,6 @@ class ExperimentConfig:
     n_grid: int = _key("gridsearch", "n_grid", _at_least(MIN_GRID), 64)
     # "center" or tuple of floats (beam) / tuple of pairs (wave)
     probe: object = _key("output", "probe", _s, "center")
-
-    @property
-    def domain(self):
-        """Side lengths of the model's domain, one per design dimension."""
-        return MODELS[self.model].domain(self.params)
 
 
 # the sections built from a dataclass (the models' parameters and the
@@ -236,31 +231,27 @@ def parse_config_text(text, source="<config>"):
         values["act_width"] = model.default_act_width
     act_width = values["act_width"]
 
-    def check_range(point, what, margin=0.0):
-        # the point must lie in the domain; an actuator center (margin =
-        # width) keeps its whole support [p - width, p + width] in it
-        for c, p in enumerate(point):
-            hi = domain[c] - margin
-            if not margin <= p <= hi:
-                why = "lets the actuator support leave" if margin else "lies outside"
-                raise ConfigError(f"{source}: {what} component {c + 1} {why} the "
-                                  f"domain (valid range [{margin}, {hi}])")
+    def check_support(point, what, width=0.0):
+        # the model's rule: the point (width 0) or the support about it is inside
+        c = support_leaves(point, width, domain)
+        if c is not None:
+            why = "lets the actuator support leave" if width else "lies outside"
+            raise ConfigError(f"{source}: {what} component {c + 1} {why} the domain "
+                              f"[0, {domain[c]}]")
 
     if values["r_init"] != "center":
-        values["r_init"] = _floats(
-            values["r_init"], f"{source}: [actuator] r_init", r_dim
-        )
-        check_range(values["r_init"], "[actuator] r_init", act_width)
+        values["r_init"] = _floats(values["r_init"], f"{source}: [actuator] r_init",
+                                   r_dim)
+        check_support(values["r_init"], "[actuator] r_init", act_width)
 
     for key in ("q1", "q2"):
-        _check_preset(values[key], r_dim, f"{source}: [cost] {key}")
+        _gaussian(values[key], r_dim, f"{source}: [cost] {key}")
     if values["init_center"] is None:
         values["init_center"] = tuple(d / 2.0 for d in domain)
     else:
-        values["init_center"] = _floats(
-            values["init_center"], f"{source}: [init] center", r_dim
-        )
-        check_range(values["init_center"], "[init] center")
+        values["init_center"] = _floats(values["init_center"],
+                                        f"{source}: [init] center", r_dim)
+        check_support(values["init_center"], "[init] center")
 
     if values["r_box"] != "auto":
         values["r_box"] = _floats(values["r_box"], f"{source}: [admissible] r_box",
@@ -270,9 +261,8 @@ def parse_config_text(text, source="<config>"):
         if not lo <= hi:
             raise ConfigError(f"{source}: [admissible] r_box component {c + 1} "
                               f"empty (lo > hi) with [actuator] width {act_width}")
-    if values["r_box"] != "auto":
-        check_range(box[:, 0], "[admissible] r_box", act_width)
-        check_range(box[:, 1], "[admissible] r_box", act_width)
+    for corner in box.T:  # an automatic box passes: a cell inside [w, L - w]
+        check_support(corner, "[admissible] r_box", act_width)
 
     if values["probe"] != "center":
         # one-dimensional probes are a list of numbers, others "x, y; x, y"
@@ -284,22 +274,23 @@ def parse_config_text(text, source="<config>"):
         if not points:
             raise ConfigError(f"{source}: [output] probe is empty")
         for k, point in enumerate(points):
-            check_range(point, f"[output] probe point {k + 1}")
+            check_support(point, f"[output] probe point {k + 1}")
         values["probe"] = tuple(p for (p,) in points) if r_dim == 1 else points
 
     return ExperimentConfig(params=params, opt=build(OptimizerConfig, "optimizer"),
                             **values)
 
 
-def _check_preset(preset, r_dim, where):
+def _gaussian(preset, r_dim, where):
+    """(center, width) of a gaussian(center..., width) preset, else None."""
     if preset in ("uniform", "zero"):
-        return
+        return None
     if preset.startswith("gaussian(") and preset.endswith(")"):
-        *_, width = _floats(preset[len("gaussian("):-1],
-                            f"{where}: gaussian arguments", r_dim + 1)
+        *center, width = _floats(preset[len("gaussian("):-1],
+                                 f"{where}: gaussian arguments", r_dim + 1)
         if not width > 0.0:
             raise ConfigError(f"{where}: gaussian width must be positive")
-        return
+        return center, width
     raise ConfigError(
         f"{where}: unknown preset {preset!r} "
         "(use uniform, zero, or gaussian(center...,width))"
@@ -350,7 +341,7 @@ def _eval_preset(preset, coords):
         return np.ones_like(coords[0])
     if preset == "zero":
         return np.zeros_like(coords[0])
-    *center, width = _floats(preset[len("gaussian("):-1], "gaussian preset")
+    center, width = _gaussian(preset, len(coords), "gaussian preset")
     d2 = sum((x - c) ** 2 for x, c in zip(coords, center))
     return np.exp(-d2 / (2.0 * width**2))
 
@@ -382,7 +373,7 @@ def build_problem(cfg):
     """
     grid = TimeGrid(cfg.t_final, cfg.n_steps)
     model = MODELS[cfg.model]
-    domain = cfg.domain
+    domain = model.domain(cfg.params)
     disc = model.assemble(cfg.params, cfg.act_width)
     coords = disc.cost_coords()
     q1 = _eval_preset(cfg.q1, coords)

@@ -210,6 +210,16 @@ class CostSpec:
             raise ValueError(f"R_weight must be positive, got {self.r_weight}")
 
 
+def support_leaves(center, width, sides):
+    """Index of the first component c of center whose support fails c - width
+    >= 0 and c + width <= L, L its side, as rounded (NaN fails); None if none
+    does. Rounding is monotone: a point between two passing ones passes."""
+    for k, (c, length) in enumerate(zip(center, sides)):
+        if not (c - width >= 0.0 and c + width <= length):
+            return k
+    return None
+
+
 class Discretization:
     """The spatial operators of one model, and the interface of a model.
 
@@ -252,7 +262,9 @@ class Discretization:
     b_of_r(r):  (2m,) control influence vector of the design r; through
                 check_support(r) it raises ValueError unless c - act_width
                 >= 0 and c + act_width <= L for each component c of r and
-                side L of domain(params), so the support stays in the domain
+                side L of domain(params): support_leaves, the one rule that
+                the config's r_init and r_box corners and gradcheck's
+                finite-difference points are held to as well
     b_jac_of_r(r): (2m, r_dim) derivative of the influence in r
     fnl(x):     (m, ...) velocity rows f(w) of the nonlinearity F = [0; f(w)]
     fnl_diag(x): (..., m) diagonal d of the Jacobian coupling, i.e.
@@ -293,12 +305,11 @@ class Discretization:
 
     def check_support(self, r):
         """Raise ValueError if the actuator support about r leaves the domain."""
-        width = self.act_width
-        for c, length in zip(r, self.domain(self.params)):
-            if not (c - width >= 0.0 and c + width <= length):
-                raise ValueError(
-                    f"actuator support (center {list(map(float, r))}, width {width}) "
-                    "leaves the domain; project the center into the admissible box")
+        if support_leaves(r, self.act_width, self.domain(self.params)) is not None:
+            raise ValueError(
+                f"actuator support (center {list(map(float, r))}, width "
+                f"{self.act_width}) leaves the domain; project the center into "
+                "the admissible box")
 
     def cost_matrix(self, cost):
         """Build (and cache) M_Q for a CostSpec instance."""
@@ -526,14 +537,8 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
         if d <= tol * scale:
             converged = True
             break
-        if len(distances) >= 2 and (
-            not math.isfinite(d) or d > 10.0 * tol * scale
-        ):
-            prev = distances[-2]
-            if not math.isfinite(d) or d >= prev:
-                bad += 1
-            else:
-                bad = 0
+        if len(distances) >= 2 and (not math.isfinite(d) or d > 10.0 * tol * scale):
+            bad = bad + 1 if not math.isfinite(d) or d >= distances[-2] else 0
             if bad >= 3:
                 raise NonContractionError(distances)
     info = {"iterations": iterations, "distances": distances, "converged": converged}

@@ -225,6 +225,16 @@ def test_trajectory_shape_mismatch_rejected(beam_small):
         ao.solve_adjoint(disc, cost, traj[:-1], grid)
 
 
+def test_empty_trajectory_stack_rejected(beam_small):
+    # K = 0 is rejected like an empty block of controls in solve_forward
+    params, disc, grid, cost, x0 = beam_small
+    empty = np.zeros((0, grid.n_steps + 1, disc.n_dof))
+    with pytest.raises(ValueError, match="K >= 1"):
+        ao.solve_forward(disc, x0, empty[:, :, 0], np.zeros((0, 1)), grid)
+    with pytest.raises(ValueError, match="K >= 1"):
+        ao.solve_adjoint(disc, cost, empty, grid)
+
+
 @pytest.mark.parametrize("maker", [make_beam, make_wave])
 @pytest.mark.parametrize("k", [1, 5])
 def test_block_sweeps_equal_single_sweeps_bit_for_bit(maker, k):

@@ -11,7 +11,7 @@ import pytest
 
 import actuopt
 from actuopt.cli import main
-from actuopt.config import build_problem, canonical_text, parse_config_text
+from actuopt.config import ConfigError, build_problem, canonical_text, parse_config_text
 from actuopt.core_system import Discretization
 from actuopt.models import MODELS
 
@@ -89,7 +89,7 @@ def test_build_problem_contract(name):
     prob = build_problem(cfg)
     disc = prob["disc"]
     assert disc.model == name
-    assert disc.r_dim == len(cfg.domain)
+    assert disc.r_dim == len(disc.domain(cfg.params))
     assert prob["x0"].shape == (disc.n_dof,)
     box = prob["pspec"].r_box
     r = prob["r_init"]
@@ -133,6 +133,84 @@ def test_discretization_pickles_as_its_recipe(name):
     a = actuopt.solve_forward(disc, *args)
     b = actuopt.solve_forward(again, *args)
     assert a.tobytes() == b.tobytes()
+
+
+# the key of each model's first side, and the other components of an
+# actuator center and of an r_box, inside the unit sides that follow
+FIRST_SIDE = {"beam": ("length", "", ""), "wave": ("lx", ", 0.5", ", 0.25, 0.75")}
+
+
+def edge_text(name, side, width, r_init=None, r_box=None):
+    """A config of model name with first side `side` and actuator width
+    `width`, whose r_init (a number) or r_box (a pair) sets the first
+    component."""
+    key, center_rest, box_rest = FIRST_SIDE[name]
+    text = (minimal(name) + "[time]\nt_final = 0.1\nn_steps = 4\n"
+            f"[{name}]\n{key} = {side!r}\n[actuator]\nwidth = {width!r}\n")
+    if r_init is not None:
+        text += f"r_init = {r_init!r}{center_rest}\n"
+    if r_box is not None:
+        text += f"[admissible]\nr_box = {r_box[0]!r}, {r_box[1]!r}{box_rest}\n"
+    return text
+
+
+# side 0.6 and width 0.06: fl(0.6 - 0.06) = 0.54, but 0.54 + 0.06 rounds
+# above 0.6, so the support of a center at 0.54 leaves the domain by an ulp
+ULP_EDGE = {"r_init": {"r_init": 0.54}, "r_box": {"r_box": (0.06, 0.54)}}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("case", ULP_EDGE)
+def test_ulp_edge_actuator_is_a_config_error(name, case):
+    with pytest.raises(ConfigError, match=f"{case} component 1 lets the actuator "
+                                          "support leave the domain"):
+        parse_config_text(edge_text(name, 0.6, 0.06, **ULP_EDGE[case]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("case", ULP_EDGE)
+@pytest.mark.parametrize("command", ["simulate", "oracle-compare", "gridsearch"])
+def test_ulp_edge_actuator_exits_2_and_writes_nothing(tmp_path, capsys, name, case,
+                                                      command):
+    path = tmp_path / "run.cfg"
+    path.write_text(edge_text(name, 0.6, 0.06, **ULP_EDGE[case]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"actuopt: config error: {path}: ") and err.count("\n") == 1
+    assert "lets the actuator support leave the domain" in err
+    assert not out.exists()
+
+
+# decimal (side, width) pairs; a center at fl(side - width) or width, or
+# one ulp either side of them, is where two forms of the rule could part
+EDGE_PAIRS = [(0.6, 0.06), (1.0, 0.1), (0.3, 0.1), (0.7, 0.07), (0.9, 0.3),
+              (2.4, 0.12), (1.1, 0.11), (0.35, 0.05)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("side,width", EDGE_PAIRS)
+def test_config_accepts_a_center_exactly_when_b_of_r_does(name, side, width):
+    key, _, _ = FIRST_SIDE[name]
+    cls = MODELS[name]
+    disc = cls.assemble(cls.params_cls(**{key: side}), width)
+    rest = [0.5 * length for length in disc.domain(disc.params)[1:]]
+    outcomes = set()
+    for edge in (side - width, width):
+        for c in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0 * side)):
+            try:
+                parse_config_text(edge_text(name, side, width, r_init=float(c)))
+                parsed = True
+            except ConfigError:
+                parsed = False
+            try:
+                disc.b_of_r(np.array([c, *rest]))
+                built = True
+            except ValueError:
+                built = False
+            assert parsed == built, (edge, c, parsed)
+            outcomes.add(parsed)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("name", NAMES)
