@@ -3,15 +3,17 @@
 Subcommands: simulate, gradcheck, optimize, gridsearch, oracle-compare.
 Outputs are CSV time series / landscapes plus a summary.json per run.
 Exit codes: 0 success, 1 contract failure (tolerance violation, blow-up,
-non-convergence), 2 configuration or usage error.
+step failure, non-convergence), 2 configuration or usage error, or an
+output file that cannot be written.
 
 All files are written atomically (temp file in the target directory, then
-rename). CSV numbers use 17 significant digits so 64-bit floats round-trip
+rename; a failed write removes its temp file). CSV numbers use 17 significant digits so 64-bit floats round-trip
 exactly; line endings are LF.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,8 +29,8 @@ from .config import (
     control_series,
     load_config,
 )
-from .core_system import (BlowUpError, TimeGrid, energy_series, solve_forward,
-                          support_leaves)
+from .core_system import (BlowUpError, StepSolverError, TimeGrid, energy_series,
+                          solve_forward, support_leaves)
 from .optimizer import grid_search_r, optimize
 
 DUALITY_TOL = 1e-10
@@ -48,9 +50,14 @@ def _cell(v):
 
 def _write_text(path, text):
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _csv(header, rows, trailer=None):
@@ -76,7 +83,7 @@ def _finite_or_none(x):
 # write order, and the summary keys it fills. main times it with
 # build_problem, prints the message, writes the files and summary.json (the
 # common keys, then extra) and exits by _EXIT. A BlowUpError that leaves a
-# command becomes a blow_up summary.
+# command becomes a blow_up summary, a StepSolverError a step_failed one.
 
 
 def cmd_simulate(cfg, prob, threads):
@@ -294,21 +301,29 @@ def main(argv=None):
         status, files = "blow_up", {}
         message = f"forward solve blew up (step {exc.step}, t = {exc.time:g})"
         extra = {"blow_up_step": exc.step, "blow_up_time": exc.time}
+    except StepSolverError as exc:
+        status, message, files, extra = "step_failed", str(exc), {}, {}
     if message is not None:
         print(f"actuopt {args.command}: {message}", file=sys.stderr)
-    for name, text in files.items():
-        _write_text(os.path.join(args.out, name), text)
-    summary = {
-        "command": args.command,
-        "model": cfg.model,
-        "status": status,
-        "wall_time_s": time.perf_counter() - t0,
-        "threads": args.threads,
-        **extra,
-        "files": [*files, "summary.json"],
-        "config_text": canonical_text(cfg),
-    }
-    _write_text(os.path.join(args.out, "summary.json"), _json_text(summary))
+    try:
+        for name, text in files.items():
+            path = os.path.join(args.out, name)
+            _write_text(path, text)
+        summary = {
+            "command": args.command,
+            "model": cfg.model,
+            "status": status,
+            "wall_time_s": time.perf_counter() - t0,
+            "threads": args.threads,
+            **extra,
+            "files": [*files, "summary.json"],
+            "config_text": canonical_text(cfg),
+        }
+        path = os.path.join(args.out, "summary.json")
+        _write_text(path, _json_text(summary))
+    except OSError as exc:
+        print(f"actuopt: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return _EXIT.get(status, 1)
 
 

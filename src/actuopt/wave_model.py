@@ -9,21 +9,21 @@ Model on Omega = (0, Lx) x (0, Ly):
 Spatial discretization: tensor grid, first differences at edge midpoints
 for the gradient form. The stiffness matrix
 
-    L = Dx^T Wx Dx + Dy^T Wy Dy
+    L = Dx^T Wx Dx + Dy^T Wy Dy,  Dx = I (x) D_x,  Dy = D_y (x) I
 
-(with trapezoid cross-weights in W) restricted to the non-Dirichlet nodes
-reproduces the 5-point Laplacian inside the domain and the ghost-node
-mirror on Neumann edges, while staying exactly symmetric. With the lumped
-trapezoid mass Mv the discrete Laplacian is -Mv^{-1} L and the first-order
-system A(w, v) = (v, Lap_h w) is exactly skew-adjoint in the energy Gram
-blockdiag(L, Mv) -- the H^1_{Gamma0} x L^2 form (seminorm plus the Gamma0
-trace constraint).
+(Kronecker products of 1-D differences, trapezoid cross-weights in W)
+restricted to the non-Dirichlet nodes reproduces the 5-point Laplacian
+inside the domain and the ghost-node mirror on Neumann edges, while
+staying exactly symmetric. With the lumped trapezoid mass Mv the discrete
+Laplacian is -Mv^{-1} L and the first-order system A(w, v) = (v, Lap_h w)
+is exactly skew-adjoint in the energy Gram blockdiag(L, Mv) -- the
+H^1_{Gamma0} x L^2 form (seminorm plus the Gamma0 trace constraint).
 
 WaveDiscretization is the model: its methods apply the nonlinearity family
-of the parameters, none, sine_gordon (F = sin) or klein_gordon
-(F = |w|^k w), and its derivative; sample the actuator, a radial
-raised-cosine bump of unit mass, and its analytic center derivatives; and
-solve the elliptic adjoint problem of F'(x)*.
+of the parameters, none, sine_gordon (F = sin) or klein_gordon (F =
+|w|^k w), and its derivative, a pair picked once from _FAMILIES; sample
+the actuator, a radial raised-cosine bump of unit mass, and its analytic
+center derivatives; and solve the elliptic adjoint problem of F'(x)*.
 """
 from __future__ import annotations
 
@@ -41,7 +41,14 @@ from .core_system import Discretization
 ACT_WIDTH = 0.1
 
 _EDGES = ("bottom", "left", "right", "top")
-_FAMILIES = ("none", "sine_gordon", "klein_gordon")
+# each nonlinearity family's (f, f') of the positions w and the
+# klein_gordon exponent k
+_FAMILIES = {
+    "none": (lambda w, k: np.zeros_like(w), lambda w, k: np.zeros_like(w)),
+    "sine_gordon": (lambda w, k: np.sin(w), lambda w, k: np.cos(w)),
+    "klein_gordon": (lambda w, k: np.abs(w) ** k * w,
+                     lambda w, k: (k + 1.0) * np.abs(w) ** k),
+}
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,8 @@ class WaveParams:
             )
         object.__setattr__(self, "gamma1_edges", edges)
         if self.nonlinearity not in _FAMILIES:
-            raise ValueError(
-                f"unknown nonlinearity {self.nonlinearity!r}; use one of {_FAMILIES}"
-            )
+            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}; "
+                             f"use one of {tuple(_FAMILIES)}")
         if self.nonlinearity == "klein_gordon" and self.kg_exponent < 2:
             raise ValueError(
                 f"klein_gordon exponent must be >= 2, got {self.kg_exponent}"
@@ -88,68 +94,50 @@ class WaveParams:
         return self.ly / self.ny
 
 
+def _diff(n, h):
+    """The (n, n+1) first difference (v[i+1] - v[i]) / h on n+1 nodes."""
+    return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1))
+
+
+def _trapezoid(n):
+    """The trapezoid weights of n+1 nodes at unit spacing."""
+    return np.concatenate(([0.5], np.ones(n - 1), [0.5]))
+
+
 @functools.lru_cache(maxsize=16)
 def _assembly(params: WaveParams):
-    # flat node index = i + j*(nx+1): x varies fastest
-
+    # flat node index = i + j*(nx+1): x varies fastest, so an operator along
+    # x is kron(I_y, op_x) and one along y is kron(op_y, I_x)
     nx, ny = params.nx, params.ny
     hx, hy = params.hx, params.hy
     n_nodes = (nx + 1) * (ny + 1)
-
     ii = np.tile(np.arange(nx + 1), ny + 1)
     jj = np.repeat(np.arange(ny + 1), nx + 1)
-    xcoord = ii * hx
-    ycoord = jj * hy
 
     dirichlet = np.zeros(n_nodes, dtype=bool)
-    gamma1 = set(params.gamma1_edges)
-    if "left" not in gamma1:
-        dirichlet |= ii == 0
-    if "right" not in gamma1:
-        dirichlet |= ii == nx
-    if "bottom" not in gamma1:
-        dirichlet |= jj == 0
-    if "top" not in gamma1:
-        dirichlet |= jj == ny
-    free = ~dirichlet
-    free_idx = np.flatnonzero(free)
+    for edge, nodes in (("left", ii == 0), ("right", ii == nx),
+                        ("bottom", jj == 0), ("top", jj == ny)):
+        if edge not in params.gamma1_edges:
+            dirichlet |= nodes
+    free_idx = np.flatnonzero(~dirichlet)
 
-    def flat(i, j):
-        return i + j * (nx + 1)
+    def edge_ops(sx, sy):
+        # the differences along the x edges (i,j)->(i+1,j) and the y edges
+        # (i,j)->(i,j+1), each edge list in node order
+        return (sp.kron(sp.identity(ny + 1), _diff(nx, sx), format="csr"),
+                sp.kron(_diff(ny, sy), sp.identity(nx + 1), format="csr"))
 
-    # x-direction edges: (i,j)->(i+1,j), i=0..nx-1, j=0..ny
-    ei = np.tile(np.arange(nx), ny + 1)
-    ej = np.repeat(np.arange(ny + 1), nx)
-    xa = flat(ei, ej)
-    xb = flat(ei + 1, ej)
-    n_xe = xa.size
-    rows = np.repeat(np.arange(n_xe), 2)
-    cols = np.column_stack([xa, xb]).ravel()
-    vals = np.tile([-1.0 / hx, 1.0 / hx], n_xe)
-    dx_op = sp.coo_matrix((vals, (rows, cols)), shape=(n_xe, n_nodes)).tocsr()
-    cy = np.where((ej == 0) | (ej == ny), 0.5, 1.0)
-    wx = hx * hy * cy
-
-    # y-direction edges: (i,j)->(i,j+1), i=0..nx, j=0..ny-1
-    fi = np.tile(np.arange(nx + 1), ny)
-    fj = np.repeat(np.arange(ny), nx + 1)
-    ya = flat(fi, fj)
-    yb = flat(fi, fj + 1)
-    n_ye = ya.size
-    rows = np.repeat(np.arange(n_ye), 2)
-    cols = np.column_stack([ya, yb]).ravel()
-    vals = np.tile([-1.0 / hy, 1.0 / hy], n_ye)
-    dy_op = sp.coo_matrix((vals, (rows, cols)), shape=(n_ye, n_nodes)).tocsr()
-    cx = np.where((fi == 0) | (fi == nx), 0.5, 1.0)
-    wy = hx * hy * cx
-
-    cx_node = np.where((ii == 0) | (ii == nx), 0.5, 1.0)
-    cy_node = np.where((jj == 0) | (jj == ny), 0.5, 1.0)
-    mv_full = hx * hy * cx_node * cy_node
+    dx_op, dy_op = edge_ops(hx, hy)
+    # |D| at h = 2 averages the two end nodes with exact 1/2 weights
+    avg_x, avg_y = (abs(op) for op in edge_ops(2.0, 2.0))
+    tx, ty = _trapezoid(nx), _trapezoid(ny)
+    # trapezoid cross-weights: an edge along the boundary weighs half
+    wx = hx * hy * np.repeat(ty, nx)
+    wy = hx * hy * np.tile(tx, ny)
+    mv_full = hx * hy * np.kron(ty, tx)
 
     def stiffness(q1_full):
-        qx = 0.5 * (q1_full[xa] + q1_full[xb])
-        qy = 0.5 * (q1_full[ya] + q1_full[yb])
+        qx, qy = avg_x @ q1_full, avg_y @ q1_full
         l_full = dx_op.T @ sp.diags(wx * qx) @ dx_op + dy_op.T @ sp.diags(wy * qy) @ dy_op
         l_red = l_full.tocsr()[free_idx, :][:, free_idx]
         return ((l_red + l_red.T) * 0.5).tocsr()
@@ -157,8 +145,8 @@ def _assembly(params: WaveParams):
     l_mat = stiffness(np.ones(n_nodes))
     return {
         "n_nodes": n_nodes,
-        "xcoord": xcoord,
-        "ycoord": ycoord,
+        "xcoord": ii * hx,
+        "ycoord": jj * hy,
         "free_idx": free_idx,
         "stiffness": stiffness,
         "l_mat": l_mat,
@@ -205,6 +193,7 @@ class WaveDiscretization(Discretization):
         self._stiffness = asm["stiffness"]
         self._mv = mv
         self._kg = int(params.kg_exponent)
+        self._f, self._fprime = _FAMILIES[params.nonlinearity]
 
     @staticmethod
     def assemble(params, act_width):
@@ -219,20 +208,10 @@ class WaveDiscretization(Discretization):
         return (params.hx, params.hy)
 
     def fnl(self, x):
-        w = x[:self.n_space]
-        if self.params.nonlinearity == "sine_gordon":
-            return np.sin(w)
-        if self.params.nonlinearity == "klein_gordon":
-            return np.abs(w) ** self._kg * w
-        return np.zeros_like(w)
+        return self._f(x[:self.n_space], self._kg)
 
     def fnl_diag(self, x):
-        w = x[..., :self.n_space]
-        if self.params.nonlinearity == "sine_gordon":
-            return np.cos(w)
-        if self.params.nonlinearity == "klein_gordon":
-            return (self._kg + 1.0) * np.abs(w) ** self._kg
-        return np.zeros_like(w)
+        return self._fprime(x[..., :self.n_space], self._kg)
 
     def b_of_r(self, c_arr):
         """The radial bump r(xi) at the free nodes, in the velocity rows;

@@ -9,6 +9,7 @@ import pytest
 import actuopt
 from actuopt.cli import main
 from actuopt.config import parse_config_text
+from actuopt.core_system import Discretization, StepSolverError
 from actuopt.optimizer import GRID_TIE
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
@@ -570,6 +571,7 @@ n_steps = 10
 n_cells = 12
 """
 
+STEP_FAILED = "implicit step system (I - dt/2 A) singular"
 BLOWN_AT_28 = "state blow-up at step 28 (t = 1.12); partial trajectory of 28 rows retained"
 
 # command, config, exit code, status, stderr line (None: empty)
@@ -597,15 +599,26 @@ OUTCOMES = {
     "oracle-compare-ok": ("oracle-compare", ORACLE_BEAM, 0, "ok", None),
     "oracle-compare-check_failed": ("oracle-compare", BLOWUP_BEAM, 1, "check_failed",
                                     "relative error 1.452e-01 (tolerance 0.01)"),
+    # step_failed: the step system cannot be factorised (step_factors raises)
+    **{f"{command}-step_failed": (command, TINY_BEAM, 1, "step_failed", STEP_FAILED)
+       for command in ("simulate", "gradcheck", "optimize", "oracle-compare")},
 }
 
 
+def _singular_step(self, dt):
+    # a dt that resonates with A, e.g. t_final = 1e300 with n_steps = 4,
+    # overflows before it reaches the factorisation, so the error is planted
+    raise StepSolverError(STEP_FAILED)
+
+
 @pytest.mark.parametrize("outcome", OUTCOMES)
-def test_every_command_outcome(tmp_path, capsys, outcome):
+def test_every_command_outcome(tmp_path, capsys, monkeypatch, outcome):
     # the exit code follows from the status alone; the stderr line is the
     # command's message; summary.json lists exactly the files written and
     # carries only the keys its command fills
     command, text, code, status, message = OUTCOMES[outcome]
+    if status == "step_failed":
+        monkeypatch.setattr(Discretization, "step_factors", _singular_step)
     got, out = run_cli(tmp_path, text, command)
     err = capsys.readouterr().err
     assert got == code
@@ -702,6 +715,20 @@ def test_unmakeable_output_directory_exits_2(tmp_path, capsys, out):
     assert len(err) == 1
     assert err[0].startswith("actuopt: cannot create output directory ")
     assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, name):
+    # a directory where an output file goes makes its write fail, even as
+    # root: one stderr line, exit 2, and no temporary file left behind
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, out = run_cli(tmp_path, TINY_BEAM, "simulate")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"actuopt: cannot write {os.path.join(out, name)}: ")
+    # the files before the failed one stay, and nothing else
+    assert sorted(os.listdir(out)) == sorted({"trajectory.csv", name})
 
 
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):

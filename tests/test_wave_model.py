@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,62 @@ def test_free_node_count_mixed_edges():
     n_total = (params.nx + 1) * (params.ny + 1)
     n_dirichlet = (params.ny + 1) + (params.nx + 1) - 1  # right + bottom share a corner
     assert asm["free_idx"].size == n_total - n_dirichlet
+
+
+EDGE_SUBSETS = [g for n in range(4)
+                for g in itertools.combinations(("bottom", "left", "right", "top"), n)]
+
+
+def _node_by_node(params, q1):
+    """(L, Mv, free nodes) built one node at a time: the node's mass is
+    hx*hy*{1, 1/2, 1/4}, and the edge to its right or upper neighbour adds
+    hx*hy*t * (mean q1) / h^2 times [[1, -1], [-1, 1]], t = 1/2 on an edge
+    along the boundary."""
+    nx, ny, hx, hy = params.nx, params.ny, params.hx, params.hy
+    g1 = params.gamma1_edges
+    n_nodes = (nx + 1) * (ny + 1)
+    l_full, mass, free = np.zeros((n_nodes, n_nodes)), np.zeros(n_nodes), []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            a = i + j * (nx + 1)
+            ti = 0.5 if i in (0, nx) else 1.0
+            tj = 0.5 if j in (0, ny) else 1.0
+            mass[a] = hx * hy * ti * tj
+            if not ((i == 0 and "left" not in g1) or (i == nx and "right" not in g1)
+                    or (j == 0 and "bottom" not in g1) or (j == ny and "top" not in g1)):
+                free.append(a)
+            edges = []
+            if i < nx:
+                edges.append((a + 1, hx * hy * tj / hx**2))
+            if j < ny:
+                edges.append((a + nx + 1, hx * hy * ti / hy**2))
+            for b, weight in edges:
+                k = weight * 0.5 * (q1[a] + q1[b])
+                l_full[a, a] += k
+                l_full[b, b] += k
+                l_full[a, b] -= k
+                l_full[b, a] -= k
+    return l_full[np.ix_(free, free)], mass[free], free
+
+
+@pytest.mark.parametrize("grid", [{"nx": 8, "ny": 8},
+                                  {"nx": 11, "ny": 17, "lx": 2.9, "ly": 0.3}],
+                         ids=["8x8", "11x17"])
+@pytest.mark.parametrize("gamma1", EDGE_SUBSETS,
+                         ids=lambda g: "-".join(g) or "all_dirichlet")
+def test_operators_match_node_by_node_reference(grid, gamma1):
+    # the second-order consistency tests above pass with a wrong edge weight;
+    # this pins every entry of L, the q1-weighted stiffness and the mass
+    params = ao.WaveParams(gamma1_edges=gamma1, **grid)
+    asm = _assembly(params)
+    q = np.random.default_rng(17).uniform(0.5, 2.0, asm["n_nodes"])
+    for q1, mat in ((np.ones(asm["n_nodes"]), asm["l_mat"]),
+                    (q, asm["stiffness"](q))):
+        ref, mass, free = _node_by_node(params, q1)
+        assert (mat != mat.T).nnz == 0
+        assert np.max(np.abs(mat.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(asm["free_idx"], free)
+    np.testing.assert_allclose(asm["mv_free"], mass, rtol=1e-13, atol=0.0)
 
 
 def test_generator_exactly_skew_in_energy_product(wave_small):
