@@ -174,26 +174,16 @@ class BeamDiscretization(Discretization):
     r_dim = 1
 
     def __init__(self, params, act_width):
-        if not (act_width > 0.0 and math.isfinite(act_width)):
-            raise ValueError(f"actuator width must be positive, got {act_width}")
         mats = _matrices(params)
         m = params.n_cells - 1
-        stiff = mats["stiff"]
-        damp = mats["damp"]
-        eye = sp.identity(m, format="csr")
         inv_rho = 1.0 / params.rho_a
-        a_mat = sp.bmat(
-            [[None, eye], [-inv_rho * stiff, -inv_rho * damp]], format="csr"
-        )
-        # Closed-form adjoint w.r.t. the energy Gram: A*(f,g) =
-        # (-g, (EI D4 + k) f / rho_a - (c_d D4 + mu) g / rho_a).
-        astar = sp.bmat(
-            [[None, -eye], [inv_rho * stiff, -inv_rho * damp]], format="csr"
-        )
+        # A(f, g) = (g, -(EI D4 + k) f / rho_a - (c_d D4 + mu) g / rho_a);
+        # the closed-form adjoint w.r.t. the energy Gram is A*(f, g) =
+        # (-g, (EI D4 + k) f / rho_a - (c_d D4 + mu) g / rho_a): B* = -B, C* = C
+        b_blk = -inv_rho * mats["stiff"]
+        c_blk = -inv_rho * mats["damp"]
         gram = _cost_matrix(params, np.ones(m), np.ones(m))
-        super().__init__(m, a_mat, gram, astar)
-        self.params = params
-        self.act_width = act_width
+        super().__init__(params, act_width, (b_blk, c_blk), (-b_blk, c_blk), gram)
         self.nodes = params.nodes
         self._inv_rho = inv_rho
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_system import CostSpec, TimeGrid, support_leaves
+from .core_system import STATE_CEILING, CostSpec, TimeGrid, support_leaves
 from .models import MODELS
 from .optimizer import MIN_GRID, OptimizerConfig, ProjectionSpec
 
@@ -61,6 +61,13 @@ def _positive(s):
     val = _f(s)
     if not val > 0.0:
         raise ValueError(f"expected a positive number, got {s!r}")
+    return val
+
+
+def _within_ceiling(s):
+    val = _f(s)
+    if not abs(val) <= STATE_CEILING:
+        raise ValueError(f"expected a magnitude of at most {STATE_CEILING:g}, got {s!r}")
     return val
 
 
@@ -111,7 +118,7 @@ class ExperimentConfig:
     q2: str = _key("cost", "q2", _s, "uniform")
     r_weight: float = _key("cost", "r_weight", _positive, 1.0)
     init_kind: str = _key("init", "kind", _one_of("sine", "gaussian", "zero"), "sine")
-    init_amplitude: float = _key("init", "amplitude", _f, 1.0)
+    init_amplitude: float = _key("init", "amplitude", _within_ceiling, 1.0)
     init_mode: int = _key("init", "mode", _at_least(1), 1)
     init_center: tuple = _key("init", "center", _s, None)  # None: domain center
     init_sigma: float = _key("init", "sigma", _positive, 0.1)

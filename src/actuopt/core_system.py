@@ -18,9 +18,9 @@ its interval midpoint value:
 
 with F_ext(0) = F(x_0) and F_ext(n) = 1.5 F(x_n) - 0.5 F(x_{n-1}) after.
 Every sweep takes this step, and its transpose, from one CNStep object.
-Both models are second order in time, A = [[0, s I], [B, C]] in m x m
-blocks, so the step eliminates the velocity and factorises only an m x m
-matrix (see CNStep).
+Both models are second order in time, A = [[0, I], [B, C]] in m x m
+blocks, and hand over only B and C; the step eliminates the velocity and
+factorises only an m x m matrix (see CNStep).
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ import scipy.sparse.linalg as spla
 
 # max-norm bound on a forward state; beyond it a sweep counts as blown up
 STATE_CEILING = 1e12
+# picard_mild_solve's iteration budget and relative stopping threshold
+PICARD_MAX_ITERS = 60
+PICARD_TOL = 1e-7
 # bytes the temporaries of one chunk of trajectory rows may take, in
 # cost_eval and in the transpose sweep; a forward_costs state block stays
 # under twice this. Large temporaries, made and freed on every call, cost
@@ -72,18 +75,16 @@ class NonContractionError(RuntimeError):
 
 
 class StepSolverError(ValueError):
-    """The implicit step system could not be factorized."""
+    """The implicit step system could not be formed or factorized."""
 
 
 class CNStep:
-    """One Crank-Nicolson step (I - h A) x+ = (I + h A) x + src, h = dt/2.
-
-    A must be second order in time, A = [[0, s I], [B, C]] in m x m blocks
-    for a scalar s (+1 for both models' A, -1 for their closed-form A*);
-    any other top row raises ValueError. Eliminating the velocity leaves
-    the m x m Schur complement S = I - h C - s h^2 B, the Newmark
-    average-acceleration effective stiffness, which is the only factor:
-    I - h A is singular exactly when S is. As I + h A = 2 I - (I - h A),
+    """One Crank-Nicolson step (I - h A) x+ = (I + h A) x + src, h = dt/2,
+    of A = [[0, s I], [B, C]] in m x m blocks: coupling B, damping C, sign
+    s (+1 for both models' A, -1 for their closed-form A*). Eliminating the
+    velocity leaves the m x m Schur complement S = I - h C - s h^2 B, the
+    Newmark average-acceleration effective stiffness, which is the only
+    factor: I - h A is singular exactly when S is. As I + h A = 2 I - (I - h A),
 
         advance(x, src)   = (I - h A)^{-1} ((I + h A) x + src) = P (2x + src) - x,
         advance_T(y, src) = P^T (2y + src) - y,
@@ -95,23 +96,17 @@ class CNStep:
     sums of the beam's stiffness stencil and bias every step the same way.
     """
 
-    def __init__(self, mat, dt):
-        mat = mat.tocsr()
-        m = mat.shape[0] // 2
-        if m == 0 or mat.shape != (2 * m, 2 * m):
-            raise ValueError(f"step operator has shape {mat.shape}, expected (2m, 2m)")
-        if mat[:m, :m].count_nonzero():
-            raise ValueError("step operator's top-left (position-position) block "
-                             "is not zero; A must be second order in time")
-        top_right = mat[:m, m:]
-        sign = top_right.diagonal()[0]
-        eye = sp.identity(m, format="csr")
-        if (top_right - sign * eye).count_nonzero():
-            raise ValueError("step operator's top-right (position-velocity) block "
-                             "is not a multiple s I of the identity")
+    def __init__(self, coupling, damping, sign, dt):
+        m = coupling.shape[0]
         h = 0.5 * dt
-        b_blk = mat[m:, :m]
-        schur = (eye - h * mat[m:, m:] - (sign * h * h) * b_blk).tocsc()
+        eye = sp.identity(m, format="csr")
+        # h^2 B overflows at a dt near the top of the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = (eye - h * damping - (sign * h * h) * coupling).tocsc()
+        if not np.all(np.isfinite(schur.data)):
+            raise StepSolverError(
+                f"implicit step system (I - dt/2 A) is not finite at dt = {dt:.6g}; "
+                "dt or the operator's entries are too large")
         try:
             # S has a symmetric pattern in both models (beam: I + (h D +
             # h^2 K)/rho, wave: Mv^{-1}(Mv + h^2 L)) and needs no pivoting
@@ -123,8 +118,8 @@ class CNStep:
                 f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; dt "
                 f"likely resonates with an eigenvalue of A (factorization said: {exc})"
             ) from exc
-        self.coupling = b_blk
-        self._coupling_t = b_blk.T.tocsr()
+        self.coupling = coupling
+        self._coupling_t = coupling.T.tocsr()
         self._h = h
         self._hs = h * sign
         self._m = m
@@ -224,18 +219,19 @@ class Discretization:
     """The spatial operators of one model, and the interface of a model.
 
     A model is one subclass, registered in actuopt.models.MODELS under its
-    name. Its __init__(params, act_width) rejects a width that is not
-    positive and finite, keeps params (the parameter dataclass) and
-    act_width (the actuator half-width) as attributes and hands the
-    operators it assembles to this constructor:
+    name. Its __init__(params, act_width) passes params (the parameter
+    dataclass), act_width (the actuator half-width) and the operators it
+    assembles to this constructor, which rejects a width that is not
+    positive and finite and keeps them as attributes. Both models are
+    second order in time, A = [[0, I], [B, C]] and A* = [[0, -I], [B*, C*]]
+    in m x m blocks, so a model hands over only the blocks, kept in
+    canonical CSR form (sorted indices fix the order B @ w sums a row):
 
-    n_space:    number of position dofs m (state dimension is 2m)
-    a_mat:      sparse (2m, 2m) system operator A, second order in time:
-                A = [[0, I], [B, C]] in m x m blocks
+    blocks:     (B, C), the sparse (m, m) blocks of the system operator A
+    adjoint_blocks: (B*, C*), the blocks of the adjoint A* w.r.t. G, from
+                the model's closed-form adjoint (not a transpose)
     gram:       sparse SPD (2m, 2m) energy Gram matrix G
-    astar_mat:  sparse (2m, 2m) adjoint operator A* w.r.t. G, assembled
-                from the model's closed-form adjoint (not a transpose),
-                of the form [[0, -I], [B*, C*]]
+    n_space:    m, the number of position dofs (the state has 2m)
 
     The config, the CLI, the sweeps and pickling reach a model only through
     what the subclass defines here, so none of them branches on its name.
@@ -278,20 +274,25 @@ class Discretization:
     dof_coords(): coordinate arrays of the position dofs
     probe_columns(points, traj): one displacement series per point
 
-    step_factors(dt) gives the cached CNStep that every sweep uses:
-    advance(x, src) = (I - dt/2 A)^{-1}((I + dt/2 A) x + src) and its
+    step_factors(dt) gives the cached CNStep of the blocks that every sweep
+    uses: advance(x, src) = (I - dt/2 A)^{-1}((I + dt/2 A) x + src) and its
     transpose advance_T, through one m x m factor; it unpacks as (lu, B),
-    that factor and the CSR coupling block. An A not of the second-order
-    form raises ValueError there.
+    that factor and the CSR coupling block. The continuous-adjoint oracle
+    builds the CNStep of adjoint_blocks with s = -1.
     A model's instance pickles as its recipe, assemble(params, act_width):
     unpickling reassembles it, caches empty.
     """
 
-    def __init__(self, n_space, a_mat, gram, astar_mat):
-        self.n_space = int(n_space)
-        self.a_mat = a_mat.tocsr()
+    def __init__(self, params, act_width, blocks, adjoint_blocks, gram):
+        if not (act_width > 0.0 and math.isfinite(act_width)):
+            raise ValueError(f"actuator width must be positive, got {act_width}")
+        self.params = params
+        self.act_width = act_width
+        self.blocks, self.adjoint_blocks = (
+            tuple(blk.tocsr().sorted_indices() for blk in pair)
+            for pair in (blocks, adjoint_blocks))
+        self.n_space = self.blocks[0].shape[0]
         self.gram = gram.tocsr()
-        self.astar_mat = astar_mat.tocsr()
         self._step_cache = {}
         self._mq_cache = {}
         self._gram_lu = None
@@ -322,11 +323,11 @@ class Discretization:
         return mq
 
     def step_factors(self, dt):
-        """The CNStep of A at dt, cached by dt."""
+        """The CNStep of A's blocks at dt, cached by dt."""
         key = float(dt)
         step = self._step_cache.get(key)
         if step is None:
-            step = self._step_cache[key] = CNStep(self.a_mat, dt)
+            step = self._step_cache[key] = CNStep(*self.blocks, 1.0, dt)
         return step
 
     def gram_solve(self, rhs):
@@ -363,8 +364,9 @@ def _check_block(disc, x0, u, r, grid):
             or r.shape != (len(u), disc.r_dim)):
         raise ValueError(f"controls {u.shape} and designs {r.shape} must be (K, "
                          f"{grid.n_steps + 1}) and (K, {disc.r_dim}), K >= 1")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(u))):
-        raise ValueError("x0 or a control signal contains non-finite entries")
+    if not (np.all(np.abs(x0) <= STATE_CEILING) and np.all(np.isfinite(u))):
+        raise ValueError("x0 is non-finite or beyond STATE_CEILING, or a control "
+                         "signal contains non-finite entries")
     return x0, u, r
 
 
@@ -491,7 +493,7 @@ def forward_costs(disc, cost, x0, u, r, grid):
     return j
 
 
-def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
+def picard_mild_solve(disc, x0, u, r, grid):
     """Fixed-point (mild-solution) oracle for the forward problem.
 
     Iterates y^{k+1} = linear CN solve with the nonlinearity frozen at the
@@ -521,7 +523,7 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
     bad = 0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, PICARD_MAX_ITERS + 1):
         f_all = np.stack([disc.fnl(row) for row in y])
         y_new = np.empty_like(y)
         y_new[0] = x0
@@ -534,10 +536,11 @@ def picard_mild_solve(disc, x0, u, r, grid, max_iters=60, tol=1e-7):
         scale = math.sqrt(max(np.max(np.abs(energy_series(disc, y_new))), 1.0))
         distances.append(d)
         y = y_new
-        if d <= tol * scale:
+        if d <= PICARD_TOL * scale:
             converged = True
             break
-        if len(distances) >= 2 and (not math.isfinite(d) or d > 10.0 * tol * scale):
+        if len(distances) >= 2 and (not math.isfinite(d)
+                                    or d > 10.0 * PICARD_TOL * scale):
             bad = bad + 1 if not math.isfinite(d) or d >= distances[-2] else 0
             if bad >= 3:
                 raise NonContractionError(distances)

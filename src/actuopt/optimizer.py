@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint_grad import gradients_from_adjoint, solve_adjoint
-from .core_system import (BlowUpError, StepSolverError, blowup_of, cost_eval,
-                          solve_forward)
+from .core_system import BlowUpError, blowup_of, cost_eval, solve_forward
 
 # Barzilai-Borwein step-size clamp and the line-search trial budget
 BB_MIN = 1e-10
@@ -332,11 +331,8 @@ def _solve_block(disc, cost, x0, spec, config, grid, r_points):
     """(J, converged, error message) of the u-subproblem from u = 0 at each
     design of r_points, solved in one lockstep queue."""
     u0 = np.zeros((len(r_points), grid.n_steps + 1))
-    try:
-        runs = _lockstep(disc, cost, x0, u0, r_points, spec, config, grid,
-                         freeze_r=True)
-    except StepSolverError as exc:
-        return [(math.nan, False, str(exc))] * len(r_points)
+    runs = _lockstep(disc, cost, x0, u0, r_points, spec, config, grid,
+                     freeze_r=True)
     return [(math.nan, False, str(run)) if isinstance(run, BlowUpError)
             else (run.j_final, run.converged, None) for run in runs]
 
@@ -362,13 +358,14 @@ def grid_search_r(disc, cost, x0, spec, n_grid, grid, config=None, threads=1):
     worker w the interleaved share points[w::workers] to run as its own
     queue, on the discretization rebuilt from its pickled recipe. The
     table is in grid order either way.
-    Points whose forward solve blows up or whose step system is singular
-    carry J = nan and converged = False; they and the unconverged points
-    are excluded from the argmin. Of the rest, the first in grid order
-    whose J lies within GRID_TIE * |J_min| of the minimum J_min wins, so
-    the roundoff between mirror points of a symmetric landscape cannot
-    move it. When no point is left, the RuntimeError names the first
-    point's failure.
+    Points whose forward solve blows up carry J = nan and converged =
+    False; they and the unconverged points are excluded from the argmin.
+    Of the rest, the first in grid order whose J lies within GRID_TIE *
+    |J_min| of the minimum J_min wins, so the roundoff between mirror
+    points of a symmetric landscape cannot move it. When no point is left,
+    the RuntimeError names the first point's failure. A step system that
+    cannot be formed or factorised fails every point alike: its
+    StepSolverError propagates, from a worker too.
 
     Returns (r_star, table): table rows are (r components..., J, converged).
     """

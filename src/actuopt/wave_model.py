@@ -28,7 +28,6 @@ center derivatives; and solve the elliptic adjoint problem of F'(x)*.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,20 +171,15 @@ class WaveDiscretization(Discretization):
     r_dim = 2
 
     def __init__(self, params, act_width):
-        if not (act_width > 0.0 and math.isfinite(act_width)):
-            raise ValueError(f"actuator width must be positive, got {act_width}")
         asm = _assembly(params)
         m = asm["free_idx"].size
         l_mat = asm["l_mat"]
         mv = asm["mv_free"]
-        eye = sp.identity(m, format="csr")
-        lap = (sp.diags(-1.0 / mv) @ l_mat).tocsr()
-        a_mat = sp.bmat([[None, eye], [lap, None]], format="csr")
-        astar = (-a_mat).tocsr()
+        lap = sp.diags(-1.0 / mv) @ l_mat
+        zero = sp.csr_matrix((m, m))
+        # A* = -A: the generator is skew-adjoint in the energy Gram
         gram = sp.block_diag((l_mat, sp.diags(mv)), format="csr")
-        super().__init__(m, a_mat, gram, astar)
-        self.params = params
-        self.act_width = act_width
+        super().__init__(params, act_width, (lap, zero), (-lap, zero), gram)
         self.free_idx = asm["free_idx"]
         self.xcoord = asm["xcoord"]
         self.ycoord = asm["ycoord"]

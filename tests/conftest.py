@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import actuopt as ao
 
@@ -49,6 +50,20 @@ def make_wave(nx=10, ny=10, t_final=0.4, n_steps=40, act_width=0.1, **kw):
         np.pi * yf / params.ly
     )
     return params, disc, grid, cost, x0
+
+
+def step_args(disc, adjoint=False):
+    """CNStep's (coupling, damping, sign) of the model's A, or of its
+    closed-form A* (sign -1) as the continuous-adjoint oracle steps it."""
+    return (*disc.adjoint_blocks, -1.0) if adjoint else (*disc.blocks, 1.0)
+
+
+def operator(disc, adjoint=False):
+    """The (2m, 2m) reference operator [[0, s I], [B, C]] of A or A*, built
+    from the model's m x m blocks."""
+    coupling, damping, sign = step_args(disc, adjoint)
+    eye = sp.identity(disc.n_space, format="csr")
+    return sp.bmat([[None, sign * eye], [coupling, damping]], format="csr")
 
 
 def gradients_at(disc, cost, x0, u, r, grid):

@@ -9,7 +9,6 @@ import pytest
 import actuopt
 from actuopt.cli import main
 from actuopt.config import parse_config_text
-from actuopt.core_system import Discretization, StepSolverError
 from actuopt.optimizer import GRID_TIE
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
@@ -571,7 +570,12 @@ n_steps = 10
 n_cells = 12
 """
 
-STEP_FAILED = "implicit step system (I - dt/2 A) singular"
+# h^2 overflows at dt = 2.5e299 (oracle-compare refines it to 1.25e299):
+# the step system is not finite
+HUGE_DT = TINY_BEAM.replace("t_final = 0.3\nn_steps = 30",
+                            "t_final = 1e300\nn_steps = 4")
+NOT_FINITE = ("implicit step system (I - dt/2 A) is not finite at dt = {}; "
+              "dt or the operator's entries are too large")
 BLOWN_AT_28 = "state blow-up at step 28 (t = 1.12); partial trajectory of 28 rows retained"
 
 # command, config, exit code, status, stderr line (None: empty)
@@ -599,26 +603,22 @@ OUTCOMES = {
     "oracle-compare-ok": ("oracle-compare", ORACLE_BEAM, 0, "ok", None),
     "oracle-compare-check_failed": ("oracle-compare", BLOWUP_BEAM, 1, "check_failed",
                                     "relative error 1.452e-01 (tolerance 0.01)"),
-    # step_failed: the step system cannot be factorised (step_factors raises)
-    **{f"{command}-step_failed": (command, TINY_BEAM, 1, "step_failed", STEP_FAILED)
-       for command in ("simulate", "gradcheck", "optimize", "oracle-compare")},
+    # step_failed: the step system cannot be formed (step_factors raises)
+    **{f"{command}-step_failed": (
+        command, HUGE_DT, 1, "step_failed",
+        NOT_FINITE.format("1.25e+299" if command == "oracle-compare" else "2.5e+299"))
+       for command in ("simulate", "gradcheck", "optimize", "gridsearch",
+                       "oracle-compare")},
 }
 
 
-def _singular_step(self, dt):
-    # a dt that resonates with A, e.g. t_final = 1e300 with n_steps = 4,
-    # overflows before it reaches the factorisation, so the error is planted
-    raise StepSolverError(STEP_FAILED)
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("outcome", OUTCOMES)
-def test_every_command_outcome(tmp_path, capsys, monkeypatch, outcome):
+def test_every_command_outcome(tmp_path, capsys, outcome):
     # the exit code follows from the status alone; the stderr line is the
-    # command's message; summary.json lists exactly the files written and
-    # carries only the keys its command fills
+    # command's message, and no warning precedes it; summary.json lists
+    # exactly the files written and carries only the keys its command fills
     command, text, code, status, message = OUTCOMES[outcome]
-    if status == "step_failed":
-        monkeypatch.setattr(Discretization, "step_factors", _singular_step)
     got, out = run_cli(tmp_path, text, command)
     err = capsys.readouterr().err
     assert got == code
@@ -629,6 +629,16 @@ def test_every_command_outcome(tmp_path, capsys, monkeypatch, outcome):
     assert err == ("" if message is None else f"actuopt {command}: {message}\n")
     assert sorted(summary["files"]) == sorted(os.listdir(out))
     assert summary["files"][-1] == "summary.json"
+
+
+def test_pooled_gridsearch_reports_the_workers_step_failed(tmp_path, capsys):
+    # every worker's step fails alike, and the pool re-raises the first
+    code, out = run_cli(tmp_path, HUGE_DT + "[gridsearch]\nn_grid = 8\n", "gridsearch",
+                        extra=("--threads", "2"))
+    assert code == 1
+    assert read_summary(out)["status"] == "step_failed"
+    assert capsys.readouterr().err == (
+        f"actuopt gridsearch: {NOT_FINITE.format('2.5e+299')}\n")
 
 
 def test_help_lists_the_five_commands(capsys, monkeypatch):

@@ -359,6 +359,7 @@ OUT_OF_RANGE = [
     ("init", "kind", "square"),
     ("init", "mode", "0"),
     ("init", "sigma", "0"),
+    ("init", "amplitude", "-1e13"),
     ("control", "kind", "chirp"),
     ("admissible", "r_ad", "-1"),
     ("optimizer", "max_iters", "0"),

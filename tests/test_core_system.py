@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 
 import actuopt as ao
 import actuopt.core_system as core_system
-from actuopt.core_system import CNStep, Discretization
+from actuopt.core_system import STATE_CEILING, CNStep
 
-from conftest import make_beam, make_wave
+from conftest import make_beam, make_wave, operator, step_args
 
 
 def test_time_grid_basics():
@@ -72,16 +72,16 @@ def test_solve_forward_matches_manual_imex_steps(beam_small):
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])
-@pytest.mark.parametrize("mat_name", ["a_mat", "astar_mat"], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 @pytest.mark.parametrize("k", [None, 5])
-def test_step_transposes_are_exact(maker, mat_name, k):
+def test_step_transposes_are_exact(maker, adjoint, k):
     # y . advance(x, 0) = advance_T(y, 0) . x in the state and
     # y . advance(0, s) = advance_T(0, y) . s in the source, per column of
     # an (n_dof, K) block as for one state, relative to the Cauchy-Schwarz
     # bound |y| |z| of both sides, z the advanced state (a single column's
     # dot product may cancel far below it)
     _, disc, grid, _, _ = maker()
-    step = CNStep(getattr(disc, mat_name), grid.dt)
+    step = CNStep(*step_args(disc, adjoint), grid.dt)
     rng = np.random.default_rng(0)
     shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
     x = rng.standard_normal(shape)
@@ -96,14 +96,14 @@ def test_step_transposes_are_exact(maker, mat_name, k):
 
 
 @pytest.mark.parametrize("maker", [make_beam, make_wave])
-@pytest.mark.parametrize("mat_name", ["a_mat", "astar_mat"], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 @pytest.mark.parametrize("k", [None, 5])
-def test_step_equals_full_size_crank_nicolson(maker, mat_name, k):
+def test_step_equals_full_size_crank_nicolson(maker, adjoint, k):
     # the m x m elimination gives the 2m x 2m step (I - h A)^{-1}((I + h A) x
     # + s), h = dt/2, and its transpose, up to roundoff
     _, disc, grid, _, _ = maker()
-    mat = getattr(disc, mat_name)
-    step = CNStep(mat, grid.dt)
+    mat = operator(disc, adjoint)
+    step = CNStep(*step_args(disc, adjoint), grid.dt)
     eye = sp.identity(disc.n_dof, format="csr")
     lu = spla.splu((eye - (0.5 * grid.dt) * mat).tocsc())
     m_plus = (eye + (0.5 * grid.dt) * mat).tocsr()
@@ -116,6 +116,24 @@ def test_step_equals_full_size_crank_nicolson(maker, mat_name, k):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
     lu_step, _ = step
     assert lu_step.shape == (disc.n_space, disc.n_space)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.nextafter(STATE_CEILING, np.inf)],
+                         ids=["non_finite", "beyond_ceiling"])
+def test_start_state_is_held_to_the_state_ceiling(beam_small, bad):
+    # x0 is rejected by the rule that makes a later state count as blown up;
+    # a start state at the ceiling itself is admitted
+    _, disc, grid, cost, x0 = beam_small
+    u = np.zeros((1, grid.n_steps + 1))
+    r = np.array([[0.5]])
+    x0 = x0.copy()
+    x0[3] = bad
+    with pytest.raises(ValueError, match="x0 is non-finite or beyond STATE_CEILING"):
+        ao.solve_forward(disc, x0, u[0], r[0], grid)
+    with pytest.raises(ValueError, match="x0 is non-finite or beyond STATE_CEILING"):
+        ao.forward_costs(disc, cost, x0, u, r, grid)
+    x0[3] = -STATE_CEILING
+    assert ao.forward_costs(disc, cost, x0, u, r, grid).shape == (1,)
 
 
 def test_step_factors_cache_returns_one_object(beam_small):
@@ -397,29 +415,19 @@ def test_cost_eval_zero_and_manual(beam_small):
     assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
-def _toy_disc(a):
-    # a one-position-dof toy Discretization around the 2x2 operator a
-    return Discretization(1, a, sp.identity(2, format="csr"), a)
-
-
 def test_step_solver_error_on_singular_system():
-    # second-order toy A = [[0, 1], [4/dt^2, 0]]: S = 1 - (dt/2)^2 4/dt^2 and
-    # det(I - dt/2 A) are both exactly zero (dt a power of two)
+    # a 1 x 1 toy with coupling 4/dt^2 and no damping: S = 1 - (dt/2)^2 4/dt^2
+    # and det(I - dt/2 A) are both exactly zero (dt a power of two)
     dt = 0.5
-    a = sp.csr_matrix(np.array([[0.0, 1.0], [4.0 / dt**2, 0.0]]))
-    with pytest.raises(ao.StepSolverError):
-        _toy_disc(a).step_factors(dt)
+    with pytest.raises(ao.StepSolverError, match="singular"):
+        CNStep(sp.csr_matrix([[4.0 / dt**2]]), sp.csr_matrix((1, 1)), 1.0, dt)
 
 
-def test_step_rejects_a_first_order_operator():
-    # A = (2/dt) I has a position-position block, and a top-right block
-    # [[1, 1], [0, 1]] is no multiple of I: neither is second order in time
-    dt = 0.1
-    with pytest.raises(ValueError, match="top-left") as exc_info:
-        _toy_disc(sp.identity(2, format="csr") * (2.0 / dt)).step_factors(dt)
-    assert not isinstance(exc_info.value, ao.StepSolverError)
-    coupled = np.zeros((4, 4))
-    coupled[:2, 2:] = [[1.0, 1.0], [0.0, 1.0]]
-    coupled[2:, :2] = -np.eye(2)
-    with pytest.raises(ValueError, match="top-right"):
-        CNStep(sp.csr_matrix(coupled), dt)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("maker", [make_beam, make_wave])
+def test_step_solver_error_when_the_step_system_overflows(maker):
+    # at dt = 1e300 / 4, h^2 overflows: S is formed without a warning and
+    # reported as not finite, not as singular
+    _, disc, _, _, _ = maker()
+    with pytest.raises(ao.StepSolverError, match="not finite at dt = 2.5e[+]299"):
+        disc.step_factors(1e300 / 4)
