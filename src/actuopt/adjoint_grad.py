@@ -253,7 +253,7 @@ def continuous_adjoint_oracle(disc, cost, x_traj, grid):
     dt = grid.dt
     n = grid.n_steps
     ms = disc.n_space
-    step = CNStep(*disc.adjoint_blocks, -1.0, dt)
+    step = CNStep(disc, dt, adjoint=True)
     mq = disc.cost_matrix(cost)
     qx = disc.gram_solve(mq @ x_traj.T)  # columns: Q x_m
 

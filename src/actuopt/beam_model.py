@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core_system import Discretization
+from .core_system import Discretization, _quiet_assembly
 
 # the default actuator bump half-width
 ACT_WIDTH = 0.05
@@ -69,6 +69,7 @@ class BeamParams:
 
 
 @functools.lru_cache(maxsize=32)
+@_quiet_assembly
 def _matrices(params: BeamParams):
     """Cached difference operators for one parameter set."""
     m = params.n_cells - 1
@@ -138,6 +139,7 @@ def stiffness_solve(params, f):
     return _stiffness_lu(params).solve(np.asarray(f, dtype=float))
 
 
+@_quiet_assembly
 def _cost_matrix(params, q1, q2):
     """Symmetric PSD matrix of the weighted energy quadratic form."""
     m = params.n_cells - 1
@@ -173,6 +175,7 @@ class BeamDiscretization(Discretization):
     default_act_width = ACT_WIDTH
     r_dim = 1
 
+    @_quiet_assembly
     def __init__(self, params, act_width):
         mats = _matrices(params)
         m = params.n_cells - 1

@@ -20,7 +20,9 @@ with F_ext(0) = F(x_0) and F_ext(n) = 1.5 F(x_n) - 0.5 F(x_{n-1}) after.
 Every sweep takes this step, and its transpose, from one CNStep object.
 Both models are second order in time, A = [[0, I], [B, C]] in m x m
 blocks, and hand over only B and C; the step eliminates the velocity and
-factorises only an m x m matrix (see CNStep).
+solves only with an m x m matrix S, whose factor the model supplies
+(Discretization.schur_factor): SuperLU's by default, the eigenbasis of
+its tensor grid for the wave (see CNStep).
 """
 from __future__ import annotations
 
@@ -43,6 +45,13 @@ PICARD_TOL = 1e-7
 # as much in page faults as the work on them; glibc serves requests under
 # 128 KiB from heap memory that it reuses
 CHUNK_BYTES = 2**16
+
+
+def _quiet_assembly(fn):
+    """fn, a step of a model's assembly, without floating-point warnings:
+    an entry that overflows is inf or NaN, and the step's factor reports
+    the operator as not finite (StepSolverError)."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")(fn)
 
 
 class BlowUpError(RuntimeError):
@@ -77,52 +86,40 @@ class NonContractionError(RuntimeError):
 class StepSolverError(ValueError):
     """The implicit step system could not be formed or factorized."""
 
+    @classmethod
+    def not_finite(cls, dt):
+        return cls(f"implicit step system (I - dt/2 A) is not finite at dt = {dt:.6g}; "
+                   "dt or the operator's entries are too large")
+
 
 class CNStep:
     """One Crank-Nicolson step (I - h A) x+ = (I + h A) x + src, h = dt/2,
-    of A = [[0, s I], [B, C]] in m x m blocks: coupling B, damping C, sign
-    s (+1 for both models' A, -1 for their closed-form A*). Eliminating the
-    velocity leaves the m x m Schur complement S = I - h C - s h^2 B, the
-    Newmark average-acceleration effective stiffness, which is the only
-    factor: I - h A is singular exactly when S is. As I + h A = 2 I - (I - h A),
+    of a model's A = [[0, s I], [B, C]] in m x m blocks: coupling B, damping
+    C, sign s (+1, the blocks of A, or -1 with adjoint=True, the blocks of
+    its closed-form A*). Eliminating the velocity leaves the m x m Schur
+    complement S = I - h C - s h^2 B, the Newmark average-acceleration
+    effective stiffness, which is the only factor: I - h A is singular
+    exactly when S is. The model owns that factor (disc.schur_factor). As
+    I + h A = 2 I - (I - h A),
 
         advance(x, src)   = (I - h A)^{-1} ((I + h A) x + src) = P (2x + src) - x,
         advance_T(y, src) = P^T (2y + src) - y,
 
     P = (I - h A)^{-1}, are one step and its exact transpose, on one state
     (n_dof,) or a C-ordered block (n_dof, K). Unpacks as (lu, coupling),
-    the LU factor of S and the CSR block B. B is applied unscaled, then
-    times h: rounded entries of a prescaled h B would break the zero row
-    sums of the beam's stiffness stencil and bias every step the same way.
+    the factor of S and the CSR block B. B is applied unscaled, then times
+    h: rounded entries of a prescaled h B would break the zero row sums of
+    the beam's stiffness stencil and bias every step the same way.
     """
 
-    def __init__(self, coupling, damping, sign, dt):
-        m = coupling.shape[0]
-        h = 0.5 * dt
-        eye = sp.identity(m, format="csr")
-        # h^2 B overflows at a dt near the top of the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            schur = (eye - h * damping - (sign * h * h) * coupling).tocsc()
-        if not np.all(np.isfinite(schur.data)):
-            raise StepSolverError(
-                f"implicit step system (I - dt/2 A) is not finite at dt = {dt:.6g}; "
-                "dt or the operator's entries are too large")
-        try:
-            # S has a symmetric pattern in both models (beam: I + (h D +
-            # h^2 K)/rho, wave: Mv^{-1}(Mv + h^2 L)) and needs no pivoting
-            self.lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0,
-                                options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise StepSolverError(
-                f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; dt "
-                f"likely resonates with an eigenvalue of A (factorization said: {exc})"
-            ) from exc
-        self.coupling = coupling
-        self._coupling_t = coupling.T.tocsr()
-        self._h = h
-        self._hs = h * sign
-        self._m = m
+    def __init__(self, disc, dt, adjoint=False):
+        sign = -1.0 if adjoint else 1.0
+        self.lu = disc.schur_factor(dt, adjoint)
+        self.coupling = (disc.adjoint_blocks if adjoint else disc.blocks)[0]
+        self._coupling_t = self.coupling.T.tocsr()
+        self._h = 0.5 * dt
+        self._hs = self._h * sign
+        self._m = disc.n_space
 
     def __iter__(self):
         return iter((self.lu, self.coupling))
@@ -278,7 +275,14 @@ class Discretization:
     uses: advance(x, src) = (I - dt/2 A)^{-1}((I + dt/2 A) x + src) and its
     transpose advance_T, through one m x m factor; it unpacks as (lu, B),
     that factor and the CSR coupling block. The continuous-adjoint oracle
-    builds the CNStep of adjoint_blocks with s = -1.
+    builds CNStep(disc, dt, adjoint=True), the step of adjoint_blocks with
+    s = -1. The model owns the factor: schur_factor(dt, adjoint) returns
+    it, an object with SuperLU's solve(rhs, trans), shape, L and U (the
+    benchmark's tracer counts L.nnz + U.nnz), and raises StepSolverError
+    when S is not finite or singular. By default it is SuperLU's factor of
+    the assembled S, which the beam keeps: its last bits decide where the
+    beam's optimizer stalls. The wave overrides it with S's exact
+    eigendecomposition on its tensor grid (wave_model._EigenFactor).
     A model's instance pickles as its recipe, assemble(params, act_width):
     unpickling reassembles it, caches empty.
     """
@@ -327,8 +331,32 @@ class Discretization:
         key = float(dt)
         step = self._step_cache.get(key)
         if step is None:
-            step = self._step_cache[key] = CNStep(*self.blocks, 1.0, dt)
+            step = self._step_cache[key] = CNStep(self, dt)
         return step
+
+    def schur_factor(self, dt, adjoint=False):
+        """SuperLU's factor of the step's S = I - h C - s h^2 B, h = dt/2,
+        of the blocks of A (s = 1) or, adjoint, of A* (s = -1)."""
+        b_blk, c_blk = self.adjoint_blocks if adjoint else self.blocks
+        sign = -1.0 if adjoint else 1.0
+        h = 0.5 * dt
+        eye = sp.identity(self.n_space, format="csr")
+        # h^2 B overflows at a dt near the top of the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            schur = (eye - h * c_blk - (sign * h * h) * b_blk).tocsc()
+        if not np.all(np.isfinite(schur.data)):
+            raise StepSolverError.not_finite(dt)
+        try:
+            # S has a symmetric pattern in both models (beam: I + (h D +
+            # h^2 K)/rho, wave: Mv^{-1}(Mv + h^2 L)) and needs no pivoting
+            return spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise StepSolverError(
+                f"implicit step system (I - dt/2 A) singular at dt = {dt:.6g}; dt "
+                f"likely resonates with an eigenvalue of A (factorization said: {exc})"
+            ) from exc
 
     def gram_solve(self, rhs):
         """Solve G z = rhs; rhs may be a vector or a (n_dof, k) matrix."""

@@ -52,18 +52,14 @@ def make_wave(nx=10, ny=10, t_final=0.4, n_steps=40, act_width=0.1, **kw):
     return params, disc, grid, cost, x0
 
 
-def step_args(disc, adjoint=False):
-    """CNStep's (coupling, damping, sign) of the model's A, or of its
-    closed-form A* (sign -1) as the continuous-adjoint oracle steps it."""
-    return (*disc.adjoint_blocks, -1.0) if adjoint else (*disc.blocks, 1.0)
-
-
 def operator(disc, adjoint=False):
-    """The (2m, 2m) reference operator [[0, s I], [B, C]] of A or A*, built
+    """The (2m, 2m) reference operator [[0, s I], [B, C]] of A, or of its
+    closed-form A* (s = -1) as the continuous-adjoint oracle steps it, built
     from the model's m x m blocks."""
-    coupling, damping, sign = step_args(disc, adjoint)
+    b_blk, c_blk = disc.adjoint_blocks if adjoint else disc.blocks
+    sign = -1.0 if adjoint else 1.0
     eye = sp.identity(disc.n_space, format="csr")
-    return sp.bmat([[None, sign * eye], [coupling, damping]], format="csr")
+    return sp.bmat([[None, sign * eye], [b_blk, c_blk]], format="csr")
 
 
 def gradients_at(disc, cost, x0, u, r, grid):

@@ -8,7 +8,7 @@ import os
 import re
 
 from actuopt.core_system import Discretization
-from conftest import make_beam
+from conftest import make_beam, make_wave
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCHMARK.json")
@@ -44,9 +44,12 @@ def test_per_layer_span_metrics_have_a_source():
 
 def test_step_factors_result_has_what_the_tracer_reads():
     # the tracer unpacks step_factors' result as two sparse pieces, here the
-    # m x m LU factor of the step and its coupling block, and records
-    # lu.L.nnz + lu.U.nnz and the block's nnz
-    _, disc, grid, _, _ = make_beam()
-    lu, coupling = disc.step_factors(grid.dt)
-    assert int(lu.L.nnz + lu.U.nnz) > 0
-    assert int(coupling.nnz) > 0
+    # m x m factor of the step (the beam's SuperLU, the wave's eigen-factor)
+    # and its coupling block, and records lu.L.nnz + lu.U.nnz and the
+    # block's nnz
+    for maker in (make_beam, make_wave):
+        _, disc, grid, _, _ = maker()
+        lu, coupling = disc.step_factors(grid.dt)
+        assert lu.shape == (disc.n_space, disc.n_space)
+        assert int(lu.L.nnz + lu.U.nnz) > 0
+        assert int(coupling.nnz) > 0

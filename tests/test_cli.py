@@ -578,6 +578,13 @@ NOT_FINITE = ("implicit step system (I - dt/2 A) is not finite at dt = {}; "
               "dt or the operator's entries are too large")
 BLOWN_AT_28 = "state blow-up at step 28 (t = 1.12); partial trajectory of 28 rows retained"
 
+# finite coefficients whose assembled operators overflow: the beam's ei
+# D4, and the wave's node masses hx hy (which underflow) and its bump
+HUGE_EI = TINY_CI + "ei = 1e308\n"
+TINY_CELLS = TINY_CI.replace("model = beam", "model = wave").replace(
+    "[beam]\nn_cells = 12\n", "[wave]\nnx = 8\nny = 8\nlx = 1e-300\nly = 1e-300\n"
+    "[actuator]\nwidth = 1e-302\n")
+
 # command, config, exit code, status, stderr line (None: empty)
 OUTCOMES = {
     "simulate-ok": ("simulate", TINY_BEAM, 0, "ok", None),
@@ -609,6 +616,10 @@ OUTCOMES = {
         NOT_FINITE.format("1.25e+299" if command == "oracle-compare" else "2.5e+299"))
        for command in ("simulate", "gradcheck", "optimize", "gridsearch",
                        "oracle-compare")},
+    "simulate-step_failed-huge_ei": ("simulate", HUGE_EI, 1, "step_failed",
+                                     NOT_FINITE.format("0.01")),
+    "simulate-step_failed-tiny_cells": ("simulate", TINY_CELLS, 1, "step_failed",
+                                        NOT_FINITE.format("0.01")),
 }
 
 

@@ -11,7 +11,7 @@ import actuopt as ao
 import actuopt.core_system as core_system
 from actuopt.core_system import STATE_CEILING, CNStep
 
-from conftest import make_beam, make_wave, operator, step_args
+from conftest import make_beam, make_wave, operator
 
 
 def test_time_grid_basics():
@@ -81,7 +81,7 @@ def test_step_transposes_are_exact(maker, adjoint, k):
     # bound |y| |z| of both sides, z the advanced state (a single column's
     # dot product may cancel far below it)
     _, disc, grid, _, _ = maker()
-    step = CNStep(*step_args(disc, adjoint), grid.dt)
+    step = CNStep(disc, grid.dt, adjoint)
     rng = np.random.default_rng(0)
     shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
     x = rng.standard_normal(shape)
@@ -103,7 +103,7 @@ def test_step_equals_full_size_crank_nicolson(maker, adjoint, k):
     # + s), h = dt/2, and its transpose, up to roundoff
     _, disc, grid, _, _ = maker()
     mat = operator(disc, adjoint)
-    step = CNStep(*step_args(disc, adjoint), grid.dt)
+    step = CNStep(disc, grid.dt, adjoint)
     eye = sp.identity(disc.n_dof, format="csr")
     lu = spla.splu((eye - (0.5 * grid.dt) * mat).tocsc())
     m_plus = (eye + (0.5 * grid.dt) * mat).tocsr()
@@ -170,8 +170,9 @@ def test_nonlinearity_runs_once_per_step(maker, monkeypatch):
 
 
 def test_step_internals_stay_in_the_step_class():
-    # only CNStep knows how a step is factorised, applied or transposed: no
-    # other code names its factor or coupling block or passes an LU trans= flag
+    # only CNStep knows how a step is applied or transposed, and only the
+    # model's schur_factor how it is factorised: no other code names the
+    # step's factor or coupling block or passes an LU trans= flag
     pkg = os.path.dirname(os.path.abspath(ao.__file__))
     found = []
     for module in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
@@ -419,8 +420,10 @@ def test_step_solver_error_on_singular_system():
     # a 1 x 1 toy with coupling 4/dt^2 and no damping: S = 1 - (dt/2)^2 4/dt^2
     # and det(I - dt/2 A) are both exactly zero (dt a power of two)
     dt = 0.5
+    blocks = (sp.csr_matrix([[4.0 / dt**2]]), sp.csr_matrix((1, 1)))
+    toy = core_system.Discretization(None, 1.0, blocks, blocks, sp.identity(2))
     with pytest.raises(ao.StepSolverError, match="singular"):
-        CNStep(sp.csr_matrix([[4.0 / dt**2]]), sp.csr_matrix((1, 1)), 1.0, dt)
+        toy.step_factors(dt)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

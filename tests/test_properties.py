@@ -14,7 +14,7 @@ import actuopt as ao
 import actuopt.core_system as core_system
 from actuopt.core_system import CNStep
 
-from conftest import make_beam, make_wave, step_args
+from conftest import make_beam, make_wave
 
 SMALL = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 N_STEPS = 12
@@ -54,7 +54,7 @@ def test_step_transpose_is_exact_for_a_and_a_star(problem, k, seed):
     shape = (disc.n_dof,) if k is None else (disc.n_dof, k)
     zero = np.zeros(shape)
     for adjoint in (False, True):
-        step = CNStep(*step_args(disc, adjoint), grid.dt)
+        step = CNStep(disc, grid.dt, adjoint)
         x, s, y = (rng.standard_normal(shape) for _ in range(3))
         for a, fwd, bwd in ((x, step.advance(x, zero), step.advance_T(y, zero)),
                             (s, step.advance(zero, s), step.advance_T(zero, y))):

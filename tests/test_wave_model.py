@@ -153,6 +153,52 @@ def test_operators_match_node_by_node_reference(grid, gamma1):
     np.testing.assert_allclose(asm["mv_free"], mass, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("grid", [(8, 8, 1.0, 1.0), (13, 9, 0.7, 1.3), (24, 24, 1.0, 1.0)],
+                         ids=["8x8", "13x9", "24x24"])
+def test_eigen_factor_solves_the_assembled_step_matrix(grid):
+    # the step's S = I - h C - s h^2 B, assembled from the blocks of A and of
+    # A*, and its transpose, solved densely, for every Neumann edge set: the
+    # eigen-factor's solves match both, and fstar_h's solve matches L's
+    nx, ny, lx, ly = grid
+    rng = np.random.default_rng(5)
+    for gamma1 in EDGE_SUBSETS:
+        params = ao.WaveParams(nx=nx, ny=ny, lx=lx, ly=ly, gamma1_edges=gamma1)
+        disc = ao.assemble_wave(params, act_width=0.05)
+        m = disc.n_space
+        rhs = rng.standard_normal((m, 3))
+        for dt, adjoint in itertools.product((0.01, 0.3), (False, True)):
+            b_blk, c_blk = disc.adjoint_blocks if adjoint else disc.blocks
+            h, sign = 0.5 * dt, -1.0 if adjoint else 1.0
+            schur = np.eye(m) - h * c_blk.toarray() - (sign * h * h) * b_blk.toarray()
+            factor = disc.schur_factor(dt, adjoint)
+            for trans, mat in (("N", schur), ("T", schur.T)):
+                want = np.linalg.solve(mat, rhs)
+                got = factor.solve(rhs, trans)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # F'(0) = cos(0) = 1: fstar_h(0, g) solves L h = Mv g
+        g = rhs[:, 0]
+        asm = _assembly(params)
+        want = np.linalg.solve(asm["l_mat"].toarray(), asm["mv_free"] * g)
+        got = disc.fstar_h(np.zeros(m), g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [4, 15, 72])
+def test_eigen_factor_columns_are_their_own_solves(k):
+    # a K-column solve is, column by column, bit for bit the solve of that
+    # column alone, as the block sweeps need
+    rng = np.random.default_rng(k)
+    for params in (ao.WaveParams(),
+                   ao.WaveParams(nx=13, ny=9, lx=0.7, gamma1_edges=("left", "top"))):
+        factor = ao.assemble_wave(params).schur_factor(0.005)
+        rhs = rng.standard_normal((factor.shape[0], k))
+        for trans in "NT":
+            block = factor.solve(rhs, trans)
+            for col in range(k):
+                np.testing.assert_array_equal(
+                    block[:, col], factor.solve(rhs[:, col:col + 1], trans)[:, 0])
+
+
 def test_generator_exactly_skew_in_energy_product(wave_small):
     _, disc, _, _, _ = wave_small
     a_mat = operator(disc)
